@@ -14,8 +14,8 @@ via :meth:`crash`.
 
 Engine notes (see DESIGN.md "Performance architecture"): scheduler hooks
 are bound once at construction (benign schedulers that inherit the base
-class no-ops cost nothing per step), the runnable-thread count is
-maintained incrementally instead of rescanning every thread, and
+class no-ops cost nothing per step), the runnable thread ids are
+maintained incrementally as a tuple instead of rescanning every thread, and
 :meth:`run_fast` is a batch loop that skips :class:`StepRecord`
 construction entirely when no consumer (``record_steps`` or a live
 ``on_step`` hook) needs it.  :meth:`run_fast` executes the exact same
@@ -25,7 +25,7 @@ what happens.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
     NoRunnableThreadError,
@@ -95,7 +95,10 @@ class Simulator:
         self.seed = seed
         self._rng_root = RngStream.root(seed)
         self._crashed_count = 0
-        self._runnable_count = 0
+        # Ascending runnable ids, replaced (never mutated) on every
+        # spawn/crash/finish, so schedulers can cache per-set state keyed
+        # on the object's identity.
+        self._runnable: Tuple[int, ...] = ()
         self._analyzers: List[Any] = []
         # Telemetry (repro.obs) — None until attach_metrics(); the hot
         # loops only ever do bulk increments at run()/run_fast() exit.
@@ -150,7 +153,7 @@ class Simulator:
         thread = SimThread(thread_id, program, context, name=name)
         self.threads.append(thread)
         if thread.is_runnable:
-            self._runnable_count += 1
+            self._runnable += (thread_id,)
         self.trace.append(
             SpawnEvent(time=self.clock.now, thread_id=thread_id, name=thread.name)
         )
@@ -180,10 +183,14 @@ class Simulator:
             )
         thread.crash()
         self._crashed_count += 1
-        self._runnable_count -= 1
+        self._retire(thread_id)
         self.trace.append(CrashEvent(time=self.clock.now, thread_id=thread_id))
         if self._m_crashed is not None:
             self._m_crashed.inc()
+
+    def _retire(self, thread_id: int) -> None:
+        """Drop a thread that just crashed or finished from the runnable set."""
+        self._runnable = tuple(i for i in self._runnable if i != thread_id)
 
     def _thread(self, thread_id: int) -> SimThread:
         if not 0 <= thread_id < len(self.threads):
@@ -195,13 +202,23 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def runnable_ids(self) -> List[int]:
-        """Ids of threads the scheduler may pick right now."""
-        return [t.thread_id for t in self.threads if t.is_runnable]
+        """Ids of threads the scheduler may pick right now (a fresh list)."""
+        return list(self._runnable)
+
+    @property
+    def runnable_tuple(self) -> Tuple[int, ...]:
+        """Ids of threads the scheduler may pick right now, ascending.
+
+        Maintained on spawn, crash and finish instead of rescanned, and
+        replaced by a new tuple whenever the set changes: per-step
+        schedulers read it without copying and may key caches on its
+        identity (``ids is cached_ids``)."""
+        return self._runnable
 
     @property
     def runnable_count(self) -> int:
         """Number of threads the scheduler may pick right now (O(1))."""
-        return self._runnable_count
+        return len(self._runnable)
 
     @property
     def crashed_count(self) -> int:
@@ -215,7 +232,7 @@ class Simulator:
     @property
     def is_done(self) -> bool:
         """True when no thread can take another step."""
-        return self._runnable_count == 0
+        return not self._runnable
 
     @property
     def now(self) -> int:
@@ -256,7 +273,7 @@ class Simulator:
             NoRunnableThreadError: If every thread has finished or crashed.
             SchedulerError: If the scheduler picked a non-runnable thread.
         """
-        if self._runnable_count == 0:
+        if not self._runnable:
             raise NoRunnableThreadError("all threads finished or crashed")
         choice = self.scheduler.select(self)
         thread = self._thread(choice)
@@ -270,7 +287,7 @@ class Simulator:
         result = self.memory.execute(op, time=time, thread_id=thread.thread_id)
         thread.advance(result)
         if not thread.is_runnable:
-            self._runnable_count -= 1
+            self._retire(thread.thread_id)
         record = StepRecord(time=time, thread_id=thread.thread_id, op=op, result=result)
         if self.record_steps:
             self.steps.append(record)
@@ -289,7 +306,7 @@ class Simulator:
         Returns the number of steps executed by this call.
         """
         executed = 0
-        while self._runnable_count:
+        while self._runnable:
             if max_steps is not None and executed >= max_steps:
                 break
             if stop is not None and stop(self):
@@ -334,7 +351,7 @@ class Simulator:
         runnable = ThreadState.RUNNABLE
         applied_fast = 0
         try:
-            while self._runnable_count and executed != remaining:
+            while self._runnable and executed != remaining:
                 choice = select(self)
                 try:
                     thread = threads[choice]
@@ -366,7 +383,7 @@ class Simulator:
                     thread.state = ThreadState.FINISHED
                     thread.pending_op = None
                     thread.result = stop.value
-                    self._runnable_count -= 1
+                    self._retire(thread.thread_id)
                 else:
                     if not isinstance(next_op, Operation):
                         raise ProgramError(
@@ -420,7 +437,7 @@ class Simulator:
         if chunk < 1:
             raise SimulationError(f"chunk must be >= 1, got {chunk}")
         executed = 0
-        while self._runnable_count:
+        while self._runnable:
             budget = chunk
             if max_steps is not None:
                 budget = min(budget, max_steps - executed)

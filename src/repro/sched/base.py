@@ -9,7 +9,7 @@ would only weaken the model.  Benign schedulers simply choose not to look.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import NoRunnableThreadError
 from repro.runtime.policy import ENGINE_NOOP_ATTR
@@ -50,6 +50,15 @@ class Scheduler(abc.ABC):
         """Runnable thread ids, raising if there are none (a scheduler is
         never consulted on a finished simulation, so this is defensive)."""
         ids = sim.runnable_ids
+        if not ids:
+            raise NoRunnableThreadError("scheduler consulted with no runnable thread")
+        return ids
+
+    @staticmethod
+    def _runnable_tuple(sim: "Simulator") -> Tuple[int, ...]:
+        """The simulator's maintained runnable tuple (no copy), raising if
+        it is empty — for per-step schedulers that only read it."""
+        ids = sim.runnable_tuple
         if not ids:
             raise NoRunnableThreadError("scheduler consulted with no runnable thread")
         return ids

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.runtime.rng import RngStream
+from repro.runtime.rng import BlockDraws, RngStream
 from repro.sched.adaptive import AdaptiveAdversary
 
 
@@ -32,7 +32,7 @@ class PriorityDelayScheduler(AdaptiveAdversary):
             raise ValueError(f"delay must be >= 0, got {delay}")
         self.victims = set(victims)
         self.delay = delay
-        self._rng = RngStream.root(seed)
+        self._draws = BlockDraws(RngStream.root(seed).generator)
         self._held_since: Dict[int, int] = {}
 
     def _is_held(self, sim, thread_id: int) -> bool:
@@ -45,14 +45,7 @@ class PriorityDelayScheduler(AdaptiveAdversary):
         return sim.now - start < self.delay
 
     def select(self, sim) -> int:
-        ids = self._runnable(sim)
+        ids = self._runnable_tuple(sim)
         free = [i for i in ids if not self._is_held(sim, i)]
         pool = free or ids  # never deadlock: if everyone is held, release
-        choice = int(pool[self._rng.integers(0, len(pool))])
-        if choice in self.victims and self.phase(sim, choice) == "update":
-            # The victim takes one update step; if more update steps
-            # remain it will be re-held from "now" only if it re-enters
-            # the phase — keep the original hold origin so the whole
-            # update batch goes through once released.
-            pass
-        return choice
+        return pool[self._draws.below(len(pool))]

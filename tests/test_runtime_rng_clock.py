@@ -1,9 +1,12 @@
-"""Unit tests for RngStream and Clock."""
+"""Unit tests for RngStream, BlockDraws and Clock."""
+
+import random
 
 import numpy as np
+import pytest
 
 from repro.runtime.clock import Clock
-from repro.runtime.rng import RngStream, spawn_streams
+from repro.runtime.rng import DRAW_BLOCK, BlockDraws, RngStream, spawn_streams
 
 
 class TestRngStream:
@@ -54,6 +57,63 @@ class TestRngStream:
         items = list(range(20))
         stream.shuffle(items)
         assert sorted(items) == list(range(20))
+
+
+#: Bounds that hit every branch of below(): no draw, small ranges, the
+#: rejection loop (just above 2**31 about half the draws are rejected)
+#: and the largest accepted range.
+BELOW_BOUNDS = (1, 2, 3, 4, 7, 10, 2**31 + 1, 2**31 + 12345, 2**32 - 1)
+
+
+class TestBlockDraws:
+    """BlockDraws must replay numpy's scalar draws exactly: the schedulers
+    that use it promise the decisions numpy's calls would have made.  A
+    numpy release that changes these streams fails here first."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_interleaved_draws_equal_numpy_scalar_calls(self, seed):
+        twin = RngStream.root(seed).generator
+        draws = BlockDraws(RngStream.root(seed).generator)
+        script = random.Random(seed)
+        calls = 50_000
+        for k in range(calls):
+            if script.random() < 0.3:
+                assert draws.random() == twin.uniform(), k
+            else:
+                if script.random() < 0.8:
+                    n = script.choice(BELOW_BOUNDS)
+                else:
+                    n = script.randrange(1, 2**32)
+                assert draws.below(n) == int(twin.integers(0, n)), (k, n)
+        # The run crossed many block refills, mid-sequence.
+        assert calls // 2 > 10 * DRAW_BLOCK
+
+    def test_adopts_a_pending_32_bit_half(self):
+        generator = np.random.Generator(np.random.PCG64(5))
+        twin = np.random.Generator(np.random.PCG64(5))
+        generator.integers(0, 7)  # leaves the word's upper half buffered
+        twin.integers(0, 7)
+        assert generator.bit_generator.state["has_uint32"]
+        draws = BlockDraws(generator)
+        for _ in range(3 * DRAW_BLOCK):
+            assert draws.below(5) == int(twin.integers(0, 5))
+            assert draws.random() == twin.uniform()
+
+    def test_below_one_consumes_no_draw(self):
+        twin = RngStream.root(3).generator
+        draws = BlockDraws(RngStream.root(3).generator)
+        for _ in range(100):
+            assert draws.below(1) == 0
+        assert draws.random() == twin.uniform()
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32, 2**40])
+    def test_out_of_range_bounds_rejected(self, n):
+        with pytest.raises(ValueError):
+            BlockDraws(RngStream.root(0).generator).below(n)
+
+    def test_rejects_other_bit_generators(self):
+        with pytest.raises(TypeError):
+            BlockDraws(np.random.Generator(np.random.MT19937(0)))
 
 
 class TestClock:

@@ -78,6 +78,15 @@ class TestRandom:
         sim, _ = run_trace(RandomScheduler(seed=3))
         assert all(t.state is ThreadState.FINISHED for t in sim.threads)
 
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+    def test_invalid_weight_rejected_at_construction(self, weight):
+        with pytest.raises(ValueError, match="thread 0"):
+            RandomScheduler(weights={0: weight, 1: 1.0})
+
+    def test_zero_weight_accepted(self):
+        _, order = run_trace(RandomScheduler(seed=4, weights={0: 0.0}), rounds=4)
+        assert order[:8].count(0) == 0  # it waits until it runs alone
+
     def test_weights_bias_schedule(self):
         _, order = run_trace(
             RandomScheduler(seed=4, weights={0: 100.0, 1: 1.0, 2: 1.0}),
@@ -125,6 +134,15 @@ class TestBoundedDelay:
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):
             BoundedDelayScheduler(0)
+
+    @pytest.mark.parametrize("bias", [-3, -0.1, 1.5, 7, float("nan")])
+    def test_bias_outside_unit_interval_rejected(self, bias):
+        with pytest.raises(ValueError, match="bias"):
+            BoundedDelayScheduler(4, victims=[0], bias=bias)
+
+    @pytest.mark.parametrize("bias", [0, 0.0, 0.5, 1, 1.0])
+    def test_bias_in_unit_interval_accepted(self, bias):
+        BoundedDelayScheduler(4, victims=[0], bias=bias)
 
     def test_victim_starved_up_to_bound(self):
         bound = 12
