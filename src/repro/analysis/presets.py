@@ -40,7 +40,7 @@ from repro.analysis.sanitizer import RaceStalenessSanitizer
 from repro.core.epoch_sgd import EpochSGDProgram, collect_iteration_records
 from repro.core.full_sgd import FullSGD
 from repro.errors import ConfigurationError
-from repro.experiments.ensemble import run_ensemble
+from repro.experiments.ensemble import EnsemblePool, run_ensemble
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.runtime.simulator import Simulator
@@ -275,25 +275,29 @@ def run_sanitize(
             progress(seed, run)
 
     report = AnalysisReport(strict=strict)
-    for preset in presets:
-        for scheduler_kind in preset.schedulers:
-            with trace_span(
-                "sanitize.cell_row", preset=preset.name, scheduler=scheduler_kind
-            ):
-                report.runs.extend(
-                    run_ensemble(
-                        functools.partial(
-                            _sanitize_worker, preset, scheduler_kind
-                        ),
-                        seeds,
-                        jobs=jobs,
-                        journal=journal,
-                        namespace=f"{preset.name}/{scheduler_kind}",
-                        encode=lambda run: run.as_dict(),
-                        decode=run_analysis_from_dict,
-                        shutdown=shutdown,
-                        metrics=metrics,
-                        progress=note_cell,
+    with EnsemblePool(jobs, len(seeds)) as pool:
+        for preset in presets:
+            for scheduler_kind in preset.schedulers:
+                with trace_span(
+                    "sanitize.cell_row",
+                    preset=preset.name,
+                    scheduler=scheduler_kind,
+                ):
+                    report.runs.extend(
+                        run_ensemble(
+                            functools.partial(
+                                _sanitize_worker, preset, scheduler_kind
+                            ),
+                            seeds,
+                            jobs=jobs,
+                            journal=journal,
+                            namespace=f"{preset.name}/{scheduler_kind}",
+                            encode=lambda run: run.as_dict(),
+                            decode=run_analysis_from_dict,
+                            shutdown=shutdown,
+                            metrics=metrics,
+                            progress=note_cell,
+                            pool=pool,
+                        )
                     )
-                )
     return report

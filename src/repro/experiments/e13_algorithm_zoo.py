@@ -45,7 +45,7 @@ from repro.core.algorithm import (
     run_algorithm,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.ensemble import run_ensemble
+from repro.experiments.ensemble import EnsemblePool, run_ensemble
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.report import Table
 from repro.objectives.noise import GaussianNoise
@@ -513,36 +513,38 @@ def run_zoo(
             progress(seed, outcome)
 
     outcomes: List[ZooCellOutcome] = []
-    for algorithm in config.algorithms:
-        for adversary in config.adversaries:
-            watchdog = (
-                EnsembleWatchdog(watchdog_policy, metrics=metrics)
-                if watchdog_policy is not None
-                else None
-            )
-            with trace_span(
-                "zoo.cell",
-                algorithm=algorithm,
-                adversary=adversary,
-                seeds=len(config.seeds),
-            ):
-                outcomes.extend(
-                    run_ensemble(
-                        functools.partial(
-                            _zoo_worker, config, algorithm, adversary
-                        ),
-                        config.seeds,
-                        jobs=config.jobs,
-                        journal=journal,
-                        namespace=_cell_namespace(algorithm, adversary),
-                        encode=outcome_to_payload,
-                        decode=outcome_from_payload,
-                        watchdog=watchdog,
-                        shutdown=shutdown,
-                        metrics=metrics,
-                        progress=note_cell,
-                    )
+    with EnsemblePool(config.jobs, len(config.seeds)) as pool:
+        for algorithm in config.algorithms:
+            for adversary in config.adversaries:
+                watchdog = (
+                    EnsembleWatchdog(watchdog_policy, metrics=metrics)
+                    if watchdog_policy is not None
+                    else None
                 )
+                with trace_span(
+                    "zoo.cell",
+                    algorithm=algorithm,
+                    adversary=adversary,
+                    seeds=len(config.seeds),
+                ):
+                    outcomes.extend(
+                        run_ensemble(
+                            functools.partial(
+                                _zoo_worker, config, algorithm, adversary
+                            ),
+                            config.seeds,
+                            jobs=config.jobs,
+                            journal=journal,
+                            namespace=_cell_namespace(algorithm, adversary),
+                            encode=outcome_to_payload,
+                            decode=outcome_from_payload,
+                            watchdog=watchdog,
+                            shutdown=shutdown,
+                            metrics=metrics,
+                            progress=note_cell,
+                            pool=pool,
+                        )
+                    )
     return report_from_outcomes(outcomes)
 
 

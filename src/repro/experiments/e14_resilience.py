@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.algorithm import algorithm_names
 from repro.errors import ConfigurationError
-from repro.experiments.ensemble import run_ensemble
+from repro.experiments.ensemble import EnsemblePool, run_ensemble
 from repro.experiments.runner import ExperimentResult
 from repro.faults.spec import (
     BitFlipSpec,
@@ -516,36 +516,38 @@ def run_heal_grid(
             progress(seed, outcome)
 
     outcomes: List[HealCellOutcome] = []
-    for algorithm in config.algorithms:
-        for plan in config.plans:
-            watchdog = (
-                EnsembleWatchdog(watchdog_policy, metrics=metrics)
-                if watchdog_policy is not None
-                else None
-            )
-            with trace_span(
-                "heal.cell",
-                algorithm=algorithm,
-                plan=plan,
-                seeds=len(config.seeds),
-            ):
-                outcomes.extend(
-                    run_ensemble(
-                        functools.partial(
-                            _heal_worker, config, algorithm, plan
-                        ),
-                        config.seeds,
-                        jobs=config.jobs,
-                        journal=journal,
-                        namespace=_cell_namespace(algorithm, plan),
-                        encode=outcome_to_payload,
-                        decode=outcome_from_payload,
-                        watchdog=watchdog,
-                        shutdown=shutdown,
-                        metrics=metrics,
-                        progress=note_cell,
-                    )
+    with EnsemblePool(config.jobs, len(config.seeds)) as pool:
+        for algorithm in config.algorithms:
+            for plan in config.plans:
+                watchdog = (
+                    EnsembleWatchdog(watchdog_policy, metrics=metrics)
+                    if watchdog_policy is not None
+                    else None
                 )
+                with trace_span(
+                    "heal.cell",
+                    algorithm=algorithm,
+                    plan=plan,
+                    seeds=len(config.seeds),
+                ):
+                    outcomes.extend(
+                        run_ensemble(
+                            functools.partial(
+                                _heal_worker, config, algorithm, plan
+                            ),
+                            config.seeds,
+                            jobs=config.jobs,
+                            journal=journal,
+                            namespace=_cell_namespace(algorithm, plan),
+                            encode=outcome_to_payload,
+                            decode=outcome_from_payload,
+                            watchdog=watchdog,
+                            shutdown=shutdown,
+                            metrics=metrics,
+                            progress=note_cell,
+                            pool=pool,
+                        )
+                    )
     return report_from_outcomes(outcomes)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.epoch_sgd import run_lock_free_sgd
 from repro.core.sequential import run_sequential_sgd
-from repro.experiments.ensemble import run_ensemble
+from repro.experiments.ensemble import EnsemblePool, run_ensemble
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.report import Table
 from repro.metrics.stats import wilson_interval
@@ -178,6 +178,13 @@ def _pilot_tau_max(
 
 def run(config: E5Config) -> ExperimentResult:
     """Execute E5 (bound check + slowdown-shape check)."""
+    with EnsemblePool(
+        config.jobs, max(config.num_runs, config.slowdown_runs)
+    ) as pool:
+        return _run(config, pool)
+
+
+def _run(config: E5Config, pool: EnsemblePool) -> ExperimentResult:
     objective = IsotropicQuadratic(
         dim=config.dim, noise=GaussianNoise(config.noise_sigma)
     )
@@ -213,6 +220,7 @@ def run(config: E5Config) -> ExperimentResult:
         ),
         range(config.base_seed, config.base_seed + config.num_runs),
         jobs=config.jobs,
+        pool=pool,
     )
     hits = np.array([hit for hit, _tau, _ok, _obs in bound_runs])
     realized_tau_max = max(
@@ -274,6 +282,7 @@ def run(config: E5Config) -> ExperimentResult:
                 config.base_seed + 7000 + config.slowdown_runs,
             ),
             jobs=config.jobs,
+            pool=pool,
         )
         if math.isfinite(hit)
     ]
@@ -318,6 +327,7 @@ def run(config: E5Config) -> ExperimentResult:
             ),
             range(first_seed, first_seed + config.slowdown_runs),
             jobs=config.jobs,
+            pool=pool,
         )
         run_hits = [
             hit

@@ -25,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.full_sgd import FullSGD, recommended_num_epochs
-from repro.experiments.ensemble import run_ensemble
+from repro.experiments.ensemble import EnsemblePool, run_ensemble
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.report import Table
 from repro.objectives.noise import GaussianNoise
@@ -92,6 +92,11 @@ def _full_sgd_worker(
 
 def run(config: E7Config) -> ExperimentResult:
     """Execute E7 across targets and schedulers."""
+    with EnsemblePool(config.jobs, config.num_runs) as pool:
+        return _run(config, pool)
+
+
+def _run(config: E7Config, pool: EnsemblePool) -> ExperimentResult:
     objective = IsotropicQuadratic(
         dim=config.dim, noise=GaussianNoise(config.noise_sigma)
     )
@@ -140,6 +145,7 @@ def run(config: E7Config) -> ExperimentResult:
                 functools.partial(_full_sgd_worker, config, epsilon, kind),
                 range(config.base_seed, config.base_seed + config.num_runs),
                 jobs=config.jobs,
+                pool=pool,
             )
             distances = [distance for distance, _rejected in cell]
             rejected = [rejected_count for _distance, rejected_count in cell]

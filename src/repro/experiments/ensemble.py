@@ -13,6 +13,9 @@ one place that owns that fan-out:
   **seed order**, so parallel output is byte-identical to serial output;
 * ``jobs=1`` (the default) never touches a pool — experiments remain as
   debuggable as before;
+* a grid of ensembles (one per cell) holds one :class:`EnsemblePool`
+  for its whole run and passes it as ``pool=``, so workers are forked
+  once per grid, not once per cell;
 * pool failures degrade gracefully — and *partially*: each chunk is a
   separate future, transient failures (broken pool, dead worker, stalls)
   are retried in the pool with exponential backoff, and only the chunks
@@ -24,7 +27,8 @@ one place that owns that fan-out:
   SIGKILL loses at most in-flight work and a resumed call skips finished
   seeds while returning byte-identical results; an
   :class:`~repro.durable.watchdog.EnsembleWatchdog` escalates pool
-  stalls (stall → reroute → abandon) instead of hanging; a
+  stalls (stall → reroute → abandon) and a reroute or abandon kills the
+  stalled workers, so the call returns instead of hanging; a
   :class:`~repro.durable.signals.GracefulShutdown` stops the run at the
   next seed boundary with every finished cell journaled.
 
@@ -35,10 +39,12 @@ Workers must be importable module-level callables (or
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import pickle
 import time
+from contextlib import nullcontext
 from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
@@ -146,16 +152,116 @@ def seed_chunks(seeds: Sequence[int], jobs: int) -> List[List[int]]:
     return [seeds[i : i + chunk_size] for i in range(0, len(seeds), chunk_size)]
 
 
-def _run_chunk(payload: Tuple[Callable[[int], T], List[int]]) -> List[T]:
-    """Worker entry point: run one contiguous seed chunk serially."""
-    run_one, chunk = payload
-    return [run_one(seed) for seed in chunk]
+class EnsemblePool:
+    """One worker pool held across the :func:`run_ensemble` calls of a grid.
+
+    A campaign grid runs one ensemble per cell.  Without a holder each
+    call forks, feeds and joins a pool of its own; a holder pays that
+    once for the whole grid::
+
+        with EnsemblePool(jobs, len(seeds)) as pool:
+            for cell in grid:
+                run_ensemble(worker(cell), seeds, jobs=jobs, pool=pool)
+
+    ``seeds`` is the largest seed count one call passes.  The pool starts
+    ``min(jobs, seeds)`` workers, which is as many as such a call has
+    chunks to run at once (:func:`seed_chunks` makes at least that many).
+    The executor is built on entry but forks nothing until the first
+    submit, so a grid answered entirely from its journal starts no
+    worker.  Workers are forked (the platform default), so they inherit
+    the parent's imports and registrations; each freezes that inherited
+    heap, which keeps the collection :func:`_run_chunk` runs after every
+    chunk cheap.
+
+    A pool that breaks, stalls into a watchdog reroute or abandon, or is
+    stopped by a shutdown request is :meth:`discard`-ed; the next call
+    gets a fresh one.
+    """
+
+    def __init__(self, jobs: Optional[int], seeds: int) -> None:
+        #: 1 means no call would pool (``jobs`` 1, or one seed a call).
+        self.workers = max(1, min(resolve_jobs(jobs), seeds))
+        self._executor: Any = None
+
+    def __enter__(self) -> "EnsemblePool":
+        if self.workers > 1:
+            try:
+                self.executor()
+            except POOL_FAILURES:
+                pass  # the first submit retries, then degrades to serial
+        return self
+
+    def __exit__(self, exc_type: Any, *_exc: Any) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
+
+    def executor(self) -> Any:
+        """The live executor, built on first use after a discard."""
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=gc.freeze
+            )
+        return self._executor
+
+    def close(self) -> None:
+        """Shut the executor down, waiting for work already handed out."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            try:
+                executor.shutdown(wait=True)
+            except POOL_FAILURES:
+                pass
+
+    def discard(self, executor: Any = None) -> None:
+        """Drop the executor now: cancel its queued work, kill its workers.
+
+        With ``executor`` given, only that one is dropped, so a late
+        failure from a pool already replaced leaves the fresh one alone.
+        Before Python 3.14 the executor has no public call that stops a
+        running task, so its process table is the only handle on the
+        workers.
+        """
+        if executor is not None and executor is not self._executor:
+            return
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        workers = list((getattr(executor, "_processes", None) or {}).values())
+        executor.shutdown(wait=False, cancel_futures=True)
+        for process in workers:
+            process.kill()
+        for process in workers:
+            process.join()
+
+
+def _run_chunk(
+    payload: Tuple[Callable[[int], T], List[int], Optional[Tuple[Optional[str], str]]],
+) -> List[T]:
+    """Worker entry point: run one contiguous seed chunk serially.
+
+    ``anchor`` is ``(parent span id, key scope)`` when causal tracing is
+    on: a forked worker's recorder is re-anchored so the chunk's spans
+    nest under the span that handed it out and get ids no sibling
+    worker mints.  Each simulation leaves its object graph behind as
+    cyclic garbage, so the chunk ends with a collection: a worker lives
+    for a whole grid and must not carry one chunk's graphs into the next.
+    """
+    from repro.obs.causal import get_causal_recorder
+
+    run_one, chunk, anchor = payload
+    causal = get_causal_recorder() if anchor is not None else None
+    with causal.anchored(*anchor) if causal is not None else nullcontext():
+        results = [run_one(seed) for seed in chunk]
+    gc.collect()
+    return results
 
 
 def _run_chunks_pooled(
     run_one: Callable[[int], T],
     chunks: List[List[int]],
-    jobs: int,
+    pool: EnsemblePool,
     chunk_retries: int,
     chunk_timeout: Optional[float],
     backoff_base: float,
@@ -163,139 +269,134 @@ def _run_chunks_pooled(
     shutdown: Optional[Any] = None,
     on_chunk: Optional[Callable[[int, List[T]], None]] = None,
     backoff_seed: Optional[int] = None,
+    anchor: Optional[Tuple[Optional[str], str]] = None,
 ) -> List[Optional[List[T]]]:
-    """Run chunks as independent pool futures; never raises pool errors.
+    """Run chunks as independent futures on ``pool``; never raises pool
+    errors.
 
     Returns one slot per chunk — ``None`` where the pool never produced
     that chunk's result (the caller reruns exactly those serially).
     Transient per-chunk failures are resubmitted up to ``chunk_retries``
-    times with exponential backoff.  Real errors raised inside
+    times with exponential backoff; a broken pool is discarded first, so
+    the retry runs on fresh workers.  Real errors raised inside
     ``run_one`` (anything outside ``POOL_FAILURES``) leave the chunk
     unfilled too, so the serial rerun re-raises them with a clean
     traceback.
 
     Stall handling goes through the ``watchdog``: a wait round that
-    completes nothing escalates stall → reroute (stalled chunks are
-    resubmitted to fresh workers; duplicates are harmless since chunk
-    results are pure functions of their seeds) → abandon (unfinished
-    chunks fall back to serial).  When no watchdog is given,
+    completes nothing escalates stall → reroute (the pool is discarded,
+    killing the stalled workers, and every unfinished chunk is
+    resubmitted to a fresh one) → abandon (the pool is discarded and
+    unfinished chunks fall back to serial).  When no watchdog is given,
     ``chunk_timeout`` builds the legacy single-strike one (first stall
     abandons).  ``on_chunk`` fires in the parent exactly once per chunk,
     as soon as its result lands — the journaling hook.  ``shutdown``
     (anything with a ``requested`` attribute) is polled between wait
-    rounds; once set, pending futures are cancelled and the caller
-    decides what the partial result means.
+    rounds; once set, the pool is discarded and the caller decides what
+    the partial result means.  However this returns or raises, no work
+    of this call is left running on ``pool``.
     """
     results: List[Optional[List[T]]] = [None] * len(chunks)
-    filled: set = set()
-
-    def fill(index: int, part: List[T]) -> None:
-        if index in filled:
-            return  # duplicate completion after a reroute
-        results[index] = part
-        filled.add(index)
-        if on_chunk is not None:
-            on_chunk(index, part)
-
     if watchdog is None and chunk_timeout is not None:
         watchdog = EnsembleWatchdog(
             WatchdogPolicy(heartbeat_timeout=chunk_timeout, max_reroutes=0)
         )
+    #: future -> (chunk index, the executor it was submitted to)
+    in_flight: Dict[Any, Tuple[int, Any]] = {}
+    attempts = [0] * len(chunks)
+    pool_alive = True
+
+    def submit(index: int) -> bool:
+        nonlocal pool_alive
+        scoped = None if anchor is None else (anchor[0], f"{anchor[1]}c{index}.")
+        try:
+            executor = pool.executor()
+            future = executor.submit(_run_chunk, (run_one, chunks[index], scoped))
+        except POOL_FAILURES:
+            pool_alive = False  # cannot build one / broken: serial rerun
+            pool.discard()
+            return False
+        in_flight[future] = (index, executor)
+        return True
+
+    def stop_pool() -> None:
+        in_flight.clear()
+        pool.discard()
+
     try:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            future_to_chunk: Dict[Any, int] = {}
-            attempts = [0] * len(chunks)
-
-            def submit(index: int) -> bool:
-                try:
-                    future = pool.submit(_run_chunk, (run_one, chunks[index]))
-                except POOL_FAILURES:
-                    return False  # pool shut down / broken: serial rerun
-                future_to_chunk[future] = index
-                return True
-
-            for index in range(len(chunks)):
-                if not submit(index):
-                    break
-            pool_alive = True
-            if watchdog is not None:
-                watchdog.start()
-            while future_to_chunk:
-                if shutdown is not None and getattr(shutdown, "requested", False):
-                    # Safe-point stop: abandon in-flight work (it is
-                    # recomputable from seeds); everything completed so
-                    # far has already been delivered via on_chunk.
-                    for future in future_to_chunk:
-                        future.cancel()
-                    break
-                timeout = watchdog.wait_timeout() if watchdog is not None else None
-                done, _pending = wait(
-                    tuple(future_to_chunk),
-                    timeout=timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                if not done:
-                    if watchdog is None:
-                        continue  # pragma: no cover - None timeout blocks
-                    pending_indexes = sorted(
-                        set(future_to_chunk.values()) - filled
-                    )
-                    action = watchdog.on_wait_elapsed(len(pending_indexes))
-                    if action == REROUTE and pool_alive:
-                        # Resubmit the stalled chunks to fresh workers.
-                        # cancel() only stops not-yet-started futures;
-                        # still-running duplicates are harmless (first
-                        # completion wins in fill()).
-                        for future in future_to_chunk:
-                            future.cancel()
-                        for index in pending_indexes:
-                            if not submit(index):
-                                pool_alive = False
-                                break
-                        if pool_alive:
-                            continue
-                        action = ABANDON
-                    if action == ABANDON or not pool_alive:
-                        for future in future_to_chunk:
-                            future.cancel()
-                        break
-                    continue  # WAIT: limits not actually hit yet
-                if watchdog is not None:
-                    watchdog.beat()
-                for future in done:
-                    index = future_to_chunk.pop(future)
-                    if index in filled:
-                        continue  # reroute duplicate already delivered
-                    try:
-                        fill(index, future.result())
-                    except CancelledError:
-                        continue  # cancelled during reroute/shutdown
-                    except _NON_RETRYABLE:
-                        continue  # hopeless in a pool; serial rerun
-                    except POOL_FAILURES:
-                        attempts[index] += 1
-                        if not pool_alive or attempts[index] > chunk_retries:
-                            continue
-                        if backoff_base > 0:
-                            time.sleep(
-                                backoff_delay(
-                                    backoff_base,
-                                    attempts[index],
-                                    chunk_index=index,
-                                    seed=backoff_seed,
-                                )
-                            )
+        for index in range(len(chunks)):
+            if not submit(index):
+                break
+        if watchdog is not None:
+            watchdog.start()
+        while in_flight:
+            if shutdown is not None and getattr(shutdown, "requested", False):
+                # Safe-point stop: in-flight work is recomputable from
+                # seeds; everything completed so far has already been
+                # delivered via on_chunk.
+                stop_pool()
+                break
+            timeout = watchdog.wait_timeout() if watchdog is not None else None
+            done, _pending = wait(
+                tuple(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
+            )
+            if not done:
+                if watchdog is None:
+                    continue  # pragma: no cover - None timeout blocks
+                pending_indexes = sorted(index for index, _ in in_flight.values())
+                action = watchdog.on_wait_elapsed(len(pending_indexes))
+                if action == REROUTE and pool_alive:
+                    # Kill the stalled workers and hand every unfinished
+                    # chunk to a fresh pool.
+                    stop_pool()
+                    for index in pending_indexes:
                         if not submit(index):
-                            pool_alive = False
-                    except Exception:
-                        # A real error from run_one: leave the chunk
-                        # unfilled so the serial rerun re-raises it with
-                        # a clean in-process traceback.
+                            break
+                    if pool_alive:
                         continue
-    except POOL_FAILURES:
-        # Pool construction/teardown failed (sandboxed fork, etc.):
-        # every unfilled chunk falls back to the serial path.
-        pass
+                    action = ABANDON
+                if action == ABANDON or not pool_alive:
+                    stop_pool()
+                    break
+                continue  # WAIT: limits not actually hit yet
+            if watchdog is not None:
+                watchdog.beat()
+            for future in done:
+                index, executor = in_flight.pop(future)
+                try:
+                    part = future.result()
+                except CancelledError:
+                    continue  # queued on a pool since discarded
+                except _NON_RETRYABLE:
+                    continue  # hopeless in a pool; serial rerun
+                except POOL_FAILURES as error:
+                    if isinstance(error, BrokenProcessPool):
+                        pool.discard(executor)  # the retry gets fresh workers
+                    attempts[index] += 1
+                    if not pool_alive or attempts[index] > chunk_retries:
+                        continue
+                    if backoff_base > 0:
+                        time.sleep(
+                            backoff_delay(
+                                backoff_base,
+                                attempts[index],
+                                chunk_index=index,
+                                seed=backoff_seed,
+                            )
+                        )
+                    submit(index)
+                    continue
+                except Exception:
+                    # A real error from run_one: leave the chunk
+                    # unfilled so the serial rerun re-raises it with
+                    # a clean in-process traceback.
+                    continue
+                results[index] = part
+                if on_chunk is not None:
+                    on_chunk(index, part)
+    except BaseException:
+        stop_pool()
+        raise
     return results
 
 
@@ -315,6 +416,7 @@ def run_ensemble(
     metrics: Optional[Any] = None,
     progress: Optional[Callable[[int, T], None]] = None,
     backoff_seed: Optional[int] = None,
+    pool: Optional[EnsemblePool] = None,
 ) -> List[T]:
     """Map ``run_one`` over ``seeds``, optionally across processes.
 
@@ -372,6 +474,9 @@ def run_ensemble(
             this seed, the chunk index and the attempt number) instead
             of the bare exponential.  Jitter shapes wall-clock only;
             results stay byte-identical for any value.
+        pool: Optional :class:`EnsemblePool` held by a grid across its
+            calls.  Without one, a pooled call opens a pool for itself
+            and closes it before returning.
 
     Returns:
         Results in seed order — identical, element for element, to
@@ -392,6 +497,14 @@ def run_ensemble(
     # the enclosing span by a flow arrow.
     causal = get_causal_recorder()
     causal_anchor = causal.current_span() if causal is not None else None
+    # Pooled chunks re-anchor a forked worker's recorder under this call
+    # (see _run_chunk); the scope numbers calls in order, so worker span
+    # ids are unique and the same on every run of the same grid.
+    anchor = (
+        (causal_anchor, causal.auto_key("ensemble.chunk") + ".")
+        if causal is not None
+        else None
+    )
 
     def note_causal(seed: int) -> None:
         if causal is not None:
@@ -474,18 +587,20 @@ def run_ensemble(
                 seeds=len(part),
             )
 
-    parts = _run_chunks_pooled(
-        run_one,
-        chunks,
-        jobs,
-        chunk_retries,
-        chunk_timeout,
-        backoff_base,
-        watchdog=watchdog,
-        shutdown=shutdown,
-        on_chunk=on_chunk,
-        backoff_seed=backoff_seed,
-    )
+    with EnsemblePool(jobs, len(pending)) if pool is None else nullcontext(pool) as held:
+        parts = _run_chunks_pooled(
+            run_one,
+            chunks,
+            held,
+            chunk_retries,
+            chunk_timeout,
+            backoff_base,
+            watchdog=watchdog,
+            shutdown=shutdown,
+            on_chunk=on_chunk,
+            backoff_seed=backoff_seed,
+            anchor=anchor,
+        )
     if shutdown is not None:
         shutdown.check()
     # Partial-result rerun: only chunks the pool never delivered are

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.epoch_sgd import EpochSGDProgram
 from repro.errors import ConfigurationError
-from repro.experiments.ensemble import run_ensemble
+from repro.experiments.ensemble import EnsemblePool, run_ensemble
 from repro.faults.monitors import MonitorSuite, default_monitors
 from repro.faults.recovery import run_with_recovery
 from repro.faults.spec import (
@@ -586,26 +586,30 @@ def run_campaign(
             progress(seed, outcome)
 
     outcomes: List[FaultRunOutcome] = []
-    for spec_index, spec in enumerate(config.specs):
-        watchdog = (
-            EnsembleWatchdog(watchdog_policy, metrics=metrics)
-            if watchdog_policy is not None
-            else None
-        )
-        with trace_span("campaign.spec", spec=spec.name, seeds=len(config.seeds)):
-            outcomes.extend(
-                run_ensemble(
-                    functools.partial(_chaos_worker, config, spec_index),
-                    config.seeds,
-                    jobs=config.jobs,
-                    journal=journal,
-                    namespace=_cell_namespace(spec_index, spec),
-                    encode=outcome_to_payload,
-                    decode=outcome_from_payload,
-                    watchdog=watchdog,
-                    shutdown=shutdown,
-                    metrics=metrics,
-                    progress=note_cell,
-                )
+    with EnsemblePool(config.jobs, len(config.seeds)) as pool:
+        for spec_index, spec in enumerate(config.specs):
+            watchdog = (
+                EnsembleWatchdog(watchdog_policy, metrics=metrics)
+                if watchdog_policy is not None
+                else None
             )
+            with trace_span(
+                "campaign.spec", spec=spec.name, seeds=len(config.seeds)
+            ):
+                outcomes.extend(
+                    run_ensemble(
+                        functools.partial(_chaos_worker, config, spec_index),
+                        config.seeds,
+                        jobs=config.jobs,
+                        journal=journal,
+                        namespace=_cell_namespace(spec_index, spec),
+                        encode=outcome_to_payload,
+                        decode=outcome_from_payload,
+                        watchdog=watchdog,
+                        shutdown=shutdown,
+                        metrics=metrics,
+                        progress=note_cell,
+                        pool=pool,
+                    )
+                )
     return report_from_outcomes(outcomes)

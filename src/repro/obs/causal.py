@@ -209,6 +209,7 @@ class CausalRecorder:
         self._seq = 0
         self._stack: List[str] = []
         self._auto: Dict[str, int] = {}
+        self._scope = f"a{attempt}."
 
     # -- plumbing -------------------------------------------------------
     def _open(self) -> IO[str]:
@@ -227,11 +228,31 @@ class CausalRecorder:
         """Innermost open span id (or the cross-process parent)."""
         return self._stack[-1] if self._stack else self.parent_id
 
-    def _auto_key(self, name: str) -> str:
+    def auto_key(self, name: str) -> str:
+        """The next automatic key for ``name``: ``a<attempt>.<n>``, or
+        ``<scope><n>`` inside :meth:`anchored`."""
         with self._lock:
             index = self._auto.get(name, 0)
             self._auto[name] = index + 1
-        return f"a{self.attempt}.{index}"
+        return f"{self._scope}{index}"
+
+    @contextmanager
+    def anchored(self, parent: Optional[str], scope: str):
+        """Record the enclosed block as work handed out by span ``parent``.
+
+        A forked pool worker inherits this recorder with the open spans
+        and key counters its parent had at fork time, which belong to
+        whatever the parent was doing then.  Inside the block, spans nest
+        under ``parent`` and automatic keys start afresh under ``scope``,
+        so sibling workers never mint the same span id.
+        """
+        saved = self._stack, self._auto, self._scope
+        self._stack = [] if parent is None else [parent]
+        self._auto, self._scope = {}, scope
+        try:
+            yield
+        finally:
+            self._stack, self._auto, self._scope = saved
 
     # -- recording ------------------------------------------------------
     def record(
@@ -300,7 +321,7 @@ class CausalRecorder:
             yield None
             return
         if key is None:
-            key = self._auto_key(name)
+            key = self.auto_key(name)
         parent = self.current_span()
         t0 = self._clock() if self._clock is not None else None
         sid = span_id(self.trace_id, name, key)

@@ -44,7 +44,7 @@ from repro.core.algorithm import (
 )
 from repro.core.epoch_sgd import collect_iteration_records
 from repro.errors import ConfigurationError, SchedulerError
-from repro.experiments.ensemble import run_ensemble
+from repro.experiments.ensemble import EnsemblePool, run_ensemble
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.runtime.simulator import Simulator
@@ -390,22 +390,24 @@ def run_verify(
             progress(seed, outcome)
 
     outcomes: List[VerifyCellOutcome] = []
-    for variant in config.variants:
-        with trace_span(
-            "verify.cell", variant=variant, seeds=len(config.seeds)
-        ):
-            outcomes.extend(
-                run_ensemble(
-                    functools.partial(_verify_worker, config, variant),
-                    config.seeds,
-                    jobs=config.jobs,
-                    journal=journal,
-                    namespace=_variant_namespace(variant),
-                    encode=outcome_to_payload,
-                    decode=outcome_from_payload,
-                    shutdown=shutdown,
-                    metrics=metrics,
-                    progress=note_cell,
+    with EnsemblePool(config.jobs, len(config.seeds)) as pool:
+        for variant in config.variants:
+            with trace_span(
+                "verify.cell", variant=variant, seeds=len(config.seeds)
+            ):
+                outcomes.extend(
+                    run_ensemble(
+                        functools.partial(_verify_worker, config, variant),
+                        config.seeds,
+                        jobs=config.jobs,
+                        journal=journal,
+                        namespace=_variant_namespace(variant),
+                        encode=outcome_to_payload,
+                        decode=outcome_from_payload,
+                        shutdown=shutdown,
+                        metrics=metrics,
+                        progress=note_cell,
+                        pool=pool,
+                    )
                 )
-            )
     return report_from_outcomes(config, outcomes)

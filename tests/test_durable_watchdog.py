@@ -3,6 +3,10 @@ abandon escalation ladder (driven by an injected fake clock), its
 wait-timeout arithmetic, and its integration with the ensemble runner
 (reroute resubmission, abandon-to-serial fallback, graceful shutdown)."""
 
+import functools
+import os
+import time
+
 import pytest
 
 from repro.durable.signals import GracefulShutdown
@@ -187,15 +191,14 @@ class _InProcessPool:
 
     def __init__(self):
         self.submits = 0
+        self.starts = 0
 
-    def __call__(self, max_workers=None):
+    def __call__(self, max_workers=None, initializer=None):
+        self.starts += 1
         return self
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
     def submit(self, fn, payload):
         self.submits += 1
@@ -308,7 +311,7 @@ class TestRunChunksPooledDirect:
         results = ensemble._run_chunks_pooled(
             _square,
             chunks,
-            jobs=3,
+            pool=ensemble.EnsemblePool(3, 6),
             chunk_retries=1,
             chunk_timeout=None,
             backoff_base=0.0,
@@ -322,6 +325,8 @@ class TestRunChunksPooledDirect:
         # submissions the reroute caused.
         assert sorted(index for index, _part in delivered) == [0, 1, 2]
         assert pool.submits == 2 * len(chunks)
+        # The reroute discarded the stalled pool for a fresh one.
+        assert pool.starts == 2
 
     def test_abandon_leaves_unfilled_slots_none(self, monkeypatch):
         clock = FakeClock()
@@ -337,7 +342,7 @@ class TestRunChunksPooledDirect:
         results = ensemble._run_chunks_pooled(
             _square,
             chunks,
-            jobs=2,
+            pool=ensemble.EnsemblePool(2, 2),
             chunk_retries=0,
             chunk_timeout=None,
             backoff_base=0.0,
@@ -345,3 +350,37 @@ class TestRunChunksPooledDirect:
         )
         assert results == [None, None]
         assert [f.rule for f in watchdog.findings] == ["WD002"]
+
+
+def _sleep_in_child(parent, marks, seed):
+    """Stalls for 15 s in a pool worker (leaving its pid in ``marks``);
+    returns at once in the ``parent`` process."""
+    if os.getpid() != parent:
+        (marks / str(os.getpid())).touch()
+        time.sleep(15)
+    return seed * seed
+
+
+class TestStalledWorkersAreKilled:
+    """A reroute or abandon kills the stalled workers, so the call
+    returns promptly instead of waiting for them at pool shutdown."""
+
+    @pytest.mark.parametrize(
+        "reroutes, rules", [(0, ["WD002"]), (1, ["WD001", "WD002"])]
+    )
+    def test_stall_returns_and_leaves_no_worker_alive(self, tmp_path, reroutes, rules):
+        watchdog = EnsembleWatchdog(
+            WatchdogPolicy(heartbeat_timeout=0.5, max_reroutes=reroutes)
+        )
+        worker = functools.partial(_sleep_in_child, os.getpid(), tmp_path)
+        seeds = list(range(4))
+        start = time.monotonic()
+        result = run_ensemble(worker, seeds, jobs=2, watchdog=watchdog)
+        assert time.monotonic() - start < 10  # the sleepers need 15 s
+        assert result == [s * s for s in seeds]
+        assert [f.rule for f in watchdog.findings] == rules
+        pids = [int(mark.name) for mark in tmp_path.iterdir()]
+        assert pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)

@@ -135,15 +135,14 @@ class _ScriptedPool:
     def __init__(self, script=()):
         self.script = list(script)
         self.submits = 0
+        self.starts = 0
 
-    def __call__(self, max_workers=None):
+    def __call__(self, max_workers=None, initializer=None):
+        self.starts += 1
         return self
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
     def submit(self, fn, payload):
         self.submits += 1

@@ -4,13 +4,16 @@ stitcher, and the headline determinism guarantees — the logical stitch
 of an ensemble is byte-identical across ``--jobs`` values and across a
 kill + journal-resume of the same run."""
 
+import functools
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
 from repro.durable.journal import RunJournal
-from repro.experiments.ensemble import run_ensemble
+from repro.experiments.e13_algorithm_zoo import ZooConfig, ZooWorkload, run_zoo
+from repro.experiments.ensemble import EnsemblePool, run_ensemble
 from repro.obs.causal import (
     SPILL_SUFFIX,
     CausalRecorder,
@@ -363,4 +366,98 @@ class TestLogicalDeterminism:
             ),
         )
         clean_journal.close()
+        assert resumed == clean
+
+
+def _spanned_square(cell: int, seed: int) -> int:
+    """Picklable worker recording one span per seed."""
+    with trace_span("grid.seed", cell=cell, seed=seed):
+        return seed * seed
+
+
+def _grid(jobs, cells=3, journal=None):
+    """A grid of ``cells`` ensembles sharing one pool, each cell under
+    its own span."""
+    seeds = range(6)
+    with EnsemblePool(jobs, len(seeds)) as pool:
+        for cell in range(cells):
+            with trace_span("grid.cell", cell=cell):
+                run_ensemble(
+                    functools.partial(_spanned_square, cell),
+                    seeds,
+                    jobs=jobs,
+                    journal=journal,
+                    namespace=f"cell-{cell}",
+                    pool=pool,
+                )
+
+
+def _recorded(tmp_path, name, run):
+    spill = tmp_path / f"{name}{SPILL_SUFFIX}"
+    rec = CausalRecorder(spill, role="worker", trace_id="t1")
+    install_causal_recorder(rec)
+    try:
+        run()
+    finally:
+        install_causal_recorder(None)
+        rec.close()
+    return read_spill(spill)
+
+
+class TestGridPoolSpans:
+    """Satellite: the spans forked workers record for a grid-long pool
+    nest under their own cell's span, and no two share an id."""
+
+    def test_worker_spans_nest_under_their_own_cell(self, tmp_path):
+        records = _recorded(tmp_path, "grid", lambda: _grid(jobs=2))
+        cells = {
+            r["args"]["cell"]: r["span"] for r in records if r["name"] == "grid.cell"
+        }
+        seeds = [r for r in records if r["name"] == "grid.seed"]
+        assert len(cells) == 3 and len(seeds) == 18
+        assert all(r["parent"] == cells[r["args"]["cell"]] for r in seeds)
+        ids = [r["span"] for r in records]
+        assert len(set(ids)) == len(ids)
+        # Keys are a pure function of (call, chunk, span in chunk): one
+        # seed per chunk here, whatever the worker inherited at fork.
+        assert {r["key"] for r in seeds} == {
+            f"a0.{cell}.c{chunk}.0" for cell in range(3) for chunk in range(6)
+        }
+
+    def test_zoo_run_spans_nest_under_their_zoo_cell(self, tmp_path):
+        config = ZooConfig(
+            algorithms=("hogwild",),
+            adversaries=("round-robin", "stale-attack"),
+            seeds=(100, 101, 102),
+            workload=ZooWorkload(iterations=40),
+            jobs=2,
+        )
+        records = _recorded(tmp_path, "zoo", lambda: run_zoo(config))
+        cells = [r["span"] for r in records if r["name"] == "zoo.cell"]
+        runs = [r for r in records if r["name"] == "zoo.run"]
+        assert len(cells) == 2
+        assert Counter(r["parent"] for r in runs) == {cell: 3 for cell in cells}
+        ids = [r["span"] for r in records]
+        assert len(set(ids)) == len(ids)
+
+    def test_grid_logical_stitch_same_across_jobs_and_resume(self, tmp_path):
+        serial = _logical_bytes(tmp_path, "serial", lambda: _grid(jobs=1))
+        pooled = _logical_bytes(tmp_path, "pooled", lambda: _grid(jobs=4))
+        assert serial == pooled
+        assert json.loads(serial)["traceEvents"]  # non-vacuous
+        fingerprint = "fp-grid"
+        clean_journal = RunJournal.open(tmp_path / "clean.journal", fingerprint)
+        clean = _logical_bytes(
+            tmp_path, "clean", lambda: _grid(jobs=1, journal=clean_journal)
+        )
+        clean_journal.close()
+        # "Killed" after two of the three cells, then resumed pooled.
+        first = RunJournal.open(tmp_path / "run.journal", fingerprint)
+        _logical_bytes(tmp_path, "partial", lambda: _grid(jobs=4, cells=2, journal=first))
+        first.close()
+        again = RunJournal.open(tmp_path / "run.journal", fingerprint, resume=True)
+        resumed = _logical_bytes(
+            tmp_path, "resumed", lambda: _grid(jobs=4, journal=again)
+        )
+        again.close()
         assert resumed == clean
