@@ -4,9 +4,11 @@ under the race/staleness sanitizer.
 A preset is a small seeded workload grid — (scheduler kind × seed) —
 whose every cell runs with a :class:`~repro.analysis.sanitizer.
 RaceStalenessSanitizer` attached and its lemma certificates computed.
-Cells go through :func:`repro.experiments.ensemble.run_ensemble`, so
-``--jobs`` parallelizes them across processes with reports byte-identical
-to serial execution (the property the acceptance tests pin).
+The grid is the registered ``sanitize`` campaign
+(:class:`SanitizeCampaign`, see :mod:`repro.experiments.grid`), so
+``--jobs`` parallelizes cells across processes with reports
+byte-identical to serial execution (the property the acceptance tests
+pin).
 
 Presets:
 
@@ -25,7 +27,7 @@ Presets:
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -40,12 +42,19 @@ from repro.analysis.sanitizer import RaceStalenessSanitizer
 from repro.core.epoch_sgd import EpochSGDProgram, collect_iteration_records
 from repro.core.full_sgd import FullSGD
 from repro.errors import ConfigurationError
-from repro.experiments.ensemble import EnsemblePool, run_ensemble
+from repro.experiments.grid import (
+    Campaign,
+    Cell,
+    comma_names,
+    get_campaign,
+    grid_seeds,
+    register_campaign,
+    str_list,
+)
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.runtime.simulator import Simulator
-from repro.sched.base import Scheduler
-from repro.sched.registry import build_scheduler as _build_registered_scheduler
+from repro.sched.registry import build_scheduler
 from repro.shm.array import AtomicArray
 from repro.shm.counter import AtomicCounter
 from repro.shm.memory import SharedMemory
@@ -111,16 +120,6 @@ def sanitize_presets() -> Dict[str, SanitizePreset]:
     }
 
 
-def build_scheduler(kind: str, seed: int) -> Scheduler:
-    """Instantiate one of the sanitize grid's scheduler kinds.
-
-    Thin delegate to the shared :mod:`repro.sched.registry` factory —
-    kept as a name so existing callers (and journal fingerprints built
-    before the registry existed) keep working unchanged.
-    """
-    return _build_registered_scheduler(kind, seed=seed)
-
-
 def _analyze(sim, sanitizer, records, preset, label, steps):
     """Assemble one cell's :class:`RunAnalysis` from a finished run."""
     certificates = certify_run(
@@ -159,7 +158,7 @@ def _sanitize_worker(
             x0=np.full(preset.dim, preset.x0_scale),
         )
         result = driver.run(
-            build_scheduler(scheduler_kind, seed),
+            build_scheduler(scheduler_kind, seed=seed),
             seed=seed,
             analyzers=(sanitizer,),
         )
@@ -171,7 +170,7 @@ def _sanitize_worker(
     model = AtomicArray.allocate(memory, preset.dim, name="model")
     model.load(np.full(preset.dim, preset.x0_scale))
     counter = AtomicCounter.allocate(memory, name="iteration_counter")
-    sim = Simulator(memory, build_scheduler(scheduler_kind, seed), seed=seed)
+    sim = Simulator(memory, build_scheduler(scheduler_kind, seed=seed), seed=seed)
     for index in range(preset.num_threads):
         sim.spawn(
             EpochSGDProgram(
@@ -190,41 +189,126 @@ def _sanitize_worker(
     return _analyze(sim, sanitizer, records, preset, label, sim.now)
 
 
-def sanitize_fingerprint(
-    presets: Tuple[SanitizePreset, ...],
-    seeds: Tuple[int, ...],
-    strict: bool = False,
-) -> str:
-    """Stable fingerprint of everything that determines sanitize results
-    (``jobs`` excluded: parallelism never changes results, so a journal
-    resumes cleanly under a different ``--jobs``)."""
-    from repro.durable.journal import config_fingerprint
+@dataclass(frozen=True)
+class SanitizeConfig:
+    """One sanitize run: presets x their schedulers x seeds."""
 
-    return config_fingerprint(
-        {
-            "presets": [asdict(p) for p in presets],
-            "seeds": list(seeds),
-            "strict": bool(strict),
-        }
+    presets: Tuple[SanitizePreset, ...]
+    seeds: Tuple[int, ...]
+    #: Treat warnings as failures.
+    strict: bool = False
+    jobs: int = 1
+
+    def __post_init__(self) -> None:
+        if not self.presets:
+            raise ConfigurationError("sanitize needs at least one preset")
+        if not self.seeds:
+            raise ConfigurationError("sanitize needs at least one seed")
+
+
+@register_campaign
+class SanitizeCampaign(Campaign):
+    """``repro sanitize``: every preset's (scheduler, seed) grid under the
+    race/staleness sanitizer, one ``sanitize.cell_row`` span per
+    (preset, scheduler) row."""
+
+    name = "sanitize"
+    help = (
+        "run the race/staleness sanitizer + lemma certifiers over preset "
+        "workloads (deterministic report; non-zero exit on findings)"
     )
+    report_name = "analysis_report"
+    cli_seeds = (2, 1)
+    seeds_per = "(preset, scheduler) cell"
+    cells_metric = ("repro_sanitize_cells_total", "sanitize cells analyzed")
+    metrics_help = (
+        "write a deterministic per-cell summary snapshot JSONL (inspect "
+        "with 'repro obs')"
+    )
+    serve_params = {
+        "presets": (("e1",), str_list),
+        "seeds": (2, int),
+        "base_seed": (1, int),
+        "strict": (False, bool),
+    }
+    decode = staticmethod(run_analysis_from_dict)
 
+    def build(self, params, jobs=1, collect_obs=False):
+        presets = sanitize_presets()
+        unknown = [name for name in params["presets"] if name not in presets]
+        if unknown or not params["presets"]:
+            raise ConfigurationError(
+                f"unknown sanitize preset(s): "
+                f"{', '.join(unknown) or '(none given)'} "
+                f"(choose from {', '.join(presets)})"
+            )
+        return SanitizeConfig(
+            presets=tuple(presets[name] for name in params["presets"]),
+            seeds=grid_seeds(params),
+            strict=params["strict"],
+            jobs=jobs,
+        )
 
-def partial_sanitize_report(
-    presets: Tuple[SanitizePreset, ...],
-    seeds: Tuple[int, ...],
-    journal: Any,
-    strict: bool = False,
-) -> AnalysisReport:
-    """Report over only the cells the journal has — what the CLI flushes
-    when a sanitize run is interrupted.  Grid-ordered."""
-    report = AnalysisReport(strict=strict)
-    for preset in presets:
-        for scheduler_kind in preset.schedulers:
-            done = journal.completed(f"{preset.name}/{scheduler_kind}")
-            for seed in seeds:
-                if seed in done:
-                    report.runs.append(run_analysis_from_dict(done[seed]))
-    return report
+    def cells(self, config):
+        for preset in config.presets:
+            for scheduler_kind in preset.schedulers:
+                yield Cell(
+                    f"{preset.name}/{scheduler_kind}",
+                    functools.partial(_sanitize_worker, preset, scheduler_kind),
+                    (preset.name, scheduler_kind),
+                )
+
+    def cell_span(self, config, cell):
+        from repro.obs.spans import trace_span
+
+        preset, scheduler_kind = cell.key
+        return trace_span(
+            "sanitize.cell_row", preset=preset, scheduler=scheduler_kind
+        )
+
+    def encode(self, outcome):
+        return outcome.as_dict()
+
+    def report(self, config, outcomes):
+        return AnalysisReport(runs=list(outcomes), strict=config.strict)
+
+    def telemetry(self, registry, outcome):
+        registry.counter(
+            "repro_sanitize_findings_total", "sanitizer findings raised"
+        ).inc(len(outcome.findings))
+
+    def snapshot_lines(self, report):
+        return [
+            {
+                "kind": "run",
+                "label": run.label,
+                "steps": run.steps,
+                "iterations": run.iterations,
+                "findings": len(run.findings),
+                "certificates_ok": all(c.holds for c in run.certificates),
+            }
+            for run in report.runs
+        ]
+
+    def add_arguments(self, parser):
+        parser.add_argument(
+            "--presets",
+            default="e1,e5,e7",
+            help="comma-separated sanitize presets (see repro.analysis."
+            "presets.sanitize_presets): racy, e1, e5, e7",
+        )
+        parser.add_argument(
+            "--strict", action="store_true",
+            help="treat warnings as failures",
+        )
+
+    def params_from_args(self, args):
+        return {
+            "presets": comma_names(args.presets),
+            "seeds": args.seeds,
+            "base_seed": args.base_seed,
+            "strict": args.strict,
+        }
 
 
 def run_sanitize(
@@ -239,65 +323,11 @@ def run_sanitize(
 ) -> AnalysisReport:
     """Run the full preset grid and aggregate one deterministic report.
 
-    Grid order is (preset, scheduler, seed) with seeds innermost, so
-    each (preset, scheduler) row is an ensemble ``--jobs`` can farm out;
-    results are byte-identical for any ``jobs`` value.
-
-    With a ``journal`` (opened against :func:`sanitize_fingerprint`) the
-    grid is durable and resumable: finished cells are recorded as they
-    land and skipped on resume, with the final report byte-identical to
-    an uninterrupted run.  ``shutdown`` stops at the next cell boundary
-    via :class:`~repro.errors.InterruptedRunError`.
-
-    ``metrics``/``progress`` feed the observability layer:
-    ``progress(seed, run_analysis)`` fires per freshly analyzed cell
-    (the ``repro top`` hook) and ``metrics`` receives the ensemble
-    counters plus per-cell finding tallies; neither changes the report.
+    Grid order is (preset, scheduler, seed) with seeds innermost; see
+    :meth:`repro.experiments.grid.Campaign.run` for ``journal``,
+    ``shutdown``, ``metrics`` and ``progress``.
     """
-    if not presets:
-        raise ConfigurationError("sanitize needs at least one preset")
-    if not seeds:
-        raise ConfigurationError("sanitize needs at least one seed")
-    from repro.obs.registry import live_registry
-    from repro.obs.spans import trace_span
-
-    registry = live_registry(metrics)
-
-    def note_cell(seed: int, run: RunAnalysis) -> None:
-        if registry is not None:
-            registry.counter(
-                "repro_sanitize_cells_total", "sanitize cells analyzed"
-            ).inc()
-            registry.counter(
-                "repro_sanitize_findings_total", "sanitizer findings raised"
-            ).inc(len(run.findings))
-        if progress is not None:
-            progress(seed, run)
-
-    report = AnalysisReport(strict=strict)
-    with EnsemblePool(jobs, len(seeds)) as pool:
-        for preset in presets:
-            for scheduler_kind in preset.schedulers:
-                with trace_span(
-                    "sanitize.cell_row",
-                    preset=preset.name,
-                    scheduler=scheduler_kind,
-                ):
-                    report.runs.extend(
-                        run_ensemble(
-                            functools.partial(
-                                _sanitize_worker, preset, scheduler_kind
-                            ),
-                            seeds,
-                            jobs=jobs,
-                            journal=journal,
-                            namespace=f"{preset.name}/{scheduler_kind}",
-                            encode=lambda run: run.as_dict(),
-                            decode=run_analysis_from_dict,
-                            shutdown=shutdown,
-                            metrics=metrics,
-                            progress=note_cell,
-                            pool=pool,
-                        )
-                    )
-    return report
+    return get_campaign("sanitize").run(
+        SanitizeConfig(tuple(presets), tuple(seeds), strict, jobs),
+        journal, shutdown, metrics, progress,
+    )

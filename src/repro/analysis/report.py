@@ -250,15 +250,6 @@ class AnalysisReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def write(self, path: str, fmt: str = "json") -> None:
-        """Atomically persist the report (``fmt`` = ``"json"``/``"txt"``)
-        via :func:`repro.durable.atomic_io.atomic_write` — a crash
-        mid-write never leaves a torn report on disk."""
-        from repro.durable.atomic_io import atomic_write
-
-        text = self.to_json() if fmt == "json" else self.render() + "\n"
-        atomic_write(path, text.encode("utf-8"))
-
 
 def merge_reports(
     reports: List[AnalysisReport], strict: Optional[bool] = None

@@ -42,6 +42,7 @@ from repro.experiments import (
     e15_verify,
     f1_figure,
 )
+from repro.experiments.grid import campaign_names, get_campaign
 
 #: Experiment id -> (driver module, config class).
 REGISTRY: Dict[str, Tuple[object, type]] = {
@@ -184,663 +185,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     present = sum(1 for _k, v in rows if v in ("PASS", "FAIL"))
     print(f"\n{present} artifacts, {failures} failing")
     return 1 if failures else 0
-
-
-def _open_journal(args: argparse.Namespace, fingerprint: str):
-    """Open the ``--journal`` (honouring ``--resume``) or return an error
-    exit code.  Returns ``(journal_or_None, exit_code_or_None)``."""
-    from repro.errors import ReproError
-
-    if args.journal is None:
-        if args.resume:
-            print("--resume requires --journal PATH", file=sys.stderr)
-            return None, 2
-        return None, None
-    from repro.durable.journal import RunJournal
-
-    try:
-        journal = RunJournal.open(args.journal, fingerprint, resume=args.resume)
-    except ReproError as error:
-        print(str(error), file=sys.stderr)
-        return None, 2
-    for finding in journal.findings:
-        print(str(finding), file=sys.stderr)
-    if args.resume and journal.total_completed:
-        print(
-            f"resuming: {journal.total_completed} cell(s) already journaled "
-            f"in {args.journal}",
-            file=sys.stderr,
-        )
-    return journal, None
-
-
-def _resume_invocation(command: str, args: argparse.Namespace) -> str:
-    """The exact command line that resumes this interrupted run."""
-    parts = ["python", "-m", "repro", command]
-    if command == "chaos":
-        parts += [
-            "--specs", args.specs,
-            "--seeds", str(args.seeds),
-            "--base-seed", str(args.base_seed),
-            "--threads", str(args.threads),
-            "--iterations", str(args.iterations),
-            "--check-interval", str(args.check_interval),
-        ]
-        if args.no_recovery:
-            parts.append("--no-recovery")
-        if args.no_monitors:
-            parts.append("--no-monitors")
-        # collect_obs is part of the journal fingerprint, so a --metrics
-        # campaign must resume with --metrics as well.
-        if args.metrics is not None:
-            parts += ["--metrics", args.metrics]
-    elif command == "zoo":
-        parts += [
-            "--algorithms", args.algorithms,
-            "--adversaries", args.adversaries,
-            "--seeds", str(args.seeds),
-            "--base-seed", str(args.base_seed),
-            "--threads", str(args.threads),
-            "--iterations", str(args.iterations),
-        ]
-        if args.no_sanitize:
-            parts.append("--no-sanitize")
-        # collect_obs is part of the journal fingerprint (see chaos).
-        if args.metrics is not None:
-            parts += ["--metrics", args.metrics]
-    elif command == "heal":
-        parts += [
-            "--algorithms", args.algorithms,
-            "--plans", args.plans,
-            "--seeds", str(args.seeds),
-            "--base-seed", str(args.base_seed),
-            "--threads", str(args.threads),
-            "--iterations", str(args.iterations),
-            "--adversary", args.adversary,
-            "--retry-budget", str(args.retry_budget),
-            "--check-interval", str(args.check_interval),
-        ]
-    elif command == "verify":
-        parts += [
-            "--variants", args.variants,
-            "--seeds", str(args.seeds),
-            "--base-seed", str(args.base_seed),
-            "--threads", str(args.threads),
-            "--iterations", str(args.iterations),
-            "--max-steps", str(args.max_steps),
-            "--smt-engine", args.smt_engine,
-        ]
-        if args.no_full_tree:
-            parts.append("--no-full-tree")
-        if args.memoize:
-            parts.append("--memoize")
-    else:
-        parts += [
-            "--presets", args.presets,
-            "--seeds", str(args.seeds),
-            "--base-seed", str(args.base_seed),
-        ]
-        if args.strict:
-            parts.append("--strict")
-    if args.jobs is not None:
-        parts += ["--jobs", str(args.jobs)]
-    if args.out is not None:
-        parts += ["--out", args.out]
-    parts += ["--journal", args.journal, "--resume"]
-    return " ".join(parts)
-
-
-def _interrupted(
-    command: str,
-    args: argparse.Namespace,
-    error: Exception,
-    journal,
-    partial_report,
-    basename: str,
-) -> int:
-    """Shared interrupt epilogue: flush a valid partial report + the
-    journal, print the exact resume invocation, exit 130."""
-    print(f"\ninterrupted: {error}", file=sys.stderr)
-    if journal is not None:
-        partial = partial_report()
-        if args.out is not None:
-            out_dir = pathlib.Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            partial.write(str(out_dir / f"{basename}.partial.txt"), "txt")
-            partial.write(str(out_dir / f"{basename}.partial.json"), "json")
-            print(
-                f"partial report written to {out_dir}/{basename}.partial.*",
-                file=sys.stderr,
-            )
-        print(
-            f"{journal.total_completed} completed cell(s) are journaled in "
-            f"{journal.path}; resume with:\n  "
-            + _resume_invocation(command, args),
-            file=sys.stderr,
-        )
-    return 130
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Run a seeded fault campaign and print/persist the robustness report.
-
-    Exit code 1 when any invariant monitor fired or any cell failed to
-    converge (what the CI chaos job pins); 0 otherwise.  With
-    ``--journal`` the campaign is durable: finished cells are journaled
-    as they land, SIGINT/SIGTERM stops at the next cell boundary (exit
-    130, valid partial report flushed), and ``--resume`` skips journaled
-    cells while producing a byte-identical final report.
-    """
-    from repro.durable.signals import GracefulShutdown
-    from repro.errors import InterruptedRunError
-    from repro.faults.campaign import (
-        CampaignConfig,
-        ChaosWorkload,
-        campaign_fingerprint,
-        campaign_metrics_lines,
-        partial_report,
-        preset_specs,
-        run_campaign,
-    )
-    from repro.obs.spans import SpanRecorder, set_span_recorder
-
-    presets = preset_specs()
-    names = [name.strip() for name in args.specs.split(",") if name.strip()]
-    unknown = [name for name in names if name not in presets]
-    if unknown or not names:
-        print(
-            f"unknown fault spec(s): {', '.join(unknown) or '(none given)'} "
-            f"(choose from {', '.join(presets)})",
-            file=sys.stderr,
-        )
-        return 2
-    workload = ChaosWorkload(
-        num_threads=args.threads, iterations=args.iterations
-    )
-    config = CampaignConfig(
-        specs=tuple(presets[name] for name in names),
-        seeds=tuple(range(args.base_seed, args.base_seed + args.seeds)),
-        workload=workload,
-        recover=not args.no_recovery,
-        monitors=not args.no_monitors,
-        check_interval=args.check_interval,
-        jobs=args.jobs if args.jobs is not None else 1,
-        collect_obs=args.metrics is not None,
-    )
-    registry = top = None
-    if args.metrics is not None or args.metrics_interval is not None:
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.top import TopView
-
-        registry = MetricsRegistry()
-        if args.metrics_interval is not None:
-            top = TopView(
-                registry, interval=args.metrics_interval, title="repro chaos"
-            )
-
-    def on_cell(_seed, _outcome) -> None:
-        if top is not None:
-            top.maybe_render()
-
-    recorder = None
-    if args.trace is not None:
-        recorder = SpanRecorder()
-        set_span_recorder(recorder)
-    journal, exit_code = _open_journal(args, campaign_fingerprint(config))
-    if exit_code is not None:
-        return exit_code
-    try:
-        with GracefulShutdown() as shutdown:
-            report = run_campaign(
-                config,
-                journal=journal,
-                shutdown=shutdown,
-                metrics=registry,
-                progress=on_cell,
-            )
-    except InterruptedRunError as error:
-        return _interrupted(
-            "chaos",
-            args,
-            error,
-            journal,
-            lambda: partial_report(config, journal),
-            "chaos_report",
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-        if recorder is not None:
-            set_span_recorder(None)
-            recorder.write_chrome_trace(args.trace)
-            print(f"chrome trace written to {args.trace}", file=sys.stderr)
-    if top is not None:
-        top.maybe_render(force=True)
-    text = report.render()
-    print(text)
-    if args.metrics is not None:
-        from repro.obs.snapshot import write_snapshot_jsonl
-
-        lines = campaign_metrics_lines(config, report.outcomes)
-        write_snapshot_jsonl(args.metrics, lines)
-        print(
-            f"metric snapshot ({len(lines)} line(s)) written to "
-            f"{args.metrics}; inspect with: python -m repro obs "
-            f"{args.metrics}",
-            file=sys.stderr,
-        )
-    if args.out is not None:
-        out_dir = pathlib.Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report.write(str(out_dir / "chaos_report.txt"), "txt")
-        report.write(str(out_dir / "chaos_report.json"), "json")
-    return 0 if report.passed else 1
-
-
-def cmd_zoo(args: argparse.Namespace) -> int:
-    """Run the algorithm zoo grid: every selected algorithm under every
-    selected adversary, seed-ensembled, with lemma certificates and the
-    race/staleness sanitizer attached.
-
-    Exit code 1 when any applicable certificate is violated or the
-    sanitizer flags anything (what the CI zoo job pins); 0 otherwise.
-    ``--journal``/``--resume`` give durable kill/resume at cell
-    granularity with byte-identical final reports, and ``--jobs``
-    parallelizes without changing a byte either.
-    """
-    from repro.core.algorithm import algorithm_names
-    from repro.durable.signals import GracefulShutdown
-    from repro.errors import ConfigurationError, InterruptedRunError
-    from repro.experiments.e13_algorithm_zoo import (
-        ZooConfig,
-        ZooWorkload,
-        partial_zoo_report,
-        run_zoo,
-        zoo_fingerprint,
-        zoo_metrics_lines,
-    )
-
-    algorithms = (
-        algorithm_names()
-        if args.algorithms == "all"
-        else tuple(n.strip() for n in args.algorithms.split(",") if n.strip())
-    )
-    adversaries = tuple(
-        n.strip() for n in args.adversaries.split(",") if n.strip()
-    )
-    try:
-        config = ZooConfig(
-            algorithms=algorithms,
-            adversaries=adversaries,
-            seeds=tuple(range(args.base_seed, args.base_seed + args.seeds)),
-            workload=ZooWorkload(
-                num_threads=args.threads, iterations=args.iterations
-            ),
-            sanitize=not args.no_sanitize,
-            jobs=args.jobs if args.jobs is not None else 1,
-            collect_obs=args.metrics is not None,
-        )
-    except ConfigurationError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    registry = top = None
-    if args.metrics is not None or args.metrics_interval is not None:
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.top import TopView
-
-        registry = MetricsRegistry()
-        if args.metrics_interval is not None:
-            top = TopView(
-                registry, interval=args.metrics_interval, title="repro zoo"
-            )
-
-    def on_cell(_seed, _outcome) -> None:
-        if top is not None:
-            top.maybe_render()
-
-    journal, exit_code = _open_journal(args, zoo_fingerprint(config))
-    if exit_code is not None:
-        return exit_code
-    try:
-        with GracefulShutdown() as shutdown:
-            report = run_zoo(
-                config,
-                journal=journal,
-                shutdown=shutdown,
-                metrics=registry,
-                progress=on_cell,
-            )
-    except InterruptedRunError as error:
-        return _interrupted(
-            "zoo",
-            args,
-            error,
-            journal,
-            lambda: partial_zoo_report(config, journal),
-            "zoo_report",
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    if top is not None:
-        top.maybe_render(force=True)
-    text = report.render()
-    print(text)
-    if args.metrics is not None:
-        from repro.obs.snapshot import write_snapshot_jsonl
-
-        lines = zoo_metrics_lines(config, report.outcomes)
-        write_snapshot_jsonl(args.metrics, lines)
-        print(
-            f"metric snapshot ({len(lines)} line(s)) written to "
-            f"{args.metrics}; inspect with: python -m repro obs "
-            f"{args.metrics}",
-            file=sys.stderr,
-        )
-    if args.out is not None:
-        out_dir = pathlib.Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report.write(str(out_dir / "zoo_report.txt"), "txt")
-        report.write(str(out_dir / "zoo_report.json"), "json")
-    return 0 if report.passed else 1
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    """Run the verification tier: exhaustive schedule enumeration over
-    the variant panel at small scope plus the SMT lemma queries.
-
-    Exit code 1 when any clean variant has a counterexample schedule,
-    any mutant lacks a replay-verified sanitizer-flagged one, or any
-    SMT query is refuted (what the CI verify job pins); 0 otherwise.
-    ``--journal``/``--resume`` give durable kill/resume at cell
-    granularity, and ``--jobs`` parallelizes without changing a byte.
-    """
-    from repro.durable.signals import GracefulShutdown
-    from repro.errors import ConfigurationError, InterruptedRunError
-    from repro.verify.engine import (
-        VERIFY_VARIANTS,
-        VerifyConfig,
-        VerifyScope,
-        partial_verify_report,
-        run_verify,
-        verify_fingerprint,
-        verify_variant_names,
-    )
-    from repro.verify.smt import SmtConfig
-
-    variants = (
-        verify_variant_names()
-        if args.variants == "all"
-        else (
-            VERIFY_VARIANTS
-            if args.variants == "default"
-            else tuple(
-                n.strip() for n in args.variants.split(",") if n.strip()
-            )
-        )
-    )
-    try:
-        config = VerifyConfig(
-            variants=variants,
-            seeds=tuple(range(args.base_seed, args.base_seed + args.seeds)),
-            scope=VerifyScope(
-                threads=args.threads,
-                iterations=args.iterations,
-                max_steps=args.max_steps,
-            ),
-            measure_full_tree=not args.no_full_tree,
-            memoize=args.memoize,
-            smt=SmtConfig(engine=args.smt_engine),
-            jobs=args.jobs if args.jobs is not None else 1,
-        )
-    except ConfigurationError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    journal, exit_code = _open_journal(args, verify_fingerprint(config))
-    if exit_code is not None:
-        return exit_code
-    try:
-        with GracefulShutdown() as shutdown:
-            report = run_verify(config, journal=journal, shutdown=shutdown)
-    except InterruptedRunError as error:
-        return _interrupted(
-            "verify",
-            args,
-            error,
-            journal,
-            lambda: partial_verify_report(config, journal),
-            "verify_report",
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    print(report.render())
-    if args.out is not None:
-        out_dir = pathlib.Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report.write(str(out_dir / "verify_report.txt"), "txt")
-        report.write(str(out_dir / "verify_report.json"), "json")
-    return 0 if report.passed else 1
-
-
-def cmd_heal(args: argparse.Namespace) -> int:
-    """Run the E14 resilience grid: every selected algorithm under every
-    selected corruption plan with the self-healing ladder on.
-
-    Exit code 1 when any cell is abandoned or fails to converge (what
-    the CI heal job pins); 0 otherwise.  ``--journal``/``--resume`` give
-    durable kill/resume at cell granularity with byte-identical final
-    reports, and ``--jobs`` parallelizes without changing a byte either.
-    """
-    from repro.durable.signals import GracefulShutdown
-    from repro.errors import ConfigurationError, InterruptedRunError
-    from repro.experiments.e14_resilience import (
-        HEAL_ALGORITHMS,
-        HealGridConfig,
-        HealWorkload,
-        heal_fingerprint,
-        heal_metrics_lines,
-        heal_plan_specs,
-        partial_heal_report,
-        run_heal_grid,
-    )
-    from repro.heal.rollback import HealPolicy
-
-    algorithms = (
-        HEAL_ALGORITHMS
-        if args.algorithms == "default"
-        else tuple(n.strip() for n in args.algorithms.split(",") if n.strip())
-    )
-    plans = (
-        tuple(sorted(heal_plan_specs()))
-        if args.plans == "all"
-        else tuple(n.strip() for n in args.plans.split(",") if n.strip())
-    )
-    try:
-        config = HealGridConfig(
-            algorithms=algorithms,
-            plans=plans,
-            seeds=tuple(range(args.base_seed, args.base_seed + args.seeds)),
-            workload=HealWorkload(
-                num_threads=args.threads,
-                iterations=args.iterations,
-                adversary=args.adversary,
-            ),
-            policy=HealPolicy(
-                check_interval=args.check_interval,
-                retry_budget=args.retry_budget,
-            ),
-            jobs=args.jobs if args.jobs is not None else 1,
-        )
-    except ConfigurationError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    registry = top = None
-    if args.metrics is not None or args.metrics_interval is not None:
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.top import TopView
-
-        registry = MetricsRegistry()
-        if args.metrics_interval is not None:
-            top = TopView(
-                registry, interval=args.metrics_interval, title="repro heal"
-            )
-
-    def on_cell(_seed, _outcome) -> None:
-        if top is not None:
-            top.maybe_render()
-
-    journal, exit_code = _open_journal(args, heal_fingerprint(config))
-    if exit_code is not None:
-        return exit_code
-    try:
-        with GracefulShutdown() as shutdown:
-            report = run_heal_grid(
-                config,
-                journal=journal,
-                shutdown=shutdown,
-                metrics=registry,
-                progress=on_cell,
-            )
-    except InterruptedRunError as error:
-        return _interrupted(
-            "heal",
-            args,
-            error,
-            journal,
-            lambda: partial_heal_report(config, journal),
-            "heal_report",
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    if top is not None:
-        top.maybe_render(force=True)
-    print(report.render())
-    if args.metrics is not None:
-        from repro.obs.snapshot import write_snapshot_jsonl
-
-        lines = heal_metrics_lines(config, report.outcomes)
-        write_snapshot_jsonl(args.metrics, lines)
-        print(
-            f"metric snapshot ({len(lines)} line(s)) written to "
-            f"{args.metrics}; inspect with: python -m repro obs "
-            f"{args.metrics}",
-            file=sys.stderr,
-        )
-    if args.out is not None:
-        out_dir = pathlib.Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report.write(str(out_dir / "heal_report.txt"), "txt")
-        report.write(str(out_dir / "heal_report.json"), "json")
-    return 0 if report.passed else 1
-
-
-def cmd_sanitize(args: argparse.Namespace) -> int:
-    """Run the race/staleness sanitizer over the named preset workloads.
-
-    Exit code 1 when the aggregated report fails (any error-severity
-    finding or violated lemma certificate; warnings too under
-    ``--strict``); 0 when clean.  Reports are deterministic — rerunning
-    the same presets/seeds/jobs produces byte-identical output.
-    """
-    from repro.analysis.presets import (
-        partial_sanitize_report,
-        run_sanitize,
-        sanitize_fingerprint,
-        sanitize_presets,
-    )
-    from repro.durable.signals import GracefulShutdown
-    from repro.errors import InterruptedRunError
-
-    presets = sanitize_presets()
-    names = [name.strip() for name in args.presets.split(",") if name.strip()]
-    unknown = [name for name in names if name not in presets]
-    if unknown or not names:
-        print(
-            f"unknown sanitize preset(s): {', '.join(unknown) or '(none given)'} "
-            f"(choose from {', '.join(presets)})",
-            file=sys.stderr,
-        )
-        return 2
-    chosen = tuple(presets[name] for name in names)
-    seeds = tuple(range(args.base_seed, args.base_seed + args.seeds))
-    registry = top = None
-    if args.metrics is not None or args.metrics_interval is not None:
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.top import TopView
-
-        registry = MetricsRegistry()
-        if args.metrics_interval is not None:
-            top = TopView(
-                registry, interval=args.metrics_interval, title="repro sanitize"
-            )
-
-    def on_cell(_seed, _run) -> None:
-        if top is not None:
-            top.maybe_render()
-
-    journal, exit_code = _open_journal(
-        args, sanitize_fingerprint(chosen, seeds, strict=args.strict)
-    )
-    if exit_code is not None:
-        return exit_code
-    try:
-        with GracefulShutdown() as shutdown:
-            report = run_sanitize(
-                chosen,
-                seeds=seeds,
-                jobs=args.jobs if args.jobs is not None else 1,
-                strict=args.strict,
-                journal=journal,
-                shutdown=shutdown,
-                metrics=registry,
-                progress=on_cell,
-            )
-    except InterruptedRunError as error:
-        return _interrupted(
-            "sanitize",
-            args,
-            error,
-            journal,
-            lambda: partial_sanitize_report(
-                chosen, seeds, journal, strict=args.strict
-            ),
-            "analysis_report",
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    if top is not None:
-        top.maybe_render(force=True)
-    text = report.render()
-    print(text)
-    if args.metrics is not None:
-        from repro.obs.snapshot import write_snapshot_jsonl
-
-        lines = [
-            {
-                "kind": "run",
-                "label": run.label,
-                "steps": run.steps,
-                "iterations": run.iterations,
-                "findings": len(run.findings),
-                "certificates_ok": all(c.holds for c in run.certificates),
-            }
-            for run in report.runs
-        ]
-        write_snapshot_jsonl(args.metrics, lines)
-        print(
-            f"metric snapshot ({len(lines)} line(s)) written to "
-            f"{args.metrics}",
-            file=sys.stderr,
-        )
-    if args.out is not None:
-        out_dir = pathlib.Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report.write(str(out_dir / "analysis_report.txt"), "txt")
-        report.write(str(out_dir / "analysis_report.json"), "json")
-    return 0 if report.passed else 1
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
@@ -1180,355 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.set_defaults(func=cmd_run)
 
-    chaos_parser = subparsers.add_parser(
-        "chaos",
-        help="run a seeded fault campaign (fault specs x seeds) and "
-        "report robustness",
-    )
-    chaos_parser.add_argument(
-        "--specs",
-        default="prob-crash,adaptive-crash,stall,torn-update",
-        help="comma-separated fault spec presets (see repro.faults."
-        "campaign.preset_specs): none, prob-crash, adaptive-crash, "
-        "stall, torn-update, mixed",
-    )
-    chaos_parser.add_argument(
-        "--seeds", type=int, default=4, metavar="N",
-        help="seeds per spec (default 4)",
-    )
-    chaos_parser.add_argument(
-        "--base-seed", type=int, default=1, metavar="S",
-        help="first seed of the ensemble (default 1)",
-    )
-    chaos_parser.add_argument(
-        "--threads", type=int, default=4, metavar="N",
-        help="SGD threads per run (default 4)",
-    )
-    chaos_parser.add_argument(
-        "--iterations", type=int, default=300, metavar="T",
-        help="global iteration budget per run (default 300)",
-    )
-    chaos_parser.add_argument(
-        "--check-interval", type=int, default=64, metavar="K",
-        help="steps between invariant checks / crash-recovery polls",
-    )
-    chaos_parser.add_argument(
-        "--no-recovery", action="store_true",
-        help="do not respawn crashed threads",
-    )
-    chaos_parser.add_argument(
-        "--no-monitors", action="store_true",
-        help="disable invariant monitors (pure survival/convergence run)",
-    )
-    chaos_parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the campaign grid (1 = serial, "
-        "0 = one per CPU); results are identical for any value",
-    )
-    chaos_parser.add_argument(
-        "--out", default=None,
-        help="directory to write chaos_report.{txt,json} to",
-    )
-    chaos_parser.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="durable run journal (JSONL): completed cells are recorded "
-        "as they finish, so a killed campaign can be resumed",
-    )
-    chaos_parser.add_argument(
-        "--resume", action="store_true",
-        help="resume from --journal, skipping already-completed cells; "
-        "the final report is byte-identical to an uninterrupted run",
-    )
-    chaos_parser.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="collect paper-aligned run-time metrics (tau histogram, "
-        "window contention, lemma indicators) and write a deterministic "
-        "snapshot JSONL here (inspect with 'repro obs')",
-    )
-    chaos_parser.add_argument(
-        "--metrics-interval", type=float, default=None, metavar="SECS",
-        help="render a live 'repro top'-style text view to stderr at "
-        "most every SECS seconds (wall clock; telemetry only)",
-    )
-    chaos_parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record harness spans (campaign cells, runs, replays) and "
-        "dump a Chrome-trace JSON here (load in chrome://tracing)",
-    )
-    chaos_parser.set_defaults(func=cmd_chaos)
-
-    zoo_parser = subparsers.add_parser(
-        "zoo",
-        help="run every registered algorithm under every adversary "
-        "(lemma certificates + sanitizer per cell) and report the grid",
-    )
-    zoo_parser.add_argument(
-        "--algorithms", default="all",
-        help="comma-separated registry names (see repro.core.algorithm), "
-        "or 'all' (default): epoch-sgd, full-sgd, hogwild, leashed, "
-        "locked, momentum, staleness-aware",
-    )
-    zoo_parser.add_argument(
-        "--adversaries",
-        default="round-robin,random,bounded-delay,stale-attack,contention-max",
-        help="comma-separated scheduler registry names "
-        "(see repro.sched.registry)",
-    )
-    zoo_parser.add_argument(
-        "--seeds", type=int, default=2, metavar="N",
-        help="seeds per (algorithm, adversary) cell (default 2)",
-    )
-    zoo_parser.add_argument(
-        "--base-seed", type=int, default=7000, metavar="S",
-        help="first seed of each cell's ensemble (default 7000)",
-    )
-    zoo_parser.add_argument(
-        "--threads", type=int, default=4, metavar="N",
-        help="SGD threads per run (default 4)",
-    )
-    zoo_parser.add_argument(
-        "--iterations", type=int, default=200, metavar="T",
-        help="global iteration budget per run (default 200)",
-    )
-    zoo_parser.add_argument(
-        "--no-sanitize", action="store_true",
-        help="skip the race/staleness sanitizer (faster; certificates "
-        "still checked)",
-    )
-    zoo_parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the grid (1 = serial, 0 = one per "
-        "CPU); reports are byte-identical for any value",
-    )
-    zoo_parser.add_argument(
-        "--out", default=None,
-        help="directory to write zoo_report.{txt,json} to",
-    )
-    zoo_parser.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="durable run journal (JSONL): completed cells are recorded "
-        "as they finish, so a killed run can be resumed",
-    )
-    zoo_parser.add_argument(
-        "--resume", action="store_true",
-        help="resume from --journal, skipping already-completed cells; "
-        "the final report is byte-identical to an uninterrupted run",
-    )
-    zoo_parser.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="collect each cell's paper-aligned metrics (tau histogram, "
-        "window contention, lemma indicators) and write a deterministic "
-        "snapshot JSONL here (inspect with 'repro obs')",
-    )
-    zoo_parser.add_argument(
-        "--metrics-interval", type=float, default=None, metavar="SECS",
-        help="render a live 'repro top'-style text view to stderr at "
-        "most every SECS seconds (wall clock; telemetry only)",
-    )
-    zoo_parser.set_defaults(func=cmd_zoo)
-
-    heal_parser = subparsers.add_parser(
-        "heal",
-        help="run the resilience grid: algorithms under silent-data-"
-        "corruption plans with the detect/rollback/retry ladder on",
-    )
-    heal_parser.add_argument(
-        "--algorithms", default="default",
-        help="comma-separated registry names, or 'default' "
-        "(epoch-sgd, hogwild, locked)",
-    )
-    heal_parser.add_argument(
-        "--plans", default="none,bit-flip,nan-poison,dup-write",
-        help="comma-separated corruption plan names "
-        "(none, bit-flip, nan-poison, inf-poison, dup-write, "
-        "drop-write), or 'all'",
-    )
-    heal_parser.add_argument(
-        "--seeds", type=int, default=2, metavar="N",
-        help="seeds per (algorithm, plan) cell (default 2)",
-    )
-    heal_parser.add_argument(
-        "--base-seed", type=int, default=8000, metavar="S",
-        help="first seed of each cell's ensemble (default 8000)",
-    )
-    heal_parser.add_argument(
-        "--threads", type=int, default=4, metavar="N",
-        help="SGD threads per run (default 4)",
-    )
-    heal_parser.add_argument(
-        "--iterations", type=int, default=200, metavar="T",
-        help="global iteration budget per run (default 200)",
-    )
-    heal_parser.add_argument(
-        "--adversary", default="random",
-        help="scheduler the grid runs under (default random)",
-    )
-    heal_parser.add_argument(
-        "--retry-budget", type=int, default=8, metavar="N",
-        help="rollback budget units per ladder level (default 8)",
-    )
-    heal_parser.add_argument(
-        "--check-interval", type=int, default=64, metavar="STEPS",
-        help="detector/checkpoint chunk size in logical steps "
-        "(default 64)",
-    )
-    heal_parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the grid (1 = serial, 0 = one per "
-        "CPU); reports are byte-identical for any value",
-    )
-    heal_parser.add_argument(
-        "--out", default=None,
-        help="directory to write heal_report.{txt,json} to",
-    )
-    heal_parser.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="durable run journal (JSONL): completed cells are recorded "
-        "as they finish, so a killed run can be resumed",
-    )
-    heal_parser.add_argument(
-        "--resume", action="store_true",
-        help="resume from --journal, skipping already-completed cells; "
-        "the final report is byte-identical to an uninterrupted run",
-    )
-    heal_parser.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="write a deterministic per-cell heal snapshot JSONL here "
-        "(detections, rollbacks, degradations, recovery latencies; "
-        "inspect with 'repro obs')",
-    )
-    heal_parser.add_argument(
-        "--metrics-interval", type=float, default=None, metavar="SECS",
-        help="render a live 'repro top'-style text view to stderr at "
-        "most every SECS seconds (wall clock; telemetry only)",
-    )
-    heal_parser.set_defaults(func=cmd_heal)
-
-    verify_parser = subparsers.add_parser(
-        "verify",
-        help="exhaustively enumerate every trace-distinct schedule of "
-        "the variant panel at small scope (sleep-set POR) and run the "
-        "SMT lemma queries; counterexamples replay deterministically",
-    )
-    verify_parser.add_argument(
-        "--variants", default="default",
-        help="comma-separated variant names (registered algorithms plus "
-        "mutant-torn-counter / mutant-lost-update), 'default' (the "
-        "fetch&add family + both mutants) or 'all'",
-    )
-    verify_parser.add_argument(
-        "--seeds", type=int, default=1, metavar="N",
-        help="seeds per variant cell (default 1; enumeration covers "
-        "every schedule of each seed's workload)",
-    )
-    verify_parser.add_argument(
-        "--base-seed", type=int, default=1, metavar="S",
-        help="first seed of each cell's ensemble (default 1)",
-    )
-    verify_parser.add_argument(
-        "--threads", type=int, default=2, metavar="N",
-        help="threads at enumerable scope (default 2; the tree is "
-        "exponential in threads x steps)",
-    )
-    verify_parser.add_argument(
-        "--iterations", type=int, default=1, metavar="T",
-        help="global iteration budget at enumerable scope (default 1; "
-        "the lost-update mutant raises its own cell to 2)",
-    )
-    verify_parser.add_argument(
-        "--max-steps", type=int, default=48, metavar="N",
-        help="per-schedule step budget; any truncated schedule voids "
-        "exhaustiveness and fails the cell (default 48)",
-    )
-    verify_parser.add_argument(
-        "--no-full-tree", action="store_true",
-        help="skip the unreduced walk that measures the POR reduction "
-        "factor (halves the work; reduction reported as '-')",
-    )
-    verify_parser.add_argument(
-        "--memoize", action="store_true",
-        help="state-digest memoization in the reduced walk (see the "
-        "soundness caveat in DESIGN.md §16; off for certification)",
-    )
-    verify_parser.add_argument(
-        "--smt-engine", default="auto", choices=["auto", "z3", "finite"],
-        help="lemma-query engine: z3 (the [verify] extra), the exact "
-        "finite-domain fallback, or auto (z3 when installed)",
-    )
-    verify_parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the grid (1 = serial, 0 = one per "
-        "CPU); reports are byte-identical for any value",
-    )
-    verify_parser.add_argument(
-        "--out", default=None,
-        help="directory to write verify_report.{txt,json} to",
-    )
-    verify_parser.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="durable run journal (JSONL): completed cells are recorded "
-        "as they finish, so a killed run can be resumed",
-    )
-    verify_parser.add_argument(
-        "--resume", action="store_true",
-        help="resume from --journal, skipping already-completed cells; "
-        "the final report is byte-identical to an uninterrupted run",
-    )
-    verify_parser.set_defaults(func=cmd_verify)
-
-    sanitize_parser = subparsers.add_parser(
-        "sanitize",
-        help="run the race/staleness sanitizer + lemma certifiers over "
-        "preset workloads (deterministic report; non-zero exit on findings)",
-    )
-    sanitize_parser.add_argument(
-        "--presets",
-        default="e1,e5,e7",
-        help="comma-separated sanitize presets (see repro.analysis."
-        "presets.sanitize_presets): racy, e1, e5, e7",
-    )
-    sanitize_parser.add_argument(
-        "--seeds", type=int, default=2, metavar="N",
-        help="seeds per (preset, scheduler) cell (default 2)",
-    )
-    sanitize_parser.add_argument(
-        "--base-seed", type=int, default=1, metavar="S",
-        help="first seed of each cell's ensemble (default 1)",
-    )
-    sanitize_parser.add_argument(
-        "--strict", action="store_true",
-        help="treat warnings as failures",
-    )
-    sanitize_parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the preset grid (1 = serial, "
-        "0 = one per CPU); reports are byte-identical for any value",
-    )
-    sanitize_parser.add_argument(
-        "--out", default=None,
-        help="directory to write analysis_report.{txt,json} to",
-    )
-    sanitize_parser.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="durable run journal (JSONL): completed cells are recorded "
-        "as they finish, so a killed run can be resumed",
-    )
-    sanitize_parser.add_argument(
-        "--resume", action="store_true",
-        help="resume from --journal, skipping already-completed cells; "
-        "the final report is byte-identical to an uninterrupted run",
-    )
-    sanitize_parser.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="write a deterministic per-cell summary snapshot JSONL "
-        "(inspect with 'repro obs')",
-    )
-    sanitize_parser.add_argument(
-        "--metrics-interval", type=float, default=None, metavar="SECS",
-        help="render a live 'repro top'-style text view to stderr at "
-        "most every SECS seconds (wall clock; telemetry only)",
-    )
-    sanitize_parser.set_defaults(func=cmd_sanitize)
+    # chaos, sanitize, zoo, heal, verify: one subcommand per campaign.
+    for name in campaign_names():
+        get_campaign(name).add_parser(subparsers)
 
     obs_parser = subparsers.add_parser(
         "obs",
@@ -1728,5 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Campaign commands replay ``argv`` in the resume line they print.
+    args = build_parser().parse_args(argv, argparse.Namespace(argv=argv))
     return args.func(args)

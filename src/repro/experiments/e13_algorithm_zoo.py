@@ -18,10 +18,10 @@ experiments:
   explicit ``n/a`` where it does not (locked's spinlock and leashed's
   CAS retry loops break the bounded-iteration premise of 6.2/6.4).
 
-Cells run through :func:`repro.experiments.ensemble.run_ensemble`, so
-the grid parallelizes across processes (``--jobs``) and journals for
-kill/resume with byte-identical reports either way — the properties the
-CI zoo job pins.
+The grid is the registered ``zoo`` campaign (:class:`ZooCampaign`, see
+:mod:`repro.experiments.grid`), so it parallelizes across processes
+(``--jobs``) and journals for kill/resume with byte-identical reports
+either way — the properties the CI zoo job pins.
 
 Acceptance: every applicable lemma certificate holds in every cell and
 the sanitizer is clean everywhere (convergence under the attack
@@ -45,7 +45,16 @@ from repro.core.algorithm import (
     run_algorithm,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.ensemble import EnsemblePool, run_ensemble
+from repro.experiments.ensemble import run_ensemble
+from repro.experiments.grid import (
+    Campaign,
+    Cell,
+    comma_names,
+    get_campaign,
+    grid_seeds,
+    register_campaign,
+    str_list,
+)
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.report import Table
 from repro.objectives.noise import GaussianNoise
@@ -376,32 +385,6 @@ class ZooReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def write(self, path: str, fmt: str = "json") -> None:
-        """Atomically persist the report (``fmt`` = ``"json"``/``"txt"``)."""
-        from repro.durable.atomic_io import atomic_write
-
-        if fmt == "json":
-            text = self.to_json()
-        elif fmt == "txt":
-            text = self.render() + "\n"
-        else:
-            raise ConfigurationError(f"unknown report format: {fmt!r}")
-        atomic_write(path, text.encode("utf-8"))
-
-
-def zoo_fingerprint(config: ZooConfig) -> str:
-    """Stable fingerprint of everything that determines zoo results.
-
-    ``jobs`` is deliberately excluded: parallelism changes wall-clock
-    time, never results, so a journal written under ``--jobs 4`` must
-    resume cleanly under ``--jobs 1`` (and vice versa).
-    """
-    from repro.durable.journal import config_fingerprint
-
-    payload = asdict(config)
-    payload.pop("jobs", None)
-    return config_fingerprint(payload)
-
 
 def outcome_to_payload(outcome: ZooCellOutcome) -> Dict[str, Any]:
     """JSON-safe journal payload for one zoo cell."""
@@ -425,127 +408,151 @@ def outcome_from_payload(payload: Dict[str, Any]) -> ZooCellOutcome:
     return ZooCellOutcome(**data)
 
 
-def _cell_namespace(algorithm: str, adversary: str) -> str:
-    return f"{algorithm}/{adversary}"
+@register_campaign
+class ZooCampaign(Campaign):
+    """``repro zoo``: algorithms x adversaries x seeds, one ``zoo.cell``
+    span per (algorithm, adversary) row.  ``collect_obs`` configs
+    publish each fresh cell's paper metrics to the live registry and
+    write them to the ``--metrics`` snapshot."""
 
+    name = "zoo"
+    help = (
+        "run every registered algorithm under every adversary (lemma "
+        "certificates + sanitizer per cell) and report the grid"
+    )
+    report_name = "zoo_report"
+    cli_seeds = (2, 7000)
+    seeds_per = "(algorithm, adversary) cell"
+    cells_metric = ("repro_zoo_cells_total", "zoo cells finished")
+    metrics_help = (
+        "collect each cell's paper-aligned metrics (tau histogram, window "
+        "contention, lemma indicators) and write a deterministic snapshot "
+        "JSONL here (inspect with 'repro obs')"
+    )
+    serve_params = {
+        "algorithms": (("epoch-sgd", "hogwild"), str_list),
+        "adversaries": (("round-robin", "random"), str_list),
+        "seeds": (2, int),
+        "base_seed": (7000, int),
+        "threads": (4, int),
+        "iterations": (100, int),
+        "sanitize": (True, bool),
+    }
+    encode = staticmethod(outcome_to_payload)
+    decode = staticmethod(outcome_from_payload)
 
-def report_from_outcomes(outcomes: List[ZooCellOutcome]) -> ZooReport:
-    """Aggregate cell outcomes into a report (grid order preserved)."""
-    return ZooReport(outcomes=outcomes, summaries=summarize_zoo(outcomes))
-
-
-def partial_zoo_report(config: ZooConfig, journal: Any) -> ZooReport:
-    """Report over only the cells the journal has — the artifact the CLI
-    flushes when a zoo run is interrupted.  Grid-ordered, so the final
-    resumed report extends it deterministically."""
-    outcomes: List[ZooCellOutcome] = []
-    for algorithm in config.algorithms:
-        for adversary in config.adversaries:
-            done = journal.completed(_cell_namespace(algorithm, adversary))
-            for seed in config.seeds:
-                if seed in done:
-                    outcomes.append(outcome_from_payload(done[seed]))
-    return report_from_outcomes(outcomes)
-
-
-def zoo_metrics_lines(
-    config: ZooConfig, outcomes: List[ZooCellOutcome]
-) -> List[Dict[str, Any]]:
-    """Snapshot-file lines for a ``collect_obs`` zoo run: one
-    ``kind="cell"`` line per outcome carrying metrics (grid order) plus
-    one ``kind="aggregate"`` roll-up.  Deterministic."""
-    from repro.obs.paper import merge_paper_metrics
-
-    lines: List[Dict[str, Any]] = []
-    cells = []
-    for outcome in outcomes:
-        if outcome.obs is None:
-            continue
-        cells.append(outcome.obs)
-        lines.append(
-            {
-                "kind": "cell",
-                "algorithm": outcome.algorithm,
-                "adversary": outcome.adversary,
-                "seed": outcome.seed,
-                "converged": outcome.converged,
-                "steps": outcome.steps,
-                "metrics": outcome.obs,
-            }
+    def build(self, params, jobs=1, collect_obs=False):
+        return ZooConfig(
+            algorithms=tuple(params["algorithms"]),
+            adversaries=tuple(params["adversaries"]),
+            seeds=grid_seeds(params),
+            workload=ZooWorkload(
+                num_threads=params["threads"], iterations=params["iterations"]
+            ),
+            sanitize=params["sanitize"],
+            jobs=jobs,
+            collect_obs=collect_obs,
         )
-    lines.append({"kind": "aggregate", "metrics": merge_paper_metrics(cells)})
-    return lines
 
-
-def run_zoo(
-    config: ZooConfig,
-    journal: Optional[Any] = None,
-    shutdown: Optional[Any] = None,
-    watchdog_policy: Optional[Any] = None,
-    metrics: Optional[Any] = None,
-    progress: Optional[Any] = None,
-) -> ZooReport:
-    """Execute the full algorithm x adversary x seed grid.
-
-    Each grid row's seed ensemble goes through :func:`run_ensemble`, so
-    ``config.jobs`` parallelizes cells across processes with results
-    byte-identical to a serial run.  ``journal``/``shutdown``/
-    ``watchdog_policy``/``metrics``/``progress`` behave exactly as in
-    :func:`repro.faults.campaign.run_campaign` — durable resume at cell
-    granularity, graceful interrupts, live telemetry; none of it changes
-    results or report bytes.
-    """
-    from repro.durable.watchdog import EnsembleWatchdog
-    from repro.obs.paper import publish_paper_metrics
-    from repro.obs.registry import live_registry
-    from repro.obs.spans import trace_span
-
-    registry = live_registry(metrics)
-
-    def note_cell(seed: int, outcome: ZooCellOutcome) -> None:
-        if registry is not None and outcome.obs is not None:
-            publish_paper_metrics(registry, outcome.obs)
-        if registry is not None:
-            registry.counter(
-                "repro_zoo_cells_total", "zoo cells finished"
-            ).inc()
-        if progress is not None:
-            progress(seed, outcome)
-
-    outcomes: List[ZooCellOutcome] = []
-    with EnsemblePool(config.jobs, len(config.seeds)) as pool:
+    def cells(self, config):
         for algorithm in config.algorithms:
             for adversary in config.adversaries:
-                watchdog = (
-                    EnsembleWatchdog(watchdog_policy, metrics=metrics)
-                    if watchdog_policy is not None
-                    else None
+                yield Cell(
+                    f"{algorithm}/{adversary}",
+                    functools.partial(_zoo_worker, config, algorithm, adversary),
+                    (algorithm, adversary),
                 )
-                with trace_span(
-                    "zoo.cell",
-                    algorithm=algorithm,
-                    adversary=adversary,
-                    seeds=len(config.seeds),
-                ):
-                    outcomes.extend(
-                        run_ensemble(
-                            functools.partial(
-                                _zoo_worker, config, algorithm, adversary
-                            ),
-                            config.seeds,
-                            jobs=config.jobs,
-                            journal=journal,
-                            namespace=_cell_namespace(algorithm, adversary),
-                            encode=outcome_to_payload,
-                            decode=outcome_from_payload,
-                            watchdog=watchdog,
-                            shutdown=shutdown,
-                            metrics=metrics,
-                            progress=note_cell,
-                            pool=pool,
-                        )
-                    )
-    return report_from_outcomes(outcomes)
+
+    def cell_span(self, config, cell):
+        from repro.obs.spans import trace_span
+
+        algorithm, adversary = cell.key
+        return trace_span(
+            "zoo.cell",
+            algorithm=algorithm,
+            adversary=adversary,
+            seeds=len(config.seeds),
+        )
+
+    def run_cell(self, run_one, seeds, **kwargs):
+        # perfbench's zoo-grid workload and its probes time and count
+        # cells by patching this module's run_ensemble: resolve it here.
+        return run_ensemble(run_one, seeds, **kwargs)
+
+    def report(self, config, outcomes):
+        return ZooReport(outcomes=outcomes, summaries=summarize_zoo(outcomes))
+
+    def telemetry(self, registry, outcome):
+        if outcome.obs is not None:
+            from repro.obs.paper import publish_paper_metrics
+
+            publish_paper_metrics(registry, outcome.obs)
+
+    def snapshot_lines(self, report):
+        """One ``kind="cell"`` line per outcome carrying metrics (grid
+        order) plus one ``kind="aggregate"`` roll-up."""
+        from repro.obs.paper import merge_paper_metrics
+
+        lines: List[Dict[str, Any]] = []
+        cells = []
+        for outcome in report.outcomes:
+            if outcome.obs is None:
+                continue
+            cells.append(outcome.obs)
+            lines.append(
+                {
+                    "kind": "cell",
+                    "algorithm": outcome.algorithm,
+                    "adversary": outcome.adversary,
+                    "seed": outcome.seed,
+                    "converged": outcome.converged,
+                    "steps": outcome.steps,
+                    "metrics": outcome.obs,
+                }
+            )
+        lines.append({"kind": "aggregate", "metrics": merge_paper_metrics(cells)})
+        return lines
+
+    def add_arguments(self, parser):
+        parser.add_argument(
+            "--algorithms", default="all",
+            help="comma-separated registry names (see repro.core.algorithm), "
+            "or 'all' (default): epoch-sgd, full-sgd, hogwild, leashed, "
+            "locked, momentum, staleness-aware",
+        )
+        parser.add_argument(
+            "--adversaries", default=",".join(ZOO_ADVERSARIES),
+            help="comma-separated scheduler registry names "
+            "(see repro.sched.registry)",
+        )
+        parser.add_argument(
+            "--threads", type=int, default=4, metavar="N",
+            help="SGD threads per run (default 4)",
+        )
+        parser.add_argument(
+            "--iterations", type=int, default=200, metavar="T",
+            help="global iteration budget per run (default 200)",
+        )
+        parser.add_argument(
+            "--no-sanitize", action="store_true",
+            help="skip the race/staleness sanitizer (faster; certificates "
+            "still checked)",
+        )
+
+    def params_from_args(self, args):
+        return {
+            "algorithms": (
+                list(algorithm_names())
+                if args.algorithms == "all"
+                else comma_names(args.algorithms)
+            ),
+            "adversaries": comma_names(args.adversaries),
+            "seeds": args.seeds,
+            "base_seed": args.base_seed,
+            "threads": args.threads,
+            "iterations": args.iterations,
+            "sanitize": not args.no_sanitize,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -594,7 +601,7 @@ def to_zoo_config(config: E13Config) -> ZooConfig:
 
 def run(config: E13Config) -> ExperimentResult:
     """Execute E13: the full algorithm x adversary grid."""
-    report = run_zoo(to_zoo_config(config))
+    report = get_campaign("zoo").run(to_zoo_config(config))
     # The figure: per algorithm, mean convergence rate over adversaries
     # (xs index the adversary panel).
     xs = list(range(len(config.adversaries)))

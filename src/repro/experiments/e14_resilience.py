@@ -11,10 +11,10 @@ what the ladder did: detector firings per rule, rollbacks, retries,
 degradations taken, recovery latencies, final health and final
 ``||x − x*||``.
 
-Cells run through :func:`repro.experiments.ensemble.run_ensemble`, so
-the grid parallelizes across processes (``--jobs``) and journals for
-kill/resume with byte-identical reports either way — the properties the
-CI heal job pins.
+The grid is the registered ``heal`` campaign (:class:`HealCampaign`, see
+:mod:`repro.experiments.grid`), so it parallelizes across processes
+(``--jobs``) and journals for kill/resume with byte-identical reports
+either way — the properties the CI heal job pins.
 
 Acceptance: no cell is abandoned and every cell converges — corruption
 is *survived*, not merely observed.  The report additionally counts
@@ -27,13 +27,21 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.algorithm import algorithm_names
 from repro.errors import ConfigurationError
-from repro.experiments.ensemble import EnsemblePool, run_ensemble
+from repro.experiments.grid import (
+    Campaign,
+    Cell,
+    comma_names,
+    get_campaign,
+    grid_seeds,
+    register_campaign,
+    str_list,
+)
 from repro.experiments.runner import ExperimentResult
 from repro.faults.spec import (
     BitFlipSpec,
@@ -357,28 +365,6 @@ class HealGridReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def write(self, path: str, fmt: str = "json") -> None:
-        """Atomically persist the report (``fmt`` = ``"json"``/``"txt"``)."""
-        from repro.durable.atomic_io import atomic_write
-
-        if fmt == "json":
-            text = self.to_json()
-        elif fmt == "txt":
-            text = self.render() + "\n"
-        else:
-            raise ConfigurationError(f"unknown report format: {fmt!r}")
-        atomic_write(path, text.encode("utf-8"))
-
-
-def heal_fingerprint(config: HealGridConfig) -> str:
-    """Stable fingerprint of everything that determines grid results
-    (``jobs`` excluded — parallelism never changes results)."""
-    from repro.durable.journal import config_fingerprint
-
-    payload = asdict(config)
-    payload.pop("jobs", None)
-    return config_fingerprint(payload)
-
 
 def outcome_to_payload(outcome: HealCellOutcome) -> Dict[str, Any]:
     """JSON-safe journal payload for one resilience cell."""
@@ -399,156 +385,195 @@ def outcome_from_payload(payload: Dict[str, Any]) -> HealCellOutcome:
     return HealCellOutcome(**data)
 
 
-def _cell_namespace(algorithm: str, plan: str) -> str:
-    return f"{algorithm}/{plan}"
+@register_campaign
+class HealCampaign(Campaign):
+    """``repro heal``: algorithms x corruption plans x seeds, one
+    ``heal.cell`` span per (algorithm, plan) row.
 
-
-def report_from_outcomes(outcomes: List[HealCellOutcome]) -> HealGridReport:
-    """Aggregate cell outcomes into a report (grid order preserved)."""
-    return HealGridReport(outcomes=outcomes, summaries=summarize_heal(outcomes))
-
-
-def partial_heal_report(config: HealGridConfig, journal: Any) -> HealGridReport:
-    """Report over only the cells the journal has — the artifact the CLI
-    flushes when a run is interrupted.  Grid-ordered, so the final
-    resumed report extends it deterministically."""
-    outcomes: List[HealCellOutcome] = []
-    for algorithm in config.algorithms:
-        for plan in config.plans:
-            done = journal.completed(_cell_namespace(algorithm, plan))
-            for seed in config.seeds:
-                if seed in done:
-                    outcomes.append(outcome_from_payload(done[seed]))
-    return report_from_outcomes(outcomes)
-
-
-def heal_metrics_lines(
-    config: HealGridConfig, outcomes: List[HealCellOutcome]
-) -> List[Dict[str, Any]]:
-    """Snapshot-file lines for ``repro heal --metrics``: one
-    ``kind="cell"`` line per outcome (grid order) plus one
-    ``kind="aggregate"`` roll-up.  Purely a function of the outcomes,
-    hence deterministic and identical across ``--jobs``."""
-    lines: List[Dict[str, Any]] = []
-    detections: Dict[str, int] = {}
-    total_rollbacks = 0
-    latencies: List[int] = []
-    for outcome in outcomes:
-        for rule, count in outcome.detections:
-            detections[rule] = detections.get(rule, 0) + count
-        total_rollbacks += outcome.rollbacks
-        latencies.extend(outcome.recovery_latencies)
-        lines.append(
-            {
-                "kind": "cell",
-                "algorithm": outcome.algorithm,
-                "plan": outcome.plan,
-                "seed": outcome.seed,
-                "health": outcome.health,
-                "recovered": outcome.recovered,
-                "rollbacks": outcome.rollbacks,
-                "detections": dict(outcome.detections),
-                "degradations": list(outcome.degradations),
-                "recovery_latencies": list(outcome.recovery_latencies),
-            }
-        )
-    lines.append(
-        {
-            "kind": "aggregate",
-            "detections": {r: detections[r] for r in sorted(detections)},
-            "rollbacks": total_rollbacks,
-            "recovery_latency_mean": (
-                float(np.mean(latencies)) if latencies else 0.0
-            ),
-            "recovery_latency_max": max(latencies) if latencies else 0,
-        }
-    )
-    return lines
-
-
-def run_heal_grid(
-    config: HealGridConfig,
-    journal: Optional[Any] = None,
-    shutdown: Optional[Any] = None,
-    watchdog_policy: Optional[Any] = None,
-    metrics: Optional[Any] = None,
-    progress: Optional[Any] = None,
-) -> HealGridReport:
-    """Execute the full algorithm × plan × seed resilience grid.
-
-    Each grid row's seed ensemble goes through :func:`run_ensemble`
-    (durable resume at cell granularity, graceful interrupts,
-    ``--jobs``-invariant bytes).  Heal counters are published to
-    ``metrics`` in the parent from the deterministic outcome fields —
-    never from inside pooled workers — so metric snapshots are identical
-    across ``--jobs`` too.
+    Heal counters are published from the deterministic outcome fields in
+    the parent — never from inside pooled workers — so metric snapshots
+    are identical across ``--jobs`` too.
     """
-    from repro.durable.watchdog import EnsembleWatchdog
-    from repro.heal.rollback import LATENCY_BUCKETS
-    from repro.obs.registry import live_registry
-    from repro.obs.spans import trace_span
 
-    registry = live_registry(metrics)
+    name = "heal"
+    help = (
+        "run the resilience grid: algorithms under silent-data-corruption "
+        "plans with the detect/rollback/retry ladder on"
+    )
+    report_name = "heal_report"
+    cli_seeds = (2, 8000)
+    seeds_per = "(algorithm, plan) cell"
+    cells_metric = ("repro_heal_cells_total", "resilience cells finished")
+    metrics_help = (
+        "write a deterministic per-cell heal snapshot JSONL here "
+        "(detections, rollbacks, degradations, recovery latencies; "
+        "inspect with 'repro obs')"
+    )
+    serve_params = {
+        "algorithms": (("epoch-sgd",), str_list),
+        "plans": (("none", "nan-poison"), str_list),
+        "seeds": (1, int),
+        "base_seed": (8000, int),
+        "threads": (4, int),
+        "iterations": (150, int),
+        "adversary": ("random", str),
+        "retry_budget": (8, int),
+        "check_interval": (64, int),
+    }
+    encode = staticmethod(outcome_to_payload)
+    decode = staticmethod(outcome_from_payload)
 
-    def note_cell(seed: int, outcome: HealCellOutcome) -> None:
-        if registry is not None:
-            registry.counter(
-                "repro_heal_cells_total", "resilience cells finished"
-            ).inc()
-            for _rule, count in outcome.detections:
-                registry.counter(
-                    "repro_heal_detections_total", "health detector firings"
-                ).inc(count)
-            registry.counter(
-                "repro_heal_rollbacks_total", "checkpoint rollbacks performed"
-            ).inc(outcome.rollbacks)
-            registry.counter(
-                "repro_heal_degradations_total", "ladder degradations taken"
-            ).inc(len(outcome.degradations))
-            histogram = registry.histogram(
-                "repro_heal_recovery_latency_steps",
-                buckets=LATENCY_BUCKETS,
-                help="logical steps between restored cut and detection",
-            )
-            for latency in outcome.recovery_latencies:
-                histogram.observe(latency)
-        if progress is not None:
-            progress(seed, outcome)
+    def build(self, params, jobs=1, collect_obs=False):
+        return HealGridConfig(
+            algorithms=tuple(params["algorithms"]),
+            plans=tuple(params["plans"]),
+            seeds=grid_seeds(params),
+            workload=HealWorkload(
+                num_threads=params["threads"],
+                iterations=params["iterations"],
+                adversary=params["adversary"],
+            ),
+            policy=HealPolicy(
+                check_interval=params["check_interval"],
+                retry_budget=params["retry_budget"],
+            ),
+            jobs=jobs,
+        )
 
-    outcomes: List[HealCellOutcome] = []
-    with EnsemblePool(config.jobs, len(config.seeds)) as pool:
+    def cells(self, config):
         for algorithm in config.algorithms:
             for plan in config.plans:
-                watchdog = (
-                    EnsembleWatchdog(watchdog_policy, metrics=metrics)
-                    if watchdog_policy is not None
-                    else None
+                yield Cell(
+                    f"{algorithm}/{plan}",
+                    functools.partial(_heal_worker, config, algorithm, plan),
+                    (algorithm, plan),
                 )
-                with trace_span(
-                    "heal.cell",
-                    algorithm=algorithm,
-                    plan=plan,
-                    seeds=len(config.seeds),
-                ):
-                    outcomes.extend(
-                        run_ensemble(
-                            functools.partial(
-                                _heal_worker, config, algorithm, plan
-                            ),
-                            config.seeds,
-                            jobs=config.jobs,
-                            journal=journal,
-                            namespace=_cell_namespace(algorithm, plan),
-                            encode=outcome_to_payload,
-                            decode=outcome_from_payload,
-                            watchdog=watchdog,
-                            shutdown=shutdown,
-                            metrics=metrics,
-                            progress=note_cell,
-                            pool=pool,
-                        )
-                    )
-    return report_from_outcomes(outcomes)
+
+    def cell_span(self, config, cell):
+        from repro.obs.spans import trace_span
+
+        algorithm, plan = cell.key
+        return trace_span(
+            "heal.cell", algorithm=algorithm, plan=plan, seeds=len(config.seeds)
+        )
+
+    def report(self, config, outcomes):
+        return HealGridReport(outcomes=outcomes, summaries=summarize_heal(outcomes))
+
+    def telemetry(self, registry, outcome):
+        from repro.heal.rollback import LATENCY_BUCKETS
+
+        for _rule, count in outcome.detections:
+            registry.counter(
+                "repro_heal_detections_total", "health detector firings"
+            ).inc(count)
+        registry.counter(
+            "repro_heal_rollbacks_total", "checkpoint rollbacks performed"
+        ).inc(outcome.rollbacks)
+        registry.counter(
+            "repro_heal_degradations_total", "ladder degradations taken"
+        ).inc(len(outcome.degradations))
+        histogram = registry.histogram(
+            "repro_heal_recovery_latency_steps",
+            buckets=LATENCY_BUCKETS,
+            help="logical steps between restored cut and detection",
+        )
+        for latency in outcome.recovery_latencies:
+            histogram.observe(latency)
+
+    def snapshot_lines(self, report):
+        """One ``kind="cell"`` line per outcome (grid order) plus one
+        ``kind="aggregate"`` roll-up."""
+        lines: List[Dict[str, Any]] = []
+        detections: Dict[str, int] = {}
+        total_rollbacks = 0
+        latencies: List[int] = []
+        for outcome in report.outcomes:
+            for rule, count in outcome.detections:
+                detections[rule] = detections.get(rule, 0) + count
+            total_rollbacks += outcome.rollbacks
+            latencies.extend(outcome.recovery_latencies)
+            lines.append(
+                {
+                    "kind": "cell",
+                    "algorithm": outcome.algorithm,
+                    "plan": outcome.plan,
+                    "seed": outcome.seed,
+                    "health": outcome.health,
+                    "recovered": outcome.recovered,
+                    "rollbacks": outcome.rollbacks,
+                    "detections": dict(outcome.detections),
+                    "degradations": list(outcome.degradations),
+                    "recovery_latencies": list(outcome.recovery_latencies),
+                }
+            )
+        lines.append(
+            {
+                "kind": "aggregate",
+                "detections": {r: detections[r] for r in sorted(detections)},
+                "rollbacks": total_rollbacks,
+                "recovery_latency_mean": (
+                    float(np.mean(latencies)) if latencies else 0.0
+                ),
+                "recovery_latency_max": max(latencies) if latencies else 0,
+            }
+        )
+        return lines
+
+    def add_arguments(self, parser):
+        parser.add_argument(
+            "--algorithms", default="default",
+            help="comma-separated registry names, or 'default' "
+            "(epoch-sgd, hogwild, locked)",
+        )
+        parser.add_argument(
+            "--plans", default="none,bit-flip,nan-poison,dup-write",
+            help="comma-separated corruption plan names "
+            "(none, bit-flip, nan-poison, inf-poison, dup-write, "
+            "drop-write), or 'all'",
+        )
+        parser.add_argument(
+            "--threads", type=int, default=4, metavar="N",
+            help="SGD threads per run (default 4)",
+        )
+        parser.add_argument(
+            "--iterations", type=int, default=200, metavar="T",
+            help="global iteration budget per run (default 200)",
+        )
+        parser.add_argument(
+            "--adversary", default="random",
+            help="scheduler the grid runs under (default random)",
+        )
+        parser.add_argument(
+            "--retry-budget", type=int, default=8, metavar="N",
+            help="rollback budget units per ladder level (default 8)",
+        )
+        parser.add_argument(
+            "--check-interval", type=int, default=64, metavar="STEPS",
+            help="detector/checkpoint chunk size in logical steps "
+            "(default 64)",
+        )
+
+    def params_from_args(self, args):
+        return {
+            "algorithms": (
+                list(HEAL_ALGORITHMS)
+                if args.algorithms == "default"
+                else comma_names(args.algorithms)
+            ),
+            "plans": (
+                sorted(heal_plan_specs())
+                if args.plans == "all"
+                else comma_names(args.plans)
+            ),
+            "seeds": args.seeds,
+            "base_seed": args.base_seed,
+            "threads": args.threads,
+            "iterations": args.iterations,
+            "adversary": args.adversary,
+            "retry_budget": args.retry_budget,
+            "check_interval": args.check_interval,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -599,7 +624,7 @@ def to_heal_config(config: E14Config) -> HealGridConfig:
 
 def run(config: E14Config) -> ExperimentResult:
     """Execute E14: the resilience grid."""
-    report = run_heal_grid(to_heal_config(config))
+    report = get_campaign("heal").run(to_heal_config(config))
     xs = list(range(len(config.plans)))
     series: Dict[str, List[float]] = {}
     for summary in report.summaries:

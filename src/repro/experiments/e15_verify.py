@@ -21,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.experiments.grid import get_campaign
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.report import Table
 from repro.verify.engine import (
     VERIFY_VARIANTS,
     VerifyConfig,
     VerifyScope,
-    run_verify,
 )
 from repro.verify.report import cell_passed
 
@@ -71,7 +71,7 @@ def to_verify_config(config: E15Config) -> VerifyConfig:
 
 def run(config: E15Config) -> ExperimentResult:
     """Execute E15: the variant x seed enumeration grid + SMT queries."""
-    report = run_verify(to_verify_config(config))
+    report = get_campaign("verify").run(to_verify_config(config))
     reduction_ok = all(
         o.reduction_factor >= MIN_REDUCTION_FACTOR
         for o in report.outcomes

@@ -56,12 +56,9 @@ from repro.faults.campaign import (
     CampaignReport,
     ChaosWorkload,
     FaultRunOutcome,
-    campaign_fingerprint,
     outcome_from_payload,
     outcome_to_payload,
-    partial_report,
     preset_specs,
-    report_from_outcomes,
     run_campaign,
 )
 
@@ -91,11 +88,8 @@ __all__ = [
     "CampaignConfig",
     "CampaignReport",
     "FaultRunOutcome",
-    "campaign_fingerprint",
     "outcome_from_payload",
     "outcome_to_payload",
-    "partial_report",
     "preset_specs",
-    "report_from_outcomes",
     "run_campaign",
 ]

@@ -8,9 +8,10 @@ victims — and aggregates a robustness report: survival rate, convergence
 degradation versus fault intensity, recovered-thread counts, and every
 invariant violation observed.
 
-Workers go through :func:`repro.experiments.ensemble.run_ensemble`, so
-campaigns parallelize across processes exactly like the paper
-experiments and stay byte-identical to serial execution.  All output is
+The grid is the registered ``chaos`` campaign (:class:`ChaosCampaign`,
+see :mod:`repro.experiments.grid`), so campaigns parallelize across
+processes exactly like the paper experiments and stay byte-identical to
+serial execution.  All output is
 deterministic given the config (no timestamps in the JSON), so a rerun
 with the same seeds produces the same bytes — the property CI pins.
 """
@@ -26,7 +27,15 @@ import numpy as np
 
 from repro.core.epoch_sgd import EpochSGDProgram
 from repro.errors import ConfigurationError
-from repro.experiments.ensemble import EnsemblePool, run_ensemble
+from repro.experiments.grid import (
+    Campaign,
+    Cell,
+    comma_names,
+    get_campaign,
+    grid_seeds,
+    register_campaign,
+    str_list,
+)
 from repro.faults.monitors import MonitorSuite, default_monitors
 from repro.faults.recovery import run_with_recovery
 from repro.faults.spec import (
@@ -400,23 +409,6 @@ class CampaignReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def write(self, path: str, fmt: str = "json") -> None:
-        """Atomically persist the report (``fmt`` = ``"json"``/``"txt"``).
-
-        Goes through :func:`repro.durable.atomic_io.atomic_write`, so a
-        crash mid-write leaves either the previous report or the new one
-        — never a torn file.
-        """
-        from repro.durable.atomic_io import atomic_write
-
-        if fmt == "json":
-            text = self.to_json()
-        elif fmt == "txt":
-            text = self.render() + "\n"
-        else:
-            raise ConfigurationError(f"unknown report format: {fmt!r}")
-        atomic_write(path, text.encode("utf-8"))
-
 
 def summarize(outcomes: List[FaultRunOutcome]) -> List[SpecSummary]:
     """Collapse per-cell outcomes into per-spec rows (grid order)."""
@@ -444,20 +436,6 @@ def summarize(outcomes: List[FaultRunOutcome]) -> List[SpecSummary]:
     return summaries
 
 
-def campaign_fingerprint(config: CampaignConfig) -> str:
-    """Stable fingerprint of everything that determines campaign results.
-
-    ``jobs`` is deliberately excluded: parallelism changes wall-clock
-    time, never results, so a journal written under ``--jobs 4`` must
-    resume cleanly under ``--jobs 1`` (and vice versa).
-    """
-    from repro.durable.journal import config_fingerprint
-
-    payload = asdict(config)
-    payload.pop("jobs", None)
-    return config_fingerprint(payload)
-
-
 def outcome_to_payload(outcome: FaultRunOutcome) -> Dict[str, Any]:
     """JSON-safe journal payload for one campaign cell."""
     payload = asdict(outcome)
@@ -480,136 +458,166 @@ def outcome_from_payload(payload: Dict[str, Any]) -> FaultRunOutcome:
     return FaultRunOutcome(**data)
 
 
-def _cell_namespace(spec_index: int, spec: FaultSpec) -> str:
-    return f"{spec_index}:{spec.name}"
+@register_campaign
+class ChaosCampaign(Campaign):
+    """``repro chaos``: fault specs x seeds under the random scheduler.
 
-
-def report_from_outcomes(outcomes: List[FaultRunOutcome]) -> CampaignReport:
-    """Aggregate cell outcomes into a report (grid order preserved)."""
-    return CampaignReport(outcomes=outcomes, summaries=summarize(outcomes))
-
-
-def partial_report(config: CampaignConfig, journal: Any) -> CampaignReport:
-    """Report over only the cells the journal has — the artifact the CLI
-    flushes when a campaign is interrupted.  Grid-ordered, so the final
-    resumed report extends it deterministically."""
-    outcomes: List[FaultRunOutcome] = []
-    for spec_index, spec in enumerate(config.specs):
-        done = journal.completed(_cell_namespace(spec_index, spec))
-        for seed in config.seeds:
-            if seed in done:
-                outcomes.append(outcome_from_payload(done[seed]))
-    return report_from_outcomes(outcomes)
-
-
-def campaign_metrics_lines(
-    config: CampaignConfig, outcomes: List[FaultRunOutcome]
-) -> List[Dict[str, Any]]:
-    """Snapshot-file lines for a ``collect_obs`` campaign.
-
-    One ``kind="cell"`` line per outcome that carries metrics (grid
-    order) plus one ``kind="aggregate"`` roll-up — the payload
-    ``repro chaos --metrics`` writes via
-    :func:`repro.obs.snapshot.write_snapshot_jsonl`.  Purely a function
-    of the outcomes, hence deterministic.
+    Each spec's seed ensemble runs under a ``campaign.spec`` span.
+    ``collect_obs`` configs publish each fresh cell's paper metrics to
+    the live registry and write them to the ``--metrics`` snapshot.
     """
-    from repro.obs.paper import merge_paper_metrics
 
-    lines: List[Dict[str, Any]] = []
-    cells = []
-    for outcome in outcomes:
-        if outcome.obs is None:
-            continue
-        cells.append(outcome.obs)
-        lines.append(
-            {
-                "kind": "cell",
-                "spec": outcome.spec,
-                "seed": outcome.seed,
-                "converged": outcome.converged,
-                "crashed": outcome.crashed,
-                "respawned": outcome.respawned,
-                "steps": outcome.steps,
-                "metrics": outcome.obs,
-            }
+    name = "chaos"
+    help = (
+        "run a seeded fault campaign (fault specs x seeds) and report "
+        "robustness"
+    )
+    report_name = "chaos_report"
+    cli_seeds = (4, 1)
+    seeds_per = "spec"
+    cells_metric = ("repro_campaign_cells_total", "campaign cells finished")
+    metrics_help = (
+        "collect paper-aligned run-time metrics (tau histogram, window "
+        "contention, lemma indicators) and write a deterministic snapshot "
+        "JSONL here (inspect with 'repro obs')"
+    )
+    serve_params = {
+        "specs": (("prob-crash", "torn-update"), str_list),
+        "seeds": (2, int),
+        "base_seed": (1, int),
+        "threads": (4, int),
+        "iterations": (120, int),
+        "check_interval": (64, int),
+        "recover": (True, bool),
+        "monitors": (True, bool),
+    }
+    encode = staticmethod(outcome_to_payload)
+    decode = staticmethod(outcome_from_payload)
+
+    def build(self, params, jobs=1, collect_obs=False):
+        presets = preset_specs()
+        unknown = [name for name in params["specs"] if name not in presets]
+        if unknown or not params["specs"]:
+            raise ConfigurationError(
+                f"unknown fault spec(s): {', '.join(unknown) or '(none given)'} "
+                f"(choose from {', '.join(presets)})"
+            )
+        return CampaignConfig(
+            specs=tuple(presets[name] for name in params["specs"]),
+            seeds=grid_seeds(params),
+            workload=ChaosWorkload(
+                num_threads=params["threads"], iterations=params["iterations"]
+            ),
+            recover=params["recover"],
+            monitors=params["monitors"],
+            check_interval=params["check_interval"],
+            jobs=jobs,
+            collect_obs=collect_obs,
         )
-    lines.append({"kind": "aggregate", "metrics": merge_paper_metrics(cells)})
-    return lines
+
+    def cells(self, config):
+        for index, spec in enumerate(config.specs):
+            yield Cell(
+                f"{index}:{spec.name}",
+                functools.partial(_chaos_worker, config, index),
+                (spec.name,),
+            )
+
+    def cell_span(self, config, cell):
+        from repro.obs.spans import trace_span
+
+        (spec,) = cell.key
+        return trace_span("campaign.spec", spec=spec, seeds=len(config.seeds))
+
+    def report(self, config, outcomes):
+        return CampaignReport(outcomes=outcomes, summaries=summarize(outcomes))
+
+    def telemetry(self, registry, outcome):
+        if outcome.obs is not None:
+            from repro.obs.paper import publish_paper_metrics
+
+            publish_paper_metrics(registry, outcome.obs)
+
+    def snapshot_lines(self, report):
+        """One ``kind="cell"`` line per outcome carrying metrics (grid
+        order) plus one ``kind="aggregate"`` roll-up."""
+        from repro.obs.paper import merge_paper_metrics
+
+        lines: List[Dict[str, Any]] = []
+        cells = []
+        for outcome in report.outcomes:
+            if outcome.obs is None:
+                continue
+            cells.append(outcome.obs)
+            lines.append(
+                {
+                    "kind": "cell",
+                    "spec": outcome.spec,
+                    "seed": outcome.seed,
+                    "converged": outcome.converged,
+                    "crashed": outcome.crashed,
+                    "respawned": outcome.respawned,
+                    "steps": outcome.steps,
+                    "metrics": outcome.obs,
+                }
+            )
+        lines.append({"kind": "aggregate", "metrics": merge_paper_metrics(cells)})
+        return lines
+
+    def add_arguments(self, parser):
+        parser.add_argument(
+            "--specs",
+            default="prob-crash,adaptive-crash,stall,torn-update",
+            help="comma-separated fault spec presets (see repro.faults."
+            "campaign.preset_specs): none, prob-crash, adaptive-crash, "
+            "stall, torn-update, mixed",
+        )
+        parser.add_argument(
+            "--threads", type=int, default=4, metavar="N",
+            help="SGD threads per run (default 4)",
+        )
+        parser.add_argument(
+            "--iterations", type=int, default=300, metavar="T",
+            help="global iteration budget per run (default 300)",
+        )
+        parser.add_argument(
+            "--check-interval", type=int, default=64, metavar="K",
+            help="steps between invariant checks / crash-recovery polls",
+        )
+        parser.add_argument(
+            "--no-recovery", action="store_true",
+            help="do not respawn crashed threads",
+        )
+        parser.add_argument(
+            "--no-monitors", action="store_true",
+            help="disable invariant monitors (pure survival/convergence run)",
+        )
+        parser.add_argument(
+            "--trace", default=None, metavar="PATH",
+            help="record harness spans (campaign cells, runs, replays) and "
+            "dump a Chrome-trace JSON here (load in chrome://tracing)",
+        )
+
+    def params_from_args(self, args):
+        return {
+            "specs": comma_names(args.specs),
+            "seeds": args.seeds,
+            "base_seed": args.base_seed,
+            "threads": args.threads,
+            "iterations": args.iterations,
+            "check_interval": args.check_interval,
+            "recover": not args.no_recovery,
+            "monitors": not args.no_monitors,
+        }
 
 
 def run_campaign(
     config: CampaignConfig,
     journal: Optional[Any] = None,
     shutdown: Optional[Any] = None,
-    watchdog_policy: Optional[Any] = None,
     metrics: Optional[Any] = None,
     progress: Optional[Any] = None,
 ) -> CampaignReport:
-    """Execute the full spec x seed grid and aggregate the report.
-
-    Each spec's seed ensemble goes through :func:`run_ensemble`, so
-    ``config.jobs`` parallelizes cells across processes with results
-    byte-identical to a serial run.
-
-    With a ``journal`` (a :class:`~repro.durable.journal.RunJournal`
-    opened against :func:`campaign_fingerprint`), every finished cell is
-    durably recorded as it lands and already-journaled cells are skipped
-    on resume — the report is byte-identical to an uninterrupted run no
-    matter how many kills happened in between, or what ``jobs`` each
-    attempt used.  ``shutdown`` stops the grid at the next cell boundary
-    by raising :class:`~repro.errors.InterruptedRunError`;
-    ``watchdog_policy`` (a :class:`~repro.durable.watchdog.
-    WatchdogPolicy`) guards each spec's pooled phase against stalls.
-
-    ``metrics`` (a :class:`repro.obs.registry.MetricsRegistry`) feeds
-    ensemble/watchdog telemetry and, for ``collect_obs`` configs, the
-    merged paper metrics of each freshly finished cell; ``progress``
-    (``progress(seed, outcome)``) fires per fresh cell — the live-view
-    hook.  Each spec's ensemble runs under a ``campaign.spec`` span when
-    a recorder is active.  None of this changes results or report bytes.
-    """
-    from repro.durable.watchdog import EnsembleWatchdog
-    from repro.obs.paper import publish_paper_metrics
-    from repro.obs.registry import live_registry
-    from repro.obs.spans import trace_span
-
-    registry = live_registry(metrics)
-
-    def note_cell(seed: int, outcome: FaultRunOutcome) -> None:
-        if registry is not None and outcome.obs is not None:
-            publish_paper_metrics(registry, outcome.obs)
-        if registry is not None:
-            registry.counter(
-                "repro_campaign_cells_total", "campaign cells finished"
-            ).inc()
-        if progress is not None:
-            progress(seed, outcome)
-
-    outcomes: List[FaultRunOutcome] = []
-    with EnsemblePool(config.jobs, len(config.seeds)) as pool:
-        for spec_index, spec in enumerate(config.specs):
-            watchdog = (
-                EnsembleWatchdog(watchdog_policy, metrics=metrics)
-                if watchdog_policy is not None
-                else None
-            )
-            with trace_span(
-                "campaign.spec", spec=spec.name, seeds=len(config.seeds)
-            ):
-                outcomes.extend(
-                    run_ensemble(
-                        functools.partial(_chaos_worker, config, spec_index),
-                        config.seeds,
-                        jobs=config.jobs,
-                        journal=journal,
-                        namespace=_cell_namespace(spec_index, spec),
-                        encode=outcome_to_payload,
-                        decode=outcome_from_payload,
-                        watchdog=watchdog,
-                        shutdown=shutdown,
-                        metrics=metrics,
-                        progress=note_cell,
-                        pool=pool,
-                    )
-                )
-    return report_from_outcomes(outcomes)
+    """Execute the full spec x seed grid and aggregate the report (see
+    :meth:`repro.experiments.grid.Campaign.run`)."""
+    return get_campaign("chaos").run(config, journal, shutdown, metrics, progress)

@@ -19,9 +19,12 @@ consequences do all the heavy lifting for the service layer:
   ... --resume`` reproduces an interrupted job's report byte-identically
   outside the server too.
 
-:func:`execute_spec` is the worker-process entry point: it rebuilds the
-config from the canonical params and drives the matching ``run_*``
-driver with the journal/shutdown/progress plumbing attached.
+Campaign kinds come from the registry in :mod:`repro.experiments.grid`:
+each declares its parameter table and how its config is built, so this
+module branches only for ``experiment``.  :func:`execute_spec` is the
+worker-process entry point: it rebuilds the config from the canonical
+params and runs the matching campaign (or experiment module) with the
+journal/shutdown/progress plumbing attached.
 """
 
 from __future__ import annotations
@@ -31,74 +34,27 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from repro.durable.journal import config_fingerprint
 from repro.errors import ConfigurationError
+from repro.experiments.grid import campaign_names, get_campaign
 
-#: Submission kinds the server accepts.
-JOB_KINDS = ("experiment", "chaos", "sanitize", "zoo", "heal", "verify")
+#: ``experiment`` params: name -> (default, coercion); ``None`` defaults
+#: mean "required".  Campaign kinds declare theirs on their registered
+#: class (:attr:`repro.experiments.grid.Campaign.serve_params`).
+_EXPERIMENT_PARAMS: Dict[str, Tuple[Any, Callable[[Any], Any]]] = {
+    "id": (None, lambda v: str(v).upper()),
+    "scale": ("quick", str),
+}
 
-#: Per-kind parameter schema: name -> (default, coercion).  ``None``
-#: defaults mean "required".  Lists arrive as JSON arrays of strings.
-_STR_LIST = lambda v: tuple(str(item) for item in v)  # noqa: E731
+
+def job_kinds() -> Tuple[str, ...]:
+    """Submission kinds the server accepts: ``experiment`` plus every
+    registered campaign."""
+    return ("experiment",) + campaign_names()
 
 
-def _params_schema(kind: str) -> Dict[str, Tuple[Any, Callable[[Any], Any]]]:
-    if kind == "experiment":
-        return {"id": (None, lambda v: str(v).upper()), "scale": ("quick", str)}
-    if kind == "chaos":
-        return {
-            "specs": (("prob-crash", "torn-update"), _STR_LIST),
-            "seeds": (2, int),
-            "base_seed": (1, int),
-            "threads": (4, int),
-            "iterations": (120, int),
-            "check_interval": (64, int),
-            "recover": (True, bool),
-            "monitors": (True, bool),
-        }
-    if kind == "sanitize":
-        return {
-            "presets": (("e1",), _STR_LIST),
-            "seeds": (2, int),
-            "base_seed": (1, int),
-            "strict": (False, bool),
-        }
-    if kind == "zoo":
-        return {
-            "algorithms": (("epoch-sgd", "hogwild"), _STR_LIST),
-            "adversaries": (("round-robin", "random"), _STR_LIST),
-            "seeds": (2, int),
-            "base_seed": (7000, int),
-            "threads": (4, int),
-            "iterations": (100, int),
-            "sanitize": (True, bool),
-        }
-    if kind == "heal":
-        return {
-            "algorithms": (("epoch-sgd",), _STR_LIST),
-            "plans": (("none", "nan-poison"), _STR_LIST),
-            "seeds": (1, int),
-            "base_seed": (8000, int),
-            "threads": (4, int),
-            "iterations": (150, int),
-            "adversary": ("random", str),
-            "retry_budget": (8, int),
-            "check_interval": (64, int),
-        }
-    if kind == "verify":
-        return {
-            "variants": (("epoch-sgd",), _STR_LIST),
-            "seeds": (1, int),
-            "base_seed": (1, int),
-            "threads": (2, int),
-            "iterations": (1, int),
-            "max_steps": (48, int),
-            "full_tree": (False, bool),
-            "memoize": (False, bool),
-            "smt_engine": ("finite", str),
-        }
-    raise ConfigurationError(
-        f"unknown job kind {kind!r} (choose from {', '.join(JOB_KINDS)})"
-    )
+#: The built-in submission kinds.
+JOB_KINDS = job_kinds()
 
 
 @dataclass(frozen=True)
@@ -133,7 +89,11 @@ class JobSpec:
 
 
 def _canonical_params(kind: str, raw: Mapping[str, Any]) -> Dict[str, Any]:
-    schema = _params_schema(kind)
+    schema = (
+        _EXPERIMENT_PARAMS
+        if kind == "experiment"
+        else get_campaign(kind).serve_params
+    )
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ConfigurationError(
@@ -176,9 +136,10 @@ def parse_job_spec(payload: Any) -> JobSpec:
             "(allowed: kind, params, jobs)"
         )
     kind = payload.get("kind")
-    if kind not in JOB_KINDS:
+    kinds = job_kinds()
+    if kind not in kinds:
         raise ConfigurationError(
-            f"unknown job kind {kind!r} (choose from {', '.join(JOB_KINDS)})"
+            f"unknown job kind {kind!r} (choose from {', '.join(kinds)})"
         )
     raw = payload.get("params", {})
     if not isinstance(raw, dict):
@@ -190,7 +151,9 @@ def parse_job_spec(payload: Any) -> JobSpec:
     if jobs < 1:
         raise ConfigurationError(f"job spec 'jobs' must be >= 1, got {jobs}")
     params = _canonical_params(kind, raw)
-    fingerprint = _fingerprint(kind, params)
+    fingerprint = config_fingerprint(
+        {"kind": kind, "fingerprint": _inner_fingerprint(kind, params)}
+    )
     return JobSpec(kind=kind, params=params, fingerprint=fingerprint, jobs=jobs)
 
 
@@ -202,203 +165,43 @@ def result_digest(result: Mapping[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Per-kind config construction (validation + fingerprint + runner)
+# Fingerprints
 # ----------------------------------------------------------------------
-def _chaos_config(params: Mapping[str, Any]):
-    from repro.faults.campaign import CampaignConfig, ChaosWorkload, preset_specs
-
-    presets = preset_specs()
-    unknown = [name for name in params["specs"] if name not in presets]
-    if unknown or not params["specs"]:
-        raise ConfigurationError(
-            f"unknown fault spec(s): {', '.join(unknown) or '(none given)'} "
-            f"(choose from {', '.join(presets)})"
-        )
-    return CampaignConfig(
-        specs=tuple(presets[name] for name in params["specs"]),
-        seeds=tuple(
-            range(params["base_seed"], params["base_seed"] + params["seeds"])
-        ),
-        workload=ChaosWorkload(
-            num_threads=params["threads"], iterations=params["iterations"]
-        ),
-        recover=params["recover"],
-        monitors=params["monitors"],
-        check_interval=params["check_interval"],
-    )
-
-
-def _sanitize_args(params: Mapping[str, Any]):
-    from repro.analysis.presets import sanitize_presets
-
-    presets = sanitize_presets()
-    unknown = [name for name in params["presets"] if name not in presets]
-    if unknown or not params["presets"]:
-        raise ConfigurationError(
-            f"unknown sanitize preset(s): "
-            f"{', '.join(unknown) or '(none given)'} "
-            f"(choose from {', '.join(presets)})"
-        )
-    chosen = tuple(presets[name] for name in params["presets"])
-    seeds = tuple(
-        range(params["base_seed"], params["base_seed"] + params["seeds"])
-    )
-    return chosen, seeds
-
-
-def _zoo_config(params: Mapping[str, Any]):
-    from repro.experiments.e13_algorithm_zoo import ZooConfig, ZooWorkload
-
-    return ZooConfig(
-        algorithms=tuple(params["algorithms"]),
-        adversaries=tuple(params["adversaries"]),
-        seeds=tuple(
-            range(params["base_seed"], params["base_seed"] + params["seeds"])
-        ),
-        workload=ZooWorkload(
-            num_threads=params["threads"], iterations=params["iterations"]
-        ),
-        sanitize=params["sanitize"],
-    )
-
-
-def _heal_config(params: Mapping[str, Any]):
-    from repro.experiments.e14_resilience import HealGridConfig, HealWorkload
-    from repro.heal.rollback import HealPolicy
-
-    return HealGridConfig(
-        algorithms=tuple(params["algorithms"]),
-        plans=tuple(params["plans"]),
-        seeds=tuple(
-            range(params["base_seed"], params["base_seed"] + params["seeds"])
-        ),
-        workload=HealWorkload(
-            num_threads=params["threads"],
-            iterations=params["iterations"],
-            adversary=params["adversary"],
-        ),
-        policy=HealPolicy(
-            check_interval=params["check_interval"],
-            retry_budget=params["retry_budget"],
-        ),
-    )
-
-
-def _verify_config(params: Mapping[str, Any]):
-    from repro.verify.engine import VerifyConfig, VerifyScope
-    from repro.verify.smt import SmtConfig
-
-    return VerifyConfig(
-        variants=tuple(params["variants"]),
-        seeds=tuple(
-            range(params["base_seed"], params["base_seed"] + params["seeds"])
-        ),
-        scope=VerifyScope(
-            threads=params["threads"],
-            iterations=params["iterations"],
-            max_steps=params["max_steps"],
-        ),
-        measure_full_tree=params["full_tree"],
-        memoize=params["memoize"],
-        smt=SmtConfig(engine=params["smt_engine"]),
-    )
-
-
 def _experiment_registry():
     from repro.cli import REGISTRY
 
     return REGISTRY
 
 
-def _fingerprint(kind: str, params: Mapping[str, Any]) -> str:
-    """Kind-wrapped jobs-excluded fingerprint (also validates params by
-    constructing the real config object)."""
-    from repro.durable.journal import config_fingerprint
-
-    if kind == "experiment":
-        registry = _experiment_registry()
-        if params["id"] not in registry:
-            raise ConfigurationError(
-                f"unknown experiment id {params['id']!r} "
-                f"(choose from {', '.join(registry)})"
-            )
-        if params["scale"] not in ("quick", "full"):
-            raise ConfigurationError(
-                f"experiment scale must be quick or full, got "
-                f"{params['scale']!r}"
-            )
-        inner = config_fingerprint(
-            {"id": params["id"], "scale": params["scale"]}
+def _inner_fingerprint(kind: str, params: Mapping[str, Any]) -> str:
+    """The jobs-excluded fingerprint of the config ``params`` denote
+    (which also validates them: the config is really constructed)."""
+    if kind != "experiment":
+        campaign = get_campaign(kind)
+        return campaign.fingerprint(campaign.build(params))
+    registry = _experiment_registry()
+    if params["id"] not in registry:
+        raise ConfigurationError(
+            f"unknown experiment id {params['id']!r} "
+            f"(choose from {', '.join(registry)})"
         )
-    elif kind == "chaos":
-        from repro.faults.campaign import campaign_fingerprint
-
-        inner = campaign_fingerprint(_chaos_config(params))
-    elif kind == "sanitize":
-        from repro.analysis.presets import sanitize_fingerprint
-
-        chosen, seeds = _sanitize_args(params)
-        inner = sanitize_fingerprint(chosen, seeds, strict=params["strict"])
-    elif kind == "zoo":
-        from repro.experiments.e13_algorithm_zoo import zoo_fingerprint
-
-        inner = zoo_fingerprint(_zoo_config(params))
-    elif kind == "heal":
-        from repro.experiments.e14_resilience import heal_fingerprint
-
-        inner = heal_fingerprint(_heal_config(params))
-    else:  # verify (kind already validated)
-        from repro.verify.engine import verify_fingerprint
-
-        inner = verify_fingerprint(_verify_config(params))
-    return config_fingerprint({"kind": kind, "fingerprint": inner})
+    if params["scale"] not in ("quick", "full"):
+        raise ConfigurationError(
+            f"experiment scale must be quick or full, got {params['scale']!r}"
+        )
+    return config_fingerprint({"id": params["id"], "scale": params["scale"]})
 
 
 def journal_fingerprint(spec: JobSpec) -> str:
     """The *inner* fingerprint the job's journal is pinned to — the one
     the matching CLI command computes, so a server-side journal resumes
     under ``python -m repro <kind> --journal ... --resume`` unchanged."""
-    if spec.kind == "experiment":
-        from repro.durable.journal import config_fingerprint
-
-        return config_fingerprint(
-            {"id": spec.params["id"], "scale": spec.params["scale"]}
-        )
-    if spec.kind == "chaos":
-        from repro.faults.campaign import campaign_fingerprint
-
-        return campaign_fingerprint(_chaos_config(spec.params))
-    if spec.kind == "sanitize":
-        from repro.analysis.presets import sanitize_fingerprint
-
-        chosen, seeds = _sanitize_args(spec.params)
-        return sanitize_fingerprint(chosen, seeds, strict=spec.params["strict"])
-    if spec.kind == "zoo":
-        from repro.experiments.e13_algorithm_zoo import zoo_fingerprint
-
-        return zoo_fingerprint(_zoo_config(spec.params))
-    if spec.kind == "heal":
-        from repro.experiments.e14_resilience import heal_fingerprint
-
-        return heal_fingerprint(_heal_config(spec.params))
-    from repro.verify.engine import verify_fingerprint
-
-    return verify_fingerprint(_verify_config(spec.params))
+    return _inner_fingerprint(spec.kind, spec.params)
 
 
 # ----------------------------------------------------------------------
 # Worker-side execution
 # ----------------------------------------------------------------------
-def _report_result(kind: str, report: Any) -> Dict[str, Any]:
-    """Uniform result payload: every grid report renders the same way."""
-    return {
-        "kind": kind,
-        "passed": bool(report.passed),
-        "report": json.loads(report.to_json()),
-        "text": report.render(),
-    }
-
-
 def execute_spec(
     payload: Mapping[str, Any],
     journal: Optional[Any] = None,
@@ -452,70 +255,17 @@ def _dispatch_spec(
             "report": None,
             "text": result.render(plot=False),
         }
-    if spec.kind == "chaos":
-        from dataclasses import replace
-
-        from repro.faults.campaign import run_campaign
-
-        config = replace(_chaos_config(spec.params), jobs=spec.jobs)
-        report = run_campaign(
-            config,
-            journal=journal,
-            shutdown=shutdown,
-            metrics=metrics,
-            progress=on_cell,
-        )
-    elif spec.kind == "sanitize":
-        from repro.analysis.presets import run_sanitize
-
-        chosen, seeds = _sanitize_args(spec.params)
-        report = run_sanitize(
-            chosen,
-            seeds=seeds,
-            jobs=spec.jobs,
-            strict=spec.params["strict"],
-            journal=journal,
-            shutdown=shutdown,
-            metrics=metrics,
-            progress=on_cell,
-        )
-    elif spec.kind == "zoo":
-        from dataclasses import replace
-
-        from repro.experiments.e13_algorithm_zoo import run_zoo
-
-        config = replace(_zoo_config(spec.params), jobs=spec.jobs)
-        report = run_zoo(
-            config,
-            journal=journal,
-            shutdown=shutdown,
-            metrics=metrics,
-            progress=on_cell,
-        )
-    elif spec.kind == "heal":
-        from dataclasses import replace
-
-        from repro.experiments.e14_resilience import run_heal_grid
-
-        config = replace(_heal_config(spec.params), jobs=spec.jobs)
-        report = run_heal_grid(
-            config,
-            journal=journal,
-            shutdown=shutdown,
-            metrics=metrics,
-            progress=on_cell,
-        )
-    else:  # verify
-        from dataclasses import replace
-
-        from repro.verify.engine import run_verify
-
-        config = replace(_verify_config(spec.params), jobs=spec.jobs)
-        report = run_verify(
-            config,
-            journal=journal,
-            shutdown=shutdown,
-            metrics=metrics,
-            progress=on_cell,
-        )
-    return _report_result(spec.kind, report)
+    campaign = get_campaign(spec.kind)
+    report = campaign.run(
+        campaign.build(spec.params, jobs=spec.jobs),
+        journal=journal,
+        shutdown=shutdown,
+        metrics=metrics,
+        progress=on_cell,
+    )
+    return {
+        "kind": spec.kind,
+        "passed": bool(report.passed),
+        "report": json.loads(report.to_json()),
+        "text": report.render(),
+    }

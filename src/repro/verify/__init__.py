@@ -27,8 +27,6 @@ from repro.verify.enumerator import (
 from repro.verify.engine import (
     VerifyConfig,
     VerifyScope,
-    run_verify,
-    verify_fingerprint,
     verify_variant_names,
 )
 from repro.verify.independence import op_footprint, ops_conflict
@@ -59,8 +57,6 @@ __all__ = [
     "op_footprint",
     "ops_conflict",
     "run_smt_queries",
-    "run_verify",
     "solver_available",
-    "verify_fingerprint",
     "verify_variant_names",
 ]

@@ -20,16 +20,17 @@ Clean variants must produce zero counterexamples across the whole tree
 sanitizer — the oracle-agreement check that pins the sanitizer's
 recall.
 
-Cells run through :func:`repro.experiments.ensemble.run_ensemble`, so
-the grid parallelizes across processes (``--jobs``) and journals for
-kill/resume with byte-identical reports either way.
+The grid is the registered ``verify`` campaign (:class:`VerifyCampaign`,
+see :mod:`repro.experiments.grid`), so it parallelizes across processes
+(``--jobs``) and journals for kill/resume with byte-identical reports
+either way.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +45,14 @@ from repro.core.algorithm import (
 )
 from repro.core.epoch_sgd import collect_iteration_records
 from repro.errors import ConfigurationError, SchedulerError
-from repro.experiments.ensemble import EnsemblePool, run_ensemble
+from repro.experiments.grid import (
+    Campaign,
+    Cell,
+    comma_names,
+    grid_seeds,
+    register_campaign,
+    str_list,
+)
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.runtime.simulator import Simulator
@@ -153,16 +161,6 @@ class VerifyConfig:
                 f"max_counterexamples must be >= 1, "
                 f"got {self.max_counterexamples}"
             )
-
-
-def verify_fingerprint(config: VerifyConfig) -> str:
-    """Stable fingerprint of everything that determines verify results
-    (``jobs`` excluded: parallelism never changes results)."""
-    from repro.durable.journal import config_fingerprint
-
-    payload = asdict(config)
-    payload.pop("jobs", None)
-    return config_fingerprint(payload)
 
 
 def _resolve_variant(name: str) -> Tuple[Algorithm, str, Optional[int]]:
@@ -337,77 +335,124 @@ def _replays_identically(
     return lines == expected_lines
 
 
-def _variant_namespace(variant: str) -> str:
-    return f"variant/{variant}"
+@register_campaign
+class VerifyCampaign(Campaign):
+    """``repro verify``: variants x seeds enumeration cells, one
+    ``verify.cell`` span per variant, plus the SMT lemma queries, which
+    run in the parent when the report is folded (they are cheap and
+    deterministic)."""
 
-
-def report_from_outcomes(
-    config: VerifyConfig, outcomes: List[VerifyCellOutcome]
-) -> VerifyReport:
-    """Attach the (deterministic, parent-process) SMT query results."""
-    return VerifyReport(
-        outcomes=outcomes, smt_results=run_smt_queries(config.smt)
+    name = "verify"
+    help = (
+        "exhaustively enumerate every trace-distinct schedule of the "
+        "variant panel at small scope (sleep-set POR) and run the SMT "
+        "lemma queries; counterexamples replay deterministically"
     )
+    report_name = "verify_report"
+    cli_seeds = (1, 1)
+    seeds_per = "variant cell"
+    cells_metric = ("repro_verify_cells_total", "verify cells finished")
+    serve_params = {
+        "variants": (("epoch-sgd",), str_list),
+        "seeds": (1, int),
+        "base_seed": (1, int),
+        "threads": (2, int),
+        "iterations": (1, int),
+        "max_steps": (48, int),
+        "full_tree": (False, bool),
+        "memoize": (False, bool),
+        "smt_engine": ("finite", str),
+    }
+    encode = staticmethod(outcome_to_payload)
+    decode = staticmethod(outcome_from_payload)
 
+    def build(self, params, jobs=1, collect_obs=False):
+        return VerifyConfig(
+            variants=tuple(params["variants"]),
+            seeds=grid_seeds(params),
+            scope=VerifyScope(
+                threads=params["threads"],
+                iterations=params["iterations"],
+                max_steps=params["max_steps"],
+            ),
+            measure_full_tree=params["full_tree"],
+            memoize=params["memoize"],
+            smt=SmtConfig(engine=params["smt_engine"]),
+            jobs=jobs,
+        )
 
-def partial_verify_report(config: VerifyConfig, journal: Any) -> VerifyReport:
-    """Report over only the cells the journal has — the artifact the CLI
-    flushes when a verify run is interrupted.  Grid-ordered."""
-    outcomes: List[VerifyCellOutcome] = []
-    for variant in config.variants:
-        done = journal.completed(_variant_namespace(variant))
-        for seed in config.seeds:
-            if seed in done:
-                outcomes.append(outcome_from_payload(done[seed]))
-    return report_from_outcomes(config, outcomes)
-
-
-def run_verify(
-    config: VerifyConfig,
-    journal: Optional[Any] = None,
-    shutdown: Optional[Any] = None,
-    metrics: Optional[Any] = None,
-    progress: Optional[Any] = None,
-) -> VerifyReport:
-    """Execute the variant x seed enumeration grid plus the SMT queries.
-
-    Each variant's seed ensemble goes through :func:`run_ensemble`, so
-    ``config.jobs`` parallelizes cells across processes with results
-    byte-identical to a serial run, journaling for kill/resume.  The
-    SMT queries run in the parent (they are cheap and deterministic).
-    """
-    from repro.obs.registry import live_registry
-    from repro.obs.spans import trace_span
-
-    registry = live_registry(metrics)
-
-    def note_cell(seed: int, outcome: VerifyCellOutcome) -> None:
-        if registry is not None:
-            registry.counter(
-                "repro_verify_cells_total", "verify cells finished"
-            ).inc()
-        if progress is not None:
-            progress(seed, outcome)
-
-    outcomes: List[VerifyCellOutcome] = []
-    with EnsemblePool(config.jobs, len(config.seeds)) as pool:
+    def cells(self, config):
         for variant in config.variants:
-            with trace_span(
-                "verify.cell", variant=variant, seeds=len(config.seeds)
-            ):
-                outcomes.extend(
-                    run_ensemble(
-                        functools.partial(_verify_worker, config, variant),
-                        config.seeds,
-                        jobs=config.jobs,
-                        journal=journal,
-                        namespace=_variant_namespace(variant),
-                        encode=outcome_to_payload,
-                        decode=outcome_from_payload,
-                        shutdown=shutdown,
-                        metrics=metrics,
-                        progress=note_cell,
-                        pool=pool,
-                    )
-                )
-    return report_from_outcomes(config, outcomes)
+            yield Cell(
+                f"variant/{variant}",
+                functools.partial(_verify_worker, config, variant),
+                (variant,),
+            )
+
+    def cell_span(self, config, cell):
+        from repro.obs.spans import trace_span
+
+        (variant,) = cell.key
+        return trace_span("verify.cell", variant=variant, seeds=len(config.seeds))
+
+    def report(self, config, outcomes):
+        return VerifyReport(
+            outcomes=outcomes, smt_results=run_smt_queries(config.smt)
+        )
+
+    def add_arguments(self, parser):
+        parser.add_argument(
+            "--variants", default="default",
+            help="comma-separated variant names (registered algorithms plus "
+            "mutant-torn-counter / mutant-lost-update), 'default' (the "
+            "fetch&add family + both mutants) or 'all'",
+        )
+        parser.add_argument(
+            "--threads", type=int, default=2, metavar="N",
+            help="threads at enumerable scope (default 2; the tree is "
+            "exponential in threads x steps)",
+        )
+        parser.add_argument(
+            "--iterations", type=int, default=1, metavar="T",
+            help="global iteration budget at enumerable scope (default 1; "
+            "the lost-update mutant raises its own cell to 2)",
+        )
+        parser.add_argument(
+            "--max-steps", type=int, default=48, metavar="N",
+            help="per-schedule step budget; any truncated schedule voids "
+            "exhaustiveness and fails the cell (default 48)",
+        )
+        parser.add_argument(
+            "--no-full-tree", action="store_true",
+            help="skip the unreduced walk that measures the POR reduction "
+            "factor (halves the work; reduction reported as '-')",
+        )
+        parser.add_argument(
+            "--memoize", action="store_true",
+            help="state-digest memoization in the reduced walk (see the "
+            "soundness caveat in DESIGN.md §16; off for certification)",
+        )
+        parser.add_argument(
+            "--smt-engine", default="auto", choices=["auto", "z3", "finite"],
+            help="lemma-query engine: z3 (the [verify] extra), the exact "
+            "finite-domain fallback, or auto (z3 when installed)",
+        )
+
+    def params_from_args(self, args):
+        if args.variants == "all":
+            variants = list(verify_variant_names())
+        elif args.variants == "default":
+            variants = list(VERIFY_VARIANTS)
+        else:
+            variants = comma_names(args.variants)
+        return {
+            "variants": variants,
+            "seeds": args.seeds,
+            "base_seed": args.base_seed,
+            "threads": args.threads,
+            "iterations": args.iterations,
+            "max_steps": args.max_steps,
+            "full_tree": not args.no_full_tree,
+            "memoize": args.memoize,
+            "smt_engine": args.smt_engine,
+        }

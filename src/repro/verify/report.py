@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.core.algorithm import LEMMAS
-from repro.errors import ConfigurationError
 from repro.metrics.report import Table
 from repro.verify.smt import SmtResult
 
@@ -210,15 +209,3 @@ class VerifyReport:
             "passed": self.passed,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def write(self, path: str, fmt: str = "json") -> None:
-        """Atomically persist the report (``fmt`` = ``"json"``/``"txt"``)."""
-        from repro.durable.atomic_io import atomic_write
-
-        if fmt == "json":
-            text = self.to_json()
-        elif fmt == "txt":
-            text = self.render() + "\n"
-        else:
-            raise ConfigurationError(f"unknown report format: {fmt!r}")
-        atomic_write(path, text.encode("utf-8"))

@@ -7,45 +7,50 @@ it all together (--journal/--resume flags, exit codes, partial flush)."""
 import functools
 import json
 import os
+import shlex
 import signal
 
 import pytest
 
-from repro.analysis.presets import (
-    partial_sanitize_report,
-    run_sanitize,
-    sanitize_fingerprint,
-    sanitize_presets,
-)
-from repro.cli import main
+from repro.analysis.presets import SanitizeConfig, run_sanitize, sanitize_presets
+from repro.cli import build_parser, main
 from repro.durable.journal import RunJournal
 from repro.durable.signals import GracefulShutdown
 from repro.errors import InterruptedRunError
+from repro.experiments.grid import get_campaign
 from repro.faults.campaign import (
     CampaignConfig,
     ChaosWorkload,
-    campaign_fingerprint,
-    partial_report,
     preset_specs,
     run_campaign,
 )
 
+CHAOS = get_campaign("chaos")
+SANITIZE = get_campaign("sanitize")
+
 
 class _TripAfter:
     """Journal wrapper that requests shutdown once k cells are recorded —
-    a deterministic stand-in for SIGTERM arriving mid-grid."""
+    a deterministic stand-in for SIGTERM arriving mid-grid.  With no
+    ``shutdown`` (a CLI command owns its own) it raises a real SIGTERM,
+    which the command's ``GracefulShutdown`` handles before the next
+    cell boundary."""
 
     def __init__(self, journal, shutdown, k):
         self._journal = journal
         self._shutdown = shutdown
         self._k = k
 
-    def completed(self, namespace):
-        return self._journal.completed(namespace)
+    def __getattr__(self, name):
+        return getattr(self._journal, name)
 
     def record(self, namespace, seed, payload):
         self._journal.record(namespace, seed, payload)
-        if self._journal.total_completed >= self._k:
+        if self._journal.total_completed < self._k:
+            return
+        if self._shutdown is None:
+            signal.raise_signal(signal.SIGTERM)
+        else:
             self._shutdown.requested = True
             self._shutdown.signal_name = "SIGTERM"
 
@@ -76,7 +81,7 @@ class TestCampaignKillResume:
         reference, _ = _campaign_reference()
         path = tmp_path / "journal.jsonl"
         config = _campaign_config(jobs)
-        fingerprint = campaign_fingerprint(config)
+        fingerprint = CHAOS.fingerprint(config)
         journal = RunJournal.open(path, fingerprint)
         shutdown = GracefulShutdown(install=False)
         with pytest.raises(InterruptedRunError):
@@ -98,7 +103,7 @@ class TestCampaignKillResume:
         _, reference_outcomes = _campaign_reference()
         path = tmp_path / "journal.jsonl"
         config = _campaign_config()
-        fingerprint = campaign_fingerprint(config)
+        fingerprint = CHAOS.fingerprint(config)
         journal = RunJournal.open(path, fingerprint)
         shutdown = GracefulShutdown(install=False)
         with pytest.raises(InterruptedRunError):
@@ -109,7 +114,7 @@ class TestCampaignKillResume:
             )
         journal.close()
         resumed = RunJournal.open(path, fingerprint, resume=True)
-        partial = partial_report(config, resumed)
+        partial = CHAOS.partial_report(config, resumed)
         resumed.close()
         # The serial grid stops at the cell boundary right after the
         # trip: exactly 3 cells, and they are the reference's prefix.
@@ -121,10 +126,10 @@ class TestCampaignKillResume:
         reference, _ = _campaign_reference()
         path = tmp_path / "journal.jsonl"
         parallel_config = _campaign_config(jobs=4)
-        fingerprint = campaign_fingerprint(parallel_config)
+        fingerprint = CHAOS.fingerprint(parallel_config)
         # The fingerprint must not depend on jobs, or cross-jobs resume
         # would be refused.
-        assert fingerprint == campaign_fingerprint(_campaign_config())
+        assert fingerprint == CHAOS.fingerprint(_campaign_config())
         journal = RunJournal.open(path, fingerprint)
         shutdown = GracefulShutdown(install=False)
         with pytest.raises(InterruptedRunError):
@@ -156,7 +161,7 @@ class TestSanitizeKillResume:
     def test_interrupt_after_k_cells_resumes_byte_identical(self, tmp_path, k):
         chosen, seeds = _sanitize_grid()
         path = tmp_path / "journal.jsonl"
-        fingerprint = sanitize_fingerprint(chosen, seeds)
+        fingerprint = SANITIZE.fingerprint(SanitizeConfig(chosen, seeds))
         journal = RunJournal.open(path, fingerprint)
         shutdown = GracefulShutdown(install=False)
         with pytest.raises(InterruptedRunError):
@@ -176,7 +181,7 @@ class TestSanitizeKillResume:
     def test_parallel_interrupt_resumes_byte_identical(self, tmp_path):
         chosen, seeds = _sanitize_grid()
         path = tmp_path / "journal.jsonl"
-        fingerprint = sanitize_fingerprint(chosen, seeds)
+        fingerprint = SANITIZE.fingerprint(SanitizeConfig(chosen, seeds))
         journal = RunJournal.open(path, fingerprint)
         shutdown = GracefulShutdown(install=False)
         with pytest.raises(InterruptedRunError):
@@ -196,7 +201,7 @@ class TestSanitizeKillResume:
     def test_partial_sanitize_report_counts_journaled_cells(self, tmp_path):
         chosen, seeds = _sanitize_grid()
         path = tmp_path / "journal.jsonl"
-        fingerprint = sanitize_fingerprint(chosen, seeds)
+        fingerprint = SANITIZE.fingerprint(SanitizeConfig(chosen, seeds))
         journal = RunJournal.open(path, fingerprint)
         shutdown = GracefulShutdown(install=False)
         with pytest.raises(InterruptedRunError):
@@ -208,7 +213,7 @@ class TestSanitizeKillResume:
             )
         journal.close()
         resumed = RunJournal.open(path, fingerprint, resume=True)
-        partial = partial_sanitize_report(chosen, seeds, resumed)
+        partial = SANITIZE.partial_report(SanitizeConfig(chosen, seeds), resumed)
         resumed.close()
         assert len(partial.runs) == 2
         assert [run.label for run in partial.runs] == [
@@ -261,6 +266,38 @@ _CLI_ARGS = [
     "--iterations", "60",
 ]
 
+#: kind -> (a four-cell grid, report stem, the report's cell list key).
+_CLI_GRIDS = {
+    "chaos": (_CLI_ARGS, "chaos_report", "outcomes"),
+    "sanitize": (
+        ["--presets", "e1,racy", "--seeds", "2"], "analysis_report", "runs"
+    ),
+    "zoo": (
+        [
+            "--algorithms", "epoch-sgd,hogwild", "--adversaries", "random",
+            "--seeds", "2", "--iterations", "30",
+        ],
+        "zoo_report",
+        "outcomes",
+    ),
+    "heal": (
+        [
+            "--algorithms", "epoch-sgd", "--plans", "none,nan-poison",
+            "--seeds", "2", "--iterations", "60",
+        ],
+        "heal_report",
+        "outcomes",
+    ),
+    "verify": (
+        [
+            "--variants", "epoch-sgd,hogwild", "--seeds", "2",
+            "--smt-engine", "finite", "--no-full-tree",
+        ],
+        "verify_report",
+        "outcomes",
+    ),
+}
+
 
 class TestCliJournalFlags:
     def test_resume_without_journal_is_exit_2(self, capsys):
@@ -283,53 +320,46 @@ class TestCliJournalFlags:
         )
         assert "refusing to resume" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", list(_CLI_GRIDS))
     def test_interrupted_cli_flushes_partial_and_resumes_identically(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, kind
     ):
-        from repro.faults import campaign as campaign_module
-
-        journal_path = str(tmp_path / "journal.jsonl")
-        out_dir = tmp_path / "out"
+        grid, stem, rows = _CLI_GRIDS[kind]
+        # Spaces in the paths: the printed resume line must quote them.
+        journal_path = str(tmp_path / "my dir" / "journal.jsonl")
+        out_dir = tmp_path / "out dir"
         ref_dir = tmp_path / "ref"
-        real_run = campaign_module.run_campaign
-
-        def tripping_run(config, journal=None, shutdown=None, **kwargs):
-            return real_run(
-                config,
-                journal=_TripAfter(journal, shutdown, 2),
-                shutdown=shutdown,
-                **kwargs,
+        argv = [kind, *grid, "--journal", journal_path, "--out", str(out_dir)]
+        real_open = RunJournal.open
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                RunJournal,
+                "open",
+                lambda path, fingerprint, resume=False: _TripAfter(
+                    real_open(path, fingerprint, resume=resume), None, 2
+                ),
             )
-
-        monkeypatch.setattr(campaign_module, "run_campaign", tripping_run)
-        code = main(
-            [
-                "chaos", *_CLI_ARGS,
-                "--journal", journal_path, "--out", str(out_dir),
-            ]
-        )
+            code = main(argv)
         err = capsys.readouterr().err
         assert code == 130
-        assert "resume with:" in err
-        assert "--resume" in err
-        partial = json.loads((out_dir / "chaos_report.partial.json").read_text())
-        assert len(partial["outcomes"]) == 2
-        assert (out_dir / "chaos_report.partial.txt").exists()
+        partial = json.loads((out_dir / f"{stem}.partial.json").read_text())
+        assert len(partial[rows]) == 2
+        assert (out_dir / f"{stem}.partial.txt").exists()
+        line = err.split("resume with:\n", 1)[1].splitlines()[0]
+        words = shlex.split(line)
+        assert words[:3] == ["python", "-m", "repro"]
+        assert words[3:] == [*argv, "--resume"]
+        parsed = build_parser().parse_args(words[3:])
+        assert (parsed.journal, parsed.out) == (journal_path, str(out_dir))
 
         # Rerunning the printed invocation finishes the grid and must
         # produce the same bytes as a never-interrupted CLI run.
-        monkeypatch.setattr(campaign_module, "run_campaign", real_run)
-        resume_code = main(
-            [
-                "chaos", *_CLI_ARGS,
-                "--journal", journal_path, "--out", str(out_dir), "--resume",
-            ]
-        )
-        reference_code = main(["chaos", *_CLI_ARGS, "--out", str(ref_dir)])
+        resume_code = main(words[3:])
+        reference_code = main([kind, *grid, "--out", str(ref_dir)])
         capsys.readouterr()
         assert resume_code == reference_code
-        assert (out_dir / "chaos_report.json").read_bytes() == (
-            ref_dir / "chaos_report.json"
+        assert (out_dir / f"{stem}.json").read_bytes() == (
+            ref_dir / f"{stem}.json"
         ).read_bytes()
 
 
@@ -345,7 +375,7 @@ class TestTornTailEveryOffset:
 
     def _full_journal(self, tmp_path):
         config = _campaign_config()
-        fingerprint = campaign_fingerprint(config)
+        fingerprint = CHAOS.fingerprint(config)
         path = tmp_path / "full.jsonl"
         journal = RunJournal.open(path, fingerprint)
         run_campaign(config, journal=journal)

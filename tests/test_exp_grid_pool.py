@@ -17,14 +17,12 @@ from repro.experiments.e13_algorithm_zoo import (
     ZooConfig,
     ZooWorkload,
     _zoo_worker,
-    run_zoo,
-    zoo_fingerprint,
 )
 from repro.experiments.e14_resilience import (
     HealGridConfig,
     HealWorkload,
-    run_heal_grid,
 )
+from repro.experiments.grid import get_campaign
 from repro.faults.campaign import (
     CampaignConfig,
     ChaosWorkload,
@@ -34,7 +32,7 @@ from repro.faults.campaign import (
 )
 from repro.faults.spec import ProbabilisticCrashSpec
 from repro.runtime.simulator import Simulator
-from repro.verify import VerifyConfig, VerifyScope, run_verify
+from repro.verify import VerifyConfig, VerifyScope
 
 
 def _zoo_config(jobs):
@@ -48,7 +46,7 @@ def _zoo_config(jobs):
 
 
 def _zoo(jobs):
-    return run_zoo(_zoo_config(jobs)).to_json()
+    return get_campaign("zoo").run(_zoo_config(jobs)).to_json()
 
 
 def _chaos(jobs):
@@ -78,7 +76,7 @@ def _heal(jobs):
         workload=HealWorkload(iterations=200),
         jobs=jobs,
     )
-    return run_heal_grid(config).to_json()
+    return get_campaign("heal").run(config).to_json()
 
 
 def _verify(jobs):
@@ -89,7 +87,7 @@ def _verify(jobs):
         measure_full_tree=False,
         jobs=jobs,
     )
-    return run_verify(config).to_json()
+    return get_campaign("verify").run(config).to_json()
 
 
 ENGINES = {
@@ -172,15 +170,16 @@ class TestOnePoolPerGrid:
         assert next_cell in fresh.cells
 
     def test_fully_journaled_resume_forks_no_worker(self, tmp_path, executors):
+        zoo = get_campaign("zoo")
         config = _zoo_config(2)
         path = tmp_path / "zoo.journal"
-        journal = RunJournal.open(path, zoo_fingerprint(config))
-        first = run_zoo(config, journal=journal).to_json()
+        journal = RunJournal.open(path, zoo.fingerprint(config))
+        first = zoo.run(config, journal=journal).to_json()
         journal.close()
         assert [pool.submits > 0 for pool in executors] == [True]
         executors.clear()
-        resumed = RunJournal.open(path, zoo_fingerprint(config), resume=True)
-        again = run_zoo(config, journal=resumed).to_json()
+        resumed = RunJournal.open(path, zoo.fingerprint(config), resume=True)
+        again = zoo.run(config, journal=resumed).to_json()
         resumed.close()
         assert again == first
         # Built at grid entry, never handed a chunk, so never forked.

@@ -17,15 +17,19 @@ from repro.experiments.e14_resilience import (
     E14Config,
     HealGridConfig,
     HealWorkload,
-    heal_fingerprint,
-    heal_metrics_lines,
     heal_plan_specs,
     outcome_from_payload,
     outcome_to_payload,
-    partial_heal_report,
-    run_heal_grid,
     to_heal_config,
 )
+from repro.experiments.grid import get_campaign
+
+HEAL = get_campaign("heal")
+
+
+def _snapshot(outcomes):
+    """The ``--metrics`` snapshot of a report over ``outcomes``."""
+    return HEAL.snapshot_lines(HEAL.report(_heal_config(), list(outcomes)))
 
 
 class _TripAfter:
@@ -60,14 +64,14 @@ def _heal_config(jobs=1):
 @functools.lru_cache(maxsize=None)
 def _heal_reference():
     """The uninterrupted serial heal report every variant must match."""
-    report = run_heal_grid(_heal_config())
+    report = HEAL.run(_heal_config())
     return report.to_json(), tuple(report.outcomes)
 
 
 class TestHealGridDeterminism:
     def test_jobs_2_report_is_byte_identical(self):
         reference, _ = _heal_reference()
-        report = run_heal_grid(_heal_config(jobs=2))
+        report = HEAL.run(_heal_config(jobs=2))
         assert report.to_json() == reference
 
     def test_grid_detects_rolls_back_and_recovers(self):
@@ -81,15 +85,15 @@ class TestHealGridDeterminism:
         assert all(o.rollbacks == 0 and not o.recovered for o in clean)
 
     def test_fingerprint_ignores_jobs_only(self):
-        base = heal_fingerprint(_heal_config())
-        assert heal_fingerprint(_heal_config(jobs=4)) == base
+        base = HEAL.fingerprint(_heal_config())
+        assert HEAL.fingerprint(_heal_config(jobs=4)) == base
         different = HealGridConfig(
             algorithms=("epoch-sgd",),
             plans=("none", "nan-poison"),
             seeds=(8000, 8002),
             workload=HealWorkload(iterations=200),
         )
-        assert heal_fingerprint(different) != base
+        assert HEAL.fingerprint(different) != base
 
     def test_outcome_payload_round_trips_through_json(self):
         _, outcomes = _heal_reference()
@@ -99,14 +103,14 @@ class TestHealGridDeterminism:
 
     def test_metrics_lines_are_pure_and_grid_ordered(self):
         _, outcomes = _heal_reference()
-        lines = heal_metrics_lines(_heal_config(), list(outcomes))
+        lines = _snapshot(outcomes)
         assert [line["kind"] for line in lines[:-1]] == ["cell"] * (
             len(outcomes)
         )
         aggregate = lines[-1]
         assert aggregate["kind"] == "aggregate"
         assert aggregate["rollbacks"] == sum(o.rollbacks for o in outcomes)
-        assert lines == heal_metrics_lines(_heal_config(), list(outcomes))
+        assert lines == _snapshot(outcomes)
 
 
 class TestHealKillResume:
@@ -115,11 +119,11 @@ class TestHealKillResume:
         reference, _ = _heal_reference()
         path = tmp_path / "journal.jsonl"
         config = _heal_config()
-        fingerprint = heal_fingerprint(config)
+        fingerprint = HEAL.fingerprint(config)
         journal = RunJournal.open(path, fingerprint)
         shutdown = GracefulShutdown(install=False)
         with pytest.raises(InterruptedRunError):
-            run_heal_grid(
+            HEAL.run(
                 config,
                 journal=_TripAfter(journal, shutdown, k),
                 shutdown=shutdown,
@@ -127,7 +131,7 @@ class TestHealKillResume:
         journal.close()
         resumed = RunJournal.open(path, fingerprint, resume=True)
         assert resumed.total_completed >= k
-        report = run_heal_grid(_heal_config(), journal=resumed)
+        report = HEAL.run(_heal_config(), journal=resumed)
         resumed.close()
         assert report.to_json() == reference
 
@@ -137,18 +141,18 @@ class TestHealKillResume:
         _, reference_outcomes = _heal_reference()
         path = tmp_path / "journal.jsonl"
         config = _heal_config()
-        fingerprint = heal_fingerprint(config)
+        fingerprint = HEAL.fingerprint(config)
         journal = RunJournal.open(path, fingerprint)
         shutdown = GracefulShutdown(install=False)
         with pytest.raises(InterruptedRunError):
-            run_heal_grid(
+            HEAL.run(
                 config,
                 journal=_TripAfter(journal, shutdown, 2),
                 shutdown=shutdown,
             )
         journal.close()
         resumed = RunJournal.open(path, fingerprint, resume=True)
-        partial = partial_heal_report(config, resumed)
+        partial = HEAL.partial_report(config, resumed)
         resumed.close()
         assert tuple(partial.outcomes) == reference_outcomes[:2]
 

@@ -20,11 +20,11 @@ from repro.experiments.e13_algorithm_zoo import (
     ZooWorkload,
     outcome_from_payload,
     outcome_to_payload,
-    partial_zoo_report,
-    run_zoo,
     to_zoo_config,
-    zoo_fingerprint,
 )
+from repro.experiments.grid import get_campaign
+
+ZOO = get_campaign("zoo")
 
 
 class _TripAfter:
@@ -59,26 +59,26 @@ def _zoo_config(jobs=1):
 @functools.lru_cache(maxsize=None)
 def _zoo_reference():
     """The uninterrupted serial zoo report every variant must match."""
-    report = run_zoo(_zoo_config())
+    report = ZOO.run(_zoo_config())
     return report.to_json(), tuple(report.outcomes)
 
 
 class TestZooDeterminism:
     def test_jobs_2_report_is_byte_identical(self):
         reference, _ = _zoo_reference()
-        report = run_zoo(_zoo_config(jobs=2))
+        report = ZOO.run(_zoo_config(jobs=2))
         assert report.to_json() == reference
 
     def test_fingerprint_ignores_jobs_only(self):
-        base = zoo_fingerprint(_zoo_config())
-        assert zoo_fingerprint(_zoo_config(jobs=4)) == base
+        base = ZOO.fingerprint(_zoo_config())
+        assert ZOO.fingerprint(_zoo_config(jobs=4)) == base
         different_seeds = ZooConfig(
             algorithms=("hogwild", "locked"),
             adversaries=("round-robin", "stale-attack"),
             seeds=(100, 102),
             workload=ZooWorkload(iterations=40),
         )
-        assert zoo_fingerprint(different_seeds) != base
+        assert ZOO.fingerprint(different_seeds) != base
 
     def test_outcome_payload_round_trips_through_json(self):
         _, outcomes = _zoo_reference()
@@ -93,11 +93,11 @@ class TestZooKillResume:
         reference, _ = _zoo_reference()
         path = tmp_path / "journal.jsonl"
         config = _zoo_config()
-        fingerprint = zoo_fingerprint(config)
+        fingerprint = ZOO.fingerprint(config)
         journal = RunJournal.open(path, fingerprint)
         shutdown = GracefulShutdown(install=False)
         with pytest.raises(InterruptedRunError):
-            run_zoo(
+            ZOO.run(
                 config,
                 journal=_TripAfter(journal, shutdown, k),
                 shutdown=shutdown,
@@ -105,7 +105,7 @@ class TestZooKillResume:
         journal.close()
         resumed = RunJournal.open(path, fingerprint, resume=True)
         assert resumed.total_completed >= k
-        report = run_zoo(_zoo_config(), journal=resumed)
+        report = ZOO.run(_zoo_config(), journal=resumed)
         resumed.close()
         assert report.to_json() == reference
 
@@ -115,18 +115,18 @@ class TestZooKillResume:
         _, reference_outcomes = _zoo_reference()
         path = tmp_path / "journal.jsonl"
         config = _zoo_config()
-        fingerprint = zoo_fingerprint(config)
+        fingerprint = ZOO.fingerprint(config)
         journal = RunJournal.open(path, fingerprint)
         shutdown = GracefulShutdown(install=False)
         with pytest.raises(InterruptedRunError):
-            run_zoo(
+            ZOO.run(
                 config,
                 journal=_TripAfter(journal, shutdown, 3),
                 shutdown=shutdown,
             )
         journal.close()
         resumed = RunJournal.open(path, fingerprint, resume=True)
-        partial = partial_zoo_report(config, resumed)
+        partial = ZOO.partial_report(config, resumed)
         resumed.close()
         assert tuple(partial.outcomes) == reference_outcomes[:3]
 

@@ -12,8 +12,9 @@ from collections import Counter
 import pytest
 
 from repro.durable.journal import RunJournal
-from repro.experiments.e13_algorithm_zoo import ZooConfig, ZooWorkload, run_zoo
+from repro.experiments.e13_algorithm_zoo import ZooConfig, ZooWorkload
 from repro.experiments.ensemble import EnsemblePool, run_ensemble
+from repro.experiments.grid import get_campaign
 from repro.obs.causal import (
     SPILL_SUFFIX,
     CausalRecorder,
@@ -432,7 +433,7 @@ class TestGridPoolSpans:
             workload=ZooWorkload(iterations=40),
             jobs=2,
         )
-        records = _recorded(tmp_path, "zoo", lambda: run_zoo(config))
+        records = _recorded(tmp_path, "zoo", lambda: get_campaign("zoo").run(config))
         cells = [r["span"] for r in records if r["name"] == "zoo.cell"]
         runs = [r for r in records if r["name"] == "zoo.run"]
         assert len(cells) == 2

@@ -98,32 +98,34 @@ class TestFingerprints:
         """A serve-side journal must resume under the plain CLI: the
         journal is pinned to the same inner fingerprint the matching
         command computes."""
-        from repro.faults.campaign import campaign_fingerprint
+        from repro.cli import build_parser
+        from repro.experiments.grid import get_campaign
 
         spec = parse_job_spec(
             {"kind": "chaos", "params": {"specs": ["none"], "seeds": 2}}
         )
-        from repro.serve.specs import _chaos_config
-
-        assert journal_fingerprint(spec) == campaign_fingerprint(
-            _chaos_config(spec.params)
+        args = build_parser().parse_args(
+            ["chaos", "--specs", "none", "--seeds", "2", "--iterations", "120"]
         )
+        chaos = get_campaign("chaos")
+        cli = chaos.fingerprint(chaos.build(chaos.params_from_args(args)))
+        assert journal_fingerprint(spec) == cli
 
 
 class TestExecuteSpec:
     def test_chaos_result_matches_direct_run(self):
         """The serve execution path adds nothing to the result: it is
         the driver's own report, canonically serialized."""
-        from repro.faults.campaign import run_campaign
-        from repro.serve.specs import _chaos_config
+        from repro.experiments.grid import get_campaign
 
+        chaos = get_campaign("chaos")
         payload = {
             "kind": "chaos",
             "params": {"specs": ["none"], "seeds": 2, "iterations": 60},
         }
         spec = parse_job_spec(payload)
         result = execute_spec(payload)
-        direct = run_campaign(_chaos_config(spec.params))
+        direct = chaos.run(chaos.build(spec.params))
         assert result["passed"] == direct.passed
         assert result["report"] == json.loads(direct.to_json())
         assert result["text"] == direct.render()

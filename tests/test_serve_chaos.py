@@ -138,17 +138,18 @@ class TestChaosAcceptance:
         # The journal resumes OUTSIDE the server, through the same
         # fingerprint the CLI computes, to the byte-identical report.
         from repro.durable.journal import RunJournal
-        from repro.faults.campaign import run_campaign
-        from repro.serve.specs import _chaos_config, journal_fingerprint
+        from repro.experiments.grid import get_campaign
+        from repro.serve.specs import journal_fingerprint
 
         parsed = parse_job_spec(spec)
+        chaos = get_campaign("chaos")
         journal = RunJournal.open(
             journal_path, journal_fingerprint(parsed), resume=True
         )
         assert journal.total_completed >= 1  # the partial is real
-        resumed = run_campaign(_chaos_config(parsed.params), journal=journal)
+        resumed = chaos.run(chaos.build(parsed.params), journal=journal)
         journal.close()
-        cold = run_campaign(_chaos_config(parsed.params))
+        cold = chaos.run(chaos.build(parsed.params))
         assert resumed.to_json() == cold.to_json()
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.durable.journal import RunJournal
 from repro.errors import ConfigurationError
+from repro.experiments.grid import get_campaign, write_report
 from repro.runtime.program import FunctionProgram
 from repro.runtime.simulator import Simulator
 from repro.shm.counter import AtomicCounter
@@ -37,12 +38,10 @@ from repro.verify import (
     enumerate_schedules,
     ops_conflict,
     run_smt_queries,
-    run_verify,
     solver_available,
-    verify_fingerprint,
     verify_variant_names,
 )
-from repro.verify.engine import _verify_worker, partial_verify_report
+from repro.verify.engine import _verify_worker
 from repro.verify.enumerator import frontier_digest
 from repro.verify.report import (
     Counterexample,
@@ -52,6 +51,8 @@ from repro.verify.report import (
     outcome_to_payload,
 )
 from repro.verify.smt import _window_sums
+
+VERIFY = get_campaign("verify")
 
 
 class TestIndependence:
@@ -321,8 +322,8 @@ class TestVerifyEngine:
                 jobs=jobs,
             )
 
-        serial = run_verify(config(1)).to_json()
-        parallel = run_verify(config(2)).to_json()
+        serial = VERIFY.run(config(1)).to_json()
+        parallel = VERIFY.run(config(2)).to_json()
         assert serial == parallel
 
     def test_journal_resume_is_byte_identical(self, tmp_path):
@@ -330,28 +331,28 @@ class TestVerifyEngine:
             variants=("epoch-sgd",), scope=SMALL_SCOPE, measure_full_tree=False
         )
         path = tmp_path / "verify.journal"
-        fingerprint = verify_fingerprint(config)
+        fingerprint = VERIFY.fingerprint(config)
         journal = RunJournal.open(path, fingerprint)
-        first = run_verify(config, journal=journal).to_json()
+        first = VERIFY.run(config, journal=journal).to_json()
         journal.close()
         resumed = RunJournal.open(path, fingerprint, resume=True)
-        second = run_verify(config, journal=resumed).to_json()
+        second = VERIFY.run(config, journal=resumed).to_json()
         resumed.close()
-        assert first == second == run_verify(config).to_json()
+        assert first == second == VERIFY.run(config).to_json()
 
     def test_partial_report_covers_only_journaled_cells(self, tmp_path):
         small = VerifyConfig(
             variants=("epoch-sgd",), scope=SMALL_SCOPE, measure_full_tree=False
         )
         path = tmp_path / "verify.journal"
-        journal = RunJournal.open(path, verify_fingerprint(small))
-        run_verify(small, journal=journal)
+        journal = RunJournal.open(path, VERIFY.fingerprint(small))
+        VERIFY.run(small, journal=journal)
         wider = VerifyConfig(
             variants=("epoch-sgd", "mutant-torn-counter"),
             scope=SMALL_SCOPE,
             measure_full_tree=False,
         )
-        partial = partial_verify_report(wider, journal)
+        partial = VERIFY.partial_report(wider, journal)
         journal.close()
         assert [o.variant for o in partial.outcomes] == ["epoch-sgd"]
 
@@ -367,10 +368,10 @@ class TestVerifyEngine:
 
     def test_fingerprint_ignores_jobs_but_not_scope(self):
         base = VerifyConfig(variants=("epoch-sgd",))
-        assert verify_fingerprint(base) == verify_fingerprint(
+        assert VERIFY.fingerprint(base) == VERIFY.fingerprint(
             VerifyConfig(variants=("epoch-sgd",), jobs=4)
         )
-        assert verify_fingerprint(base) != verify_fingerprint(
+        assert VERIFY.fingerprint(base) != VERIFY.fingerprint(
             VerifyConfig(variants=("epoch-sgd",), scope=VerifyScope(threads=3))
         )
 
@@ -547,7 +548,7 @@ class TestReportModel:
 
         report = VerifyReport(outcomes=[], smt_results=[])
         with pytest.raises(ConfigurationError):
-            report.write(str(tmp_path / "r.xml"), fmt="xml")
+            write_report(report, str(tmp_path / "r.xml"), fmt="xml")
 
 
 class TestE15AndCli:
