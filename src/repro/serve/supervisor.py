@@ -13,15 +13,20 @@ it is a thin translator; every guarantee the service makes lives here:
   already in the :class:`~repro.serve.cache.ResultCache` is served
   instantly with ``cached: true``.  Duplicate floods therefore cost
   one run, total.
-* **Supervision.**  Each attempt runs in a worker *process*
-  (:mod:`repro.serve.worker`); one
+* **Supervision.**  Each worker thread owns one long-lived worker
+  *process* (:mod:`repro.serve.worker`), forked with the thread's
+  first job, and sends it job after job over a pipe; the outcome comes
+  back over the same pipe.  One
   :class:`~repro.durable.watchdog.EnsembleWatchdog` per job spans all
   attempts, so the stall → reroute → abandon ladder and the wall-clock
   deadline cover the job, not the attempt.  A stalled worker is killed
   and rerouted (WD001); the spent budget abandons the job (WD002/
-  WD003) as a structured timeout failure.
-* **Retry ladder.**  Crashed attempts (missing result file — SIGKILL,
-  segfault, OOM) respawn under a server-wide budget that mirrors
+  WD003) as a structured timeout failure.  Only a worker that answered
+  ``ok`` or a deterministic ``error`` runs the next job; any other end
+  discards it, and the next attempt forks a fresh one.
+* **Retry ladder.**  Crashed attempts (the worker died or closed its
+  pipe without an outcome — SIGKILL, segfault, OOM — or reported an
+  unexpected exception) respawn under a server-wide budget that mirrors
   ``run_with_recovery``'s lineage accounting, after a **seeded
   deterministic** exponential backoff
   (:func:`repro.experiments.ensemble.backoff_delay`, seeded from the
@@ -33,7 +38,8 @@ it is a thin translator; every guarantee the service makes lives here:
   whose :class:`~repro.durable.signals.GracefulShutdown` stops them at
   the next cell boundary with the journal flushed — the job reports
   ``interrupted`` with a journal path from which ``--resume``
-  reproduces the finished report byte-identically.
+  reproduces the finished report byte-identically.  Idle workers are
+  then closed and joined, so none outlives the server.
 
 All timing goes through the injectable
 :class:`~repro.serve.clock.ServeClock` (lint rule RPL106), which is
@@ -113,7 +119,8 @@ class ServerPolicy:
         poll_interval: Supervisor polling granularity.
         retry_after: Hint returned with 429 rejections.
         drain_grace: Seconds a SIGTERMed worker gets to reach a safe
-            point before SIGKILL.
+            point, and an idle worker to exit once its pipe closes,
+            before SIGKILL.
         read_timeout: HTTP request read budget (slow-loris cutoff).
         long_poll_max: Ceiling on ``GET /jobs/<id>/progress?wait=``
             long-poll holds (requests asking for more are clamped).
@@ -180,17 +187,38 @@ class Job:
         return view
 
 
-class ProcessJobRunner:
-    """Runs one attempt in a child process under watchdog supervision.
+@dataclass(frozen=True)
+class _Worker:
+    proc: Any  # multiprocessing.Process running worker_main
+    conn: Any  # the supervisor's end of its pipe
 
-    Returns an outcome dict: ``{"status": "ok"|"error"|"interrupted"|
-    "crash"|"stalled"|"deadline", ...}``.  ``crash``/``stalled`` feed
-    the supervisor's retry ladder; the rest are final for the job.
+
+class ProcessJobRunner:
+    """Runs attempts in long-lived worker processes, one per supervisor
+    thread, under watchdog supervision.
+
+    A thread's first attempt forks its worker
+    (:func:`repro.serve.worker.worker_main`); later attempts send their
+    job over the same worker's pipe and read its outcome back.  Returns
+    an outcome dict: ``{"status": "ok"|"error"|"interrupted"|"crash"|
+    "stalled"|"deadline", ...}``.  ``crash``/``stalled`` feed the
+    supervisor's retry ladder; the rest are final for the job.  Only
+    ``ok`` and ``error`` keep the worker; after any other outcome, or a
+    drain stop, it is killed, so the next attempt forks a fresh one.
+    ``on_start`` is called once per worker forked.
     """
 
-    def __init__(self, policy: ServerPolicy, clock: ServeClock) -> None:
+    def __init__(
+        self,
+        policy: ServerPolicy,
+        clock: ServeClock,
+        on_start: Optional[Callable[[], None]] = None,
+    ) -> None:
         self._policy = policy
         self._clock = clock
+        self._on_start = on_start
+        self._lock = threading.Lock()
+        self._workers: Dict[int, _Worker] = {}  # thread ident -> worker
 
     def run(
         self,
@@ -198,18 +226,14 @@ class ProcessJobRunner:
         watchdog: Any,
         should_stop: Callable[[], bool],
     ) -> Dict[str, Any]:
-        import multiprocessing
+        from multiprocessing.connection import wait
 
         from repro.durable.watchdog import ABANDON, REROUTE
-        from repro.serve.worker import job_worker_main
 
         jobdir = pathlib.Path(str(job.progress_path)).parent
-        result_file = jobdir / f"result-{job.attempts}.json"
-        if result_file.exists():
-            result_file.unlink()
-        # Trace context rides as an explicit Process arg (not the
-        # environment) so concurrent jobs can never race each other's
-        # context; ids are derivable on both sides of the fork.
+        # Trace context rides in the job message (not the environment)
+        # so concurrent jobs can never race each other's context; ids
+        # are derivable on both sides of the pipe.
         trace = None
         if job.trace_id is not None:
             trace = {
@@ -224,56 +248,113 @@ class ProcessJobRunner:
                     jobdir / f"flight-worker-attempt-{job.attempts}.json"
                 ),
             }
-        context = multiprocessing.get_context()
-        proc = context.Process(
-            target=job_worker_main,
-            args=(
-                job.spec.payload(),
-                job.journal_path,
-                str(result_file),
-                job.progress_path,
-                trace,
-            ),
-            daemon=False,
-        )
-        proc.start()
-        job.worker_pid = proc.pid
+        worker = self._worker()
+        job.worker_pid = worker.proc.pid
         progress_file = pathlib.Path(str(job.progress_path))
         last_progress = self._read_bytes(progress_file)
-        stopped = False
+        outcome: Optional[Dict[str, Any]] = None
+        keep = False
         try:
-            while proc.is_alive():
-                if should_stop() and not stopped:
-                    stopped = True
-                    proc.terminate()  # SIGTERM -> GracefulShutdown
-                    proc.join(self._policy.drain_grace)
-                    if proc.is_alive():
-                        proc.kill()
+            worker.conn.send(
+                (job.spec.payload(), job.journal_path, job.progress_path, trace)
+            )
+        except ConnectionError:
+            pass  # died since _worker() looked: the wait below sees it
+        try:
+            while True:
+                if should_stop():
+                    worker.proc.terminate()  # SIGTERM -> GracefulShutdown
+                    wait(
+                        [worker.conn, worker.proc.sentinel],
+                        self._policy.drain_grace,
+                    )
+                    outcome = self._reply(worker.conn)
                     break
-                proc.join(self._policy.poll_interval)
+                if wait(
+                    [worker.conn, worker.proc.sentinel],
+                    self._policy.poll_interval,
+                ):
+                    # A reply, EOF, or the worker's death.
+                    outcome = self._reply(worker.conn)
+                    keep = outcome is not None and outcome["status"] in (
+                        "ok", "error"
+                    )
+                    break
                 current = self._read_bytes(progress_file)
                 if current != last_progress:
                     last_progress = current
                     watchdog.beat()
                     continue
-                if not proc.is_alive():
-                    break
                 decision = watchdog.on_wait_elapsed(pending=1)
                 if decision == REROUTE:
-                    proc.kill()
                     return {"status": "stalled"}
                 if decision == ABANDON:
-                    proc.kill()
                     return {"status": "deadline"}
-            proc.join()
         finally:
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-        outcome = self._read_result(result_file)
+            if not keep:
+                self._discard(worker)
         if outcome is None:
-            return {"status": "crash", "exitcode": proc.exitcode}
+            return {"status": "crash", "exitcode": worker.proc.exitcode}
         return outcome
+
+    def close(self) -> None:
+        """Stop every worker: close its pipe, on which an idle worker
+        exits, and join it (killing it after ``drain_grace``)."""
+        with self._lock:
+            workers = list(self._workers.values())
+            self._workers.clear()
+        for worker in workers:
+            worker.conn.close()
+            worker.proc.join(self._policy.drain_grace)
+            if worker.proc.is_alive():
+                worker.proc.kill()
+                worker.proc.join()
+
+    def _worker(self) -> _Worker:
+        """This thread's live worker, forked on first use or after its
+        predecessor died."""
+        import multiprocessing
+
+        from repro.serve.worker import worker_main
+
+        key = threading.get_ident()
+        with self._lock:
+            worker = self._workers.get(key)
+        if worker is not None:
+            if worker.proc.is_alive():
+                return worker
+            self._discard(worker)  # killed while idle
+        context = multiprocessing.get_context()
+        conn, child_conn = context.Pipe()
+        proc = context.Process(
+            target=worker_main, args=(child_conn,), daemon=False
+        )
+        proc.start()
+        child_conn.close()
+        worker = _Worker(proc, conn)
+        with self._lock:
+            self._workers[key] = worker
+            if self._on_start is not None:
+                self._on_start()
+        return worker
+
+    def _discard(self, worker: _Worker) -> None:
+        """Kill this thread's worker; its next attempt forks afresh."""
+        with self._lock:
+            self._workers.pop(threading.get_ident(), None)
+        worker.proc.kill()
+        worker.proc.join()
+        worker.conn.close()
+
+    @staticmethod
+    def _reply(conn: Any) -> Optional[Dict[str, Any]]:
+        """The worker's outcome, or ``None`` if it died without one."""
+        try:
+            if conn.poll():
+                return conn.recv()
+        except (EOFError, OSError):
+            pass
+        return None
 
     @staticmethod
     def _read_bytes(path: pathlib.Path) -> bytes:
@@ -281,13 +362,6 @@ class ProcessJobRunner:
             return path.read_bytes()
         except OSError:
             return b""
-
-    @staticmethod
-    def _read_result(path: pathlib.Path) -> Optional[Dict[str, Any]]:
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
 
 
 class JobSupervisor:
@@ -314,11 +388,11 @@ class JobSupervisor:
                 self.workdir / "cache" if self.workdir is not None else None
             )
             self.cache = ResultCache(cache_dir)
-        self.runner = (
-            runner
-            if runner is not None
-            else ProcessJobRunner(self.policy, self.clock)
-        )
+        if runner is None and self.workdir is None:
+            raise ConfigurationError(
+                "a supervisor running jobs in worker processes needs a "
+                "workdir for their journals and progress files"
+            )
         # Causal tracing + flight recorder for the supervisor/server
         # process.  Both need a workdir (spill and dump files); without
         # one they stay None and every hook below is a no-op.
@@ -365,6 +439,9 @@ class JobSupervisor:
                 "retries": registry.counter(
                     "repro_serve_job_retries_total",
                     "crash/stall respawns", **kwargs),
+                "worker_starts": registry.counter(
+                    "repro_serve_worker_starts_total",
+                    "worker processes forked", **kwargs),
                 "cache_hits": registry.counter(
                     "repro_serve_cache_hits_total",
                     "submissions served from the certified cache", **kwargs),
@@ -379,6 +456,15 @@ class JobSupervisor:
             }
         else:
             self._m = None
+        self.runner = (
+            runner
+            if runner is not None
+            else ProcessJobRunner(
+                self.policy,
+                self.clock,
+                on_start=lambda: self._count("worker_starts"),
+            )
+        )
 
     # ------------------------------------------------------------------
     def _count(self, name: str, value: Optional[float] = None) -> None:
@@ -551,7 +637,8 @@ class JobSupervisor:
     # ------------------------------------------------------------------
     def drain(self) -> None:
         """Stop admissions, cancel the queue, stop running workers at
-        their next safe point, and wait for the worker threads."""
+        their next safe point, wait for the worker threads, then close
+        and join the idle worker processes."""
         with self._lock:
             if self._draining:
                 return
@@ -566,6 +653,8 @@ class JobSupervisor:
             self._wakeup.notify_all()
         for thread in self._threads:
             thread.join(self.policy.drain_grace + 10.0)
+        if isinstance(self.runner, ProcessJobRunner):
+            self.runner.close()
 
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:

@@ -1,44 +1,57 @@
-"""Child-process entry point for one supervised job.
+"""Long-lived worker process behind one supervisor thread.
 
-The supervisor launches each attempt of a job as a separate OS process
-running :func:`job_worker_main`.  The process boundary is the fault
+Each supervisor thread owns one worker process, forked with the
+thread's first job (:class:`~repro.serve.supervisor.ProcessJobRunner`).
+The runner sends it job after job over a ``multiprocessing`` pipe;
+:func:`worker_main` runs each with :func:`run_job` and sends the
+outcome back over the same pipe.  The process boundary is the fault
 isolation the service model needs: a worker that segfaults, gets
-SIGKILLed by the chaos harness, or hits a deadline can be discarded
-without taking the server down, and everything it had finished lives in
-the job's journal, so the next attempt resumes instead of restarting.
+SIGKILLed by the chaos harness, stalls or hits a deadline is discarded
+without taking the server down, the retry runs in a freshly forked
+worker, and everything the dead one had finished lives in the job's
+journal, so the retry resumes instead of restarting.
 
-Protocol with the supervisor (all files written via
-:func:`~repro.durable.atomic_io.atomic_write`, so they are whole or
-absent — never torn):
+Protocol with the supervisor:
 
-* ``result_path``: final outcome, ``{"status": "ok"|"interrupted"|
-  "error", ...}``.  A *missing* result file after process exit means
-  the worker crashed — the supervisor's retry ladder takes over.
+* Request: ``(payload, journal_path, progress_path, trace)``.
+* Reply: ``{"status": "ok"|"error"|"interrupted"|"crash", ...}``.
+  ``ok`` carries the result; ``error`` is a deterministic failure (no
+  retry — the same spec would fail the same way); ``interrupted``
+  stopped at a safe point with the journal resumable; ``crash`` is an
+  unexpected exception.  Only ``ok`` and ``error`` leave the worker
+  serving: after the others it exits, so a retry never runs in the
+  process that failed.  EOF on the pipe, or the process ending without
+  a reply, is a crash too.
 * ``progress_path``: rewritten after every completed grid cell with
   ``{"cells_completed", "metrics"}``.  Doubles as the supervisor's
   heartbeat: a changing progress file beats the job's watchdog.
 * ``trace``: optional :class:`~repro.obs.causal.TraceContext` payload
   (also honored from the ``REPRO_TRACE_CONTEXT`` env var).  When
-  present the worker appends its spans to the attempt's spill file —
-  the ``worker.run`` span flows from the supervisor's attempt span,
-  and ``run_ensemble`` emits per-seed/per-chunk records under it — and
-  arms a :class:`~repro.obs.causal.FlightRecorder` that dumps the last
-  N events on an in-process crash.
+  present the worker appends the job's spans to the attempt's spill
+  file — the ``worker.run`` span flows from the supervisor's attempt
+  span, and ``run_ensemble`` emits per-seed/per-chunk records under
+  it — and arms a :class:`~repro.obs.causal.FlightRecorder` that
+  dumps the last N events on an in-process crash.
 
-Exit codes: ``0`` ok, ``2`` deterministic error (no retry — the same
-spec would fail the same way), ``3`` interrupted at a safe point
-(journal is resumable), anything else (or a missing result file) is a
-crash and re-enters the retry ladder.
+Each job gets its own metrics registry, and what it installs
+process-wide — its causal and flight recorders and its
+:class:`~repro.durable.signals.GracefulShutdown` signal handlers — is
+removed when the job ends, so job N+1 never records into job N's
+spill.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import pathlib
+import signal
+import stat
 import sys
 import traceback
 from contextlib import nullcontext
-from typing import Any, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 
 def _write_json(path: pathlib.Path, payload: Mapping[str, Any]) -> None:
@@ -48,14 +61,67 @@ def _write_json(path: pathlib.Path, payload: Mapping[str, Any]) -> None:
     atomic_write(path, text.encode("utf-8"))
 
 
-def job_worker_main(
+def worker_main(conn: Any) -> None:
+    """Process entry point: run the jobs sent on ``conn`` until EOF."""
+    _release_inherited_sockets(keep=conn.fileno())
+    # Idle, the worker has nothing to save: SIGTERM ends it and a
+    # terminal Ctrl-C is the server's to handle.  Each job's
+    # GracefulShutdown takes both signals over while it runs.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    gc.freeze()  # the inherited server heap is never garbage
+    while True:
+        try:
+            request = conn.recv()
+        except (EOFError, OSError):
+            return  # the supervisor closed the pipe, or died
+        outcome = run_job(*request)
+        try:
+            conn.send(outcome)
+        except OSError:
+            return
+        if outcome["status"] not in ("ok", "error"):
+            return
+        gc.collect()
+
+
+def _release_inherited_sockets(keep: int) -> None:
+    """Point every inherited socket except ``keep`` at ``/dev/null``.
+
+    A forked worker holds copies of the server's listening socket, of
+    its open client connections and of sibling workers' pipe ends.  A
+    worker that outlives its first job would keep a connection the
+    server closed open for the client, and keep a sibling from seeing
+    EOF when the server dies.  ``dup2`` rather than ``close`` keeps
+    each descriptor number taken, so an inherited object that still
+    owns one can never close a reused number.  The fork sentinel is a
+    pipe, not a socket: closing it would tell the supervisor this
+    worker died.
+    """
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir("/dev/fd"):
+            fd = int(name)
+            if fd in (keep, devnull):
+                continue
+            try:
+                mode = os.fstat(fd).st_mode
+            except OSError:
+                continue  # the listing's own descriptor, closed by now
+            if stat.S_ISSOCK(mode):
+                os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
+def run_job(
     payload: Mapping[str, Any],
     journal_path: Optional[str],
-    result_path: str,
     progress_path: str,
     trace: Optional[Mapping[str, Any]] = None,
-) -> None:
-    """Run one job spec payload to completion inside this process."""
+) -> Dict[str, Any]:
+    """Run one job spec payload to completion in this process; returns
+    its outcome dict (see the module docstring)."""
     from repro.durable.signals import GracefulShutdown
     from repro.errors import InterruptedRunError, ReproError
     from repro.obs.causal import (
@@ -67,9 +133,12 @@ def job_worker_main(
     )
     from repro.obs.registry import MetricsRegistry
     from repro.serve.clock import ServeClock
-    from repro.serve.specs import journal_fingerprint, parse_job_spec
+    from repro.serve.specs import (
+        execute_spec,
+        journal_fingerprint,
+        parse_job_spec,
+    )
 
-    result_file = pathlib.Path(result_path)
     progress_file = pathlib.Path(progress_path)
     metrics = MetricsRegistry()
 
@@ -140,8 +209,6 @@ def job_worker_main(
             journal = RunJournal.open(
                 journal_path, journal_fingerprint(spec), resume=True
             )
-        from repro.serve.specs import execute_spec
-
         with GracefulShutdown(install=True) as shutdown:
             with run_span:
                 result = execute_spec(
@@ -151,44 +218,43 @@ def job_worker_main(
                     metrics=metrics,
                     progress=on_progress,
                 )
-        _write_json(result_file, {"status": "ok", "result": result})
+        outcome: Dict[str, Any] = {"status": "ok", "result": result}
     except InterruptedRunError as error:
         if flight is not None:
             flight.record("health", "worker.interrupted")
-        _write_json(
-            result_file,
-            {
-                "status": "interrupted",
-                "detail": str(error),
-                "journal": journal_path,
-            },
-        )
-        raise SystemExit(3)
+        outcome = {
+            "status": "interrupted",
+            "detail": str(error),
+            "journal": journal_path,
+        }
     except ReproError as error:
         if flight is not None:
             flight.record(
                 "health", "worker.error", category=type(error).__name__
             )
         dump_flight("error")
-        _write_json(
-            result_file,
-            {
-                "status": "error",
-                "category": type(error).__name__,
-                "detail": str(error),
-            },
-        )
-        raise SystemExit(2)
-    except Exception as error:  # crash: no result file -> supervisor retries
+        outcome = {
+            "status": "error",
+            "category": type(error).__name__,
+            "detail": str(error),
+        }
+    except Exception as error:  # crash: the supervisor retries elsewhere
         if flight is not None:
             flight.record(
                 "health", "worker.crash", category=type(error).__name__
             )
         dump_flight("crash")
         traceback.print_exc(file=sys.stderr)
-        raise SystemExit(1)
+        outcome = {
+            "status": "crash",
+            "category": type(error).__name__,
+            "detail": str(error),
+        }
     finally:
         if journal is not None:
             journal.close()
         if causal is not None:
             causal.close()
+        install_causal_recorder(None)
+        install_flight_recorder(None)
+    return outcome

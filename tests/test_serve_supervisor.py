@@ -90,6 +90,12 @@ class TestAdmission:
             supervisor.submit(_spec(2))
         assert info.value.retry_after == 7.5
 
+    def test_process_runner_requires_a_workdir(self):
+        # Without one, every attempt would crash in its worker (there is
+        # no progress file) and draw on the server-wide respawn budget.
+        with pytest.raises(ConfigurationError, match="workdir"):
+            JobSupervisor(ServerPolicy(workers=1))
+
     def test_invalid_spec_propagates_configuration_error(self):
         supervisor, _clock = _supervisor(start=False)
         with pytest.raises(ConfigurationError):
