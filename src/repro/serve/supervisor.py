@@ -39,7 +39,7 @@ it is a thin translator; every guarantee the service makes lives here:
   the next cell boundary with the journal flushed — the job reports
   ``interrupted`` with a journal path from which ``--resume``
   reproduces the finished report byte-identically.  Idle workers are
-  then closed and joined, so none outlives the server.
+  then killed and joined, so none outlives the server.
 
 All timing goes through the injectable
 :class:`~repro.serve.clock.ServeClock` (lint rule RPL106), which is
@@ -119,8 +119,7 @@ class ServerPolicy:
         poll_interval: Supervisor polling granularity.
         retry_after: Hint returned with 429 rejections.
         drain_grace: Seconds a SIGTERMed worker gets to reach a safe
-            point, and an idle worker to exit once its pipe closes,
-            before SIGKILL.
+            point before SIGKILL.
         read_timeout: HTTP request read budget (slow-loris cutoff).
         long_poll_max: Ceiling on ``GET /jobs/<id>/progress?wait=``
             long-poll holds (requests asking for more are clamped).
@@ -270,11 +269,14 @@ class ProcessJobRunner:
                     )
                     outcome = self._reply(worker.conn)
                     break
+                # A reply, EOF, or the worker's death.  The death is
+                # also read through waitpid: processes the worker forked
+                # (a ``jobs > 1`` spec's ensemble pool) inherit its pipe
+                # end and its sentinel, and keep both open once it died.
                 if wait(
                     [worker.conn, worker.proc.sentinel],
                     self._policy.poll_interval,
-                ):
-                    # A reply, EOF, or the worker's death.
+                ) or not worker.proc.is_alive():
                     outcome = self._reply(worker.conn)
                     keep = outcome is not None and outcome["status"] in (
                         "ok", "error"
@@ -298,17 +300,13 @@ class ProcessJobRunner:
         return outcome
 
     def close(self) -> None:
-        """Stop every worker: close its pipe, on which an idle worker
-        exits, and join it (killing it after ``drain_grace``)."""
+        """Stop every worker (all idle once the supervisor threads are
+        joined)."""
         with self._lock:
             workers = list(self._workers.values())
             self._workers.clear()
         for worker in workers:
-            worker.conn.close()
-            worker.proc.join(self._policy.drain_grace)
-            if worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join()
+            self._stop(worker)
 
     def _worker(self) -> _Worker:
         """This thread's live worker, forked on first use or after its
@@ -342,6 +340,10 @@ class ProcessJobRunner:
         """Kill this thread's worker; its next attempt forks afresh."""
         with self._lock:
             self._workers.pop(threading.get_ident(), None)
+        self._stop(worker)
+
+    @staticmethod
+    def _stop(worker: _Worker) -> None:
         worker.proc.kill()
         worker.proc.join()
         worker.conn.close()
@@ -637,7 +639,7 @@ class JobSupervisor:
     # ------------------------------------------------------------------
     def drain(self) -> None:
         """Stop admissions, cancel the queue, stop running workers at
-        their next safe point, wait for the worker threads, then close
+        their next safe point, wait for the worker threads, then kill
         and join the idle worker processes."""
         with self._lock:
             if self._draining:

@@ -18,10 +18,9 @@ Protocol with the supervisor:
   ``ok`` carries the result; ``error`` is a deterministic failure (no
   retry — the same spec would fail the same way); ``interrupted``
   stopped at a safe point with the journal resumable; ``crash`` is an
-  unexpected exception.  Only ``ok`` and ``error`` leave the worker
-  serving: after the others it exits, so a retry never runs in the
-  process that failed.  EOF on the pipe, or the process ending without
-  a reply, is a crash too.
+  unexpected exception.  EOF on the pipe, or the process ending without
+  a reply, is a crash too.  The supervisor alone decides whether the
+  worker runs another job (only after ``ok`` or ``error``).
 * ``progress_path``: rewritten after every completed grid cell with
   ``{"cells_completed", "metrics"}``.  Doubles as the supervisor's
   heartbeat: a changing progress file beats the job's watchdog.
@@ -79,8 +78,6 @@ def worker_main(conn: Any) -> None:
         try:
             conn.send(outcome)
         except OSError:
-            return
-        if outcome["status"] not in ("ok", "error"):
             return
         gc.collect()
 

@@ -70,8 +70,8 @@ def _alive(pid):
     return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
 
 
-def _watchdog(deadline=None):
-    watchdog = EnsembleWatchdog(WatchdogPolicy(deadline=deadline))
+def _watchdog():
+    watchdog = EnsembleWatchdog(WatchdogPolicy())
     watchdog.start()
     return watchdog
 
@@ -128,9 +128,24 @@ async def _until_terminal(server, job_id, timeout=60.0):
     raise AssertionError(f"{job_id} never reached a terminal state")
 
 
+def _children(pid):
+    """Pids of the processes whose parent is ``pid``."""
+    found = []
+    for entry in pathlib.Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited since the listing
+        if int(stat.rpartition(")")[2].split()[1]) == pid:
+            found.append(int(entry.name))
+    return found
+
+
 async def _kill_mid_job(server, job_id, timeout=60.0):
     """SIGKILL the worker running ``job_id`` once it has made progress;
-    returns the killed pid."""
+    returns the killed pid and the pids of the children it had."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         _s, _h, health = await http_request(
@@ -143,8 +158,10 @@ async def _kill_mid_job(server, job_id, timeout=60.0):
             w for w in json.loads(health)["workers"] if w["job"] == job_id
         ]
         if workers and json.loads(progress).get("cells_completed", 0) >= 1:
-            os.kill(workers[0]["pid"], signal.SIGKILL)
-            return workers[0]["pid"]
+            pid = workers[0]["pid"]
+            children = _children(pid)
+            os.kill(pid, signal.SIGKILL)
+            return pid, children
         await asyncio.sleep(0.02)
     raise AssertionError(f"{job_id} never made progress")
 
@@ -261,7 +278,7 @@ class TestWorkerLifecycle:
                 "repro_serve_worker_starts_total"
             ).value
             job_id = await _submit(server, LONG)
-            seen["killed"] = await _kill_mid_job(server, job_id)
+            seen["killed"], _ = await _kill_mid_job(server, job_id)
             seen["job"] = await _until_terminal(server, job_id)
             _s, _h, text = await http_request(
                 "127.0.0.1", server.port, "GET", "/metrics"
@@ -278,27 +295,57 @@ class TestWorkerLifecycle:
             seen["metrics"], "repro_serve_worker_starts_total"
         ) == 2
 
-    def test_deadline_discards_the_worker(self, tmp_path):
-        runner = ProcessJobRunner(
-            ServerPolicy(poll_interval=0.02), ServeClock()
-        )
+    def test_sigkill_of_a_pooling_worker_is_a_crash(self, tmp_path):
+        """A ``jobs > 1`` spec forks an ensemble pool inside the worker,
+        and the pool's processes inherit the worker's pipe end and its
+        fork sentinel.  Once the worker is SIGKILLed they hold both
+        open, so its death alone must end the attempt as a crash, under
+        the default policy too (no stall timeout, no deadline)."""
+        seen = {}
+
+        async def test(server, supervisor):
+            job_id = await _submit(server, dict(LONG, jobs=2))
+            seen["killed"], seen["pool"] = await _kill_mid_job(
+                server, job_id
+            )
+            seen["job"] = await _until_terminal(server, job_id, timeout=30.0)
+
         try:
-            first = _job(tmp_path, _tiny(1), 1)
-            assert runner.run(first, _watchdog(), lambda: False)[
-                "status"
-            ] == "ok"
-            late = _job(tmp_path, LONG, 2)
-            outcome = runner.run(late, _watchdog(deadline=0.2), lambda: False)
-            assert outcome["status"] == "deadline"
-            assert late.worker_pid == first.worker_pid
-            assert not _alive(late.worker_pid)
-            after = _job(tmp_path, _tiny(2), 3)
-            assert runner.run(after, _watchdog(), lambda: False)[
-                "status"
-            ] == "ok"
-            assert after.worker_pid != late.worker_pid
+            _run_server(tmp_path, ServerPolicy(), test)
         finally:
-            runner.close()
+            # The killed worker's pool processes outlive it, blocked on
+            # a task queue no one feeds any more.
+            for pid in seen.get("pool", ()):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        assert seen["pool"], "the job never forked its ensemble pool"
+        job = seen["job"]
+        assert job["state"] == "done" and job["attempts"] == 2, job
+        assert job["worker_pid"] != seen["killed"]
+
+    def test_deadline_discards_the_worker(self, tmp_path):
+        """A job past the server's ``job_deadline`` fails and takes its
+        warm worker with it; the next job runs on a fresh one."""
+        slow = dict(LONG, params=dict(LONG["params"], iterations=50000))
+        specs = {"first": _tiny(1), "late": slow, "after": _tiny(2)}
+        seen = {}
+
+        async def test(server, supervisor):
+            for name, spec in specs.items():
+                seen[name] = await _until_terminal(
+                    server, await _submit(server, spec)
+                )
+            seen["late_alive"] = _alive(seen["late"]["worker_pid"])
+
+        _run_server(tmp_path, ServerPolicy(workers=1, job_deadline=1.0), test)
+        first, late, after = seen["first"], seen["late"], seen["after"]
+        assert first["state"] == "done" and after["state"] == "done"
+        assert late["state"] == "failed" and "deadline" in late["error"], late
+        assert late["worker_pid"] == first["worker_pid"]
+        assert not seen["late_alive"]
+        assert after["worker_pid"] != late["worker_pid"]
 
     def test_worker_does_not_hold_client_connections(self, tmp_path):
         """A worker forked while a client connection is open gives up
