@@ -4,8 +4,12 @@ Each driver runs a miniature version of its experiment; the structural
 assertions (result shape, series present, table rows) always apply, and
 the cheap experiments also assert their acceptance criterion.  The
 benchmark harness runs the quick()/full() presets; these tests exist so
-`pytest tests/` exercises every driver in seconds.
+`pytest tests/` exercises every driver in seconds.  Each driver's
+rendered report is also pinned by sha256, so a refactor below the
+drivers cannot change a report byte unnoticed.
 """
+
+import hashlib
 
 import pytest
 
@@ -49,11 +53,33 @@ class TestRunnerHelpers:
         assert "demo" in text
 
 
+RENDER_PINS = {
+    "E1": "36e0c351bbd67e2d5c8d832fddae67f2170b22b9f1fd095c7357060e5db57da3",
+    "E2": "24e36565e3f37da7dfa02e34e32b9bf85ec0fd3872a56a1d778f5a406af62118",
+    "E3": "cfc600f0af4a8d48b2813b879dafd0ba31b5b8103488f632c41a0f890e843bb6",
+    "E4": "e3359d3bc04155c9219a5adc5e5dd55518192659cdff673467a0c3a18c6da145",
+    "E5": "811ab6a6523c8d3ac01165ede4a334b94d398a78d161e57f4f2ac04a40e11806",
+    "E6": "58777159b191a124753e0a671dfbc815e946deb9b59640586d8cab76fdf539b8",
+    "E7": "63a019375a0495cef9289dd9d56b9ae079fa2a92d9a1ed765605c7d88d761227",
+    "E8": "799d2679a76d2abc8083858eac2e623114ff95ac0f8e97dfd88e52b7700728ad",
+    "E9": "c1f35a1d16d64306c13d7654182d611b56854cf3e9684ba02998d9a73e234c4c",
+    "E10": "dc23cc0ca99626bdde885ad4e0a919f1644dee0b01d3825b734971896c843f5d",
+    "E11": "e9fd9f87ed56626c684e9bb034e65319953a008a87731ec7b015006102a5d180",
+    "E12": "200276e426a203dd28b929affdc453240c8eaed5439ed128eed6d52d71200b8c",
+    "F1": "91796f48e5cab45ec5f1b8014ea3f9b8202fb1cdf5c78c293ece482d1856ec34",
+    "A1": "47ae9f456228acd0ae1a8348fe5a1cb7409f3824215e7b96f205f2ad2f48b65f",
+    "A2": "f0285aca462ef0187aec47e22bce82f2bcaf33b9c1adbc7565bca363def5b29b",
+}
+
+
 def _check_shape(result: ExperimentResult, experiment_id: str):
     assert result.experiment_id == experiment_id
     assert result.table.rows
     assert isinstance(result.passed, bool)
-    assert result.render(plot=False)
+    text = result.render(plot=False)
+    assert text
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == RENDER_PINS[experiment_id]
 
 
 class TestDrivers:
