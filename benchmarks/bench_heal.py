@@ -56,7 +56,6 @@ def _time_plain() -> dict:
             iterations=ITERATIONS,
             x0=np.full(DIM, 2.0),
             seed=SEED,
-            record_iterations=False,
             trace_config=TraceConfig.off(),
         )
         start = time.perf_counter()

@@ -19,6 +19,7 @@ import numpy as np
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.core.algorithm import build_zoo_simulation
+from repro.runtime.policy import TraceConfig
 from repro.verify.engine import VerifyScope, _resolve_variant
 from repro.verify.enumerator import enumerate_schedules
 
@@ -46,8 +47,7 @@ def _factory_for(variant: str):
             iterations=iterations,
             x0=np.full(SCOPE.dim, SCOPE.x0_scale),
             seed=SEED,
-            record_log=True,
-            record_iterations=True,
+            trace_config=TraceConfig(),
         )
         return sim
 

@@ -46,7 +46,6 @@ def _time_algorithm(name: str) -> dict:
             iterations=ITERATIONS,
             x0=np.full(DIM, 2.0),
             seed=SEED,
-            record_iterations=False,
             trace_config=TraceConfig.off(),
         )
         start = time.perf_counter()

@@ -101,7 +101,7 @@ def snapshot_vignette() -> None:
         )
         print(
             f"  n={n}: snapshot views cost {ratio:.1f}x the steps/iteration "
-            f"({snapshot.scan_retries} scan retries)"
+            f"({snapshot.extras['scan_retries']} scan retries)"
         )
     # And the flip side of lock-freedom: ideal parallel speedup.
     result = repro.run_lock_free_sgd(

@@ -39,7 +39,8 @@ from repro.analysis.report import (
     run_analysis_from_dict,
 )
 from repro.analysis.sanitizer import RaceStalenessSanitizer
-from repro.core.epoch_sgd import EpochSGDProgram, collect_iteration_records
+from repro.core.algorithm import simulate
+from repro.core.epoch_sgd import LockFreeSGD
 from repro.core.full_sgd import FullSGD
 from repro.errors import ConfigurationError
 from repro.experiments.grid import (
@@ -53,11 +54,7 @@ from repro.experiments.grid import (
 )
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
-from repro.runtime.simulator import Simulator
 from repro.sched.registry import build_scheduler
-from repro.shm.array import AtomicArray
-from repro.shm.counter import AtomicCounter
-from repro.shm.memory import SharedMemory
 
 
 @dataclass(frozen=True)
@@ -120,73 +117,50 @@ def sanitize_presets() -> Dict[str, SanitizePreset]:
     }
 
 
-def _analyze(sim, sanitizer, records, preset, label, steps):
-    """Assemble one cell's :class:`RunAnalysis` from a finished run."""
-    certificates = certify_run(
-        records,
-        num_threads=preset.num_threads,
-        window_multiplier=preset.window_multiplier,
-    )
-    findings = list(sanitizer.findings)
-    findings.extend(certificate_findings(certificates))
-    return RunAnalysis(
-        label=label,
-        steps=steps,
-        iterations=len(records),
-        findings=findings,
-        certificates=certificates,
-    )
-
-
 def _sanitize_worker(
     preset: SanitizePreset, scheduler_kind: str, seed: int
 ) -> RunAnalysis:
     """Run one (preset, scheduler, seed) cell (module-level: picklable)."""
-    label = f"{preset.name}/{scheduler_kind}/seed={seed}"
     objective = IsotropicQuadratic(
         dim=preset.dim, noise=GaussianNoise(preset.noise_sigma)
     )
+    scheduler = build_scheduler(scheduler_kind, seed=seed)
+    x0 = np.full(preset.dim, preset.x0_scale)
     sanitizer = RaceStalenessSanitizer()
     if preset.program == "full":
-        driver = FullSGD(
+        result = FullSGD(
             objective,
             num_threads=preset.num_threads,
             epsilon=0.25,
             alpha0=preset.step_size,
             iterations_per_epoch=preset.iterations,
             num_epochs=2,
-            x0=np.full(preset.dim, preset.x0_scale),
-        )
-        result = driver.run(
-            build_scheduler(scheduler_kind, seed=seed),
+            x0=x0,
+        ).run(scheduler, seed=seed, analyzers=(sanitizer,))
+    else:
+        result, _sim = simulate(
+            LockFreeSGD(use_write=preset.program == "racy"),
+            objective,
+            scheduler,
+            preset.num_threads,
+            preset.step_size,
+            preset.iterations,
+            x0=x0,
             seed=seed,
             analyzers=(sanitizer,),
         )
-        return _analyze(
-            None, sanitizer, result.records, preset, label, result.sim_steps
-        )
-
-    memory = SharedMemory(record_log=True)
-    model = AtomicArray.allocate(memory, preset.dim, name="model")
-    model.load(np.full(preset.dim, preset.x0_scale))
-    counter = AtomicCounter.allocate(memory, name="iteration_counter")
-    sim = Simulator(memory, build_scheduler(scheduler_kind, seed=seed), seed=seed)
-    for index in range(preset.num_threads):
-        sim.spawn(
-            EpochSGDProgram(
-                model=model,
-                counter=counter,
-                objective=objective,
-                step_size=preset.step_size,
-                max_iterations=preset.iterations,
-                use_write=preset.program == "racy",
-            ),
-            name=f"worker-{index}",
-        )
-    sim.attach_analyzer(sanitizer)
-    sim.run_analyzed()
-    records = collect_iteration_records(sim)
-    return _analyze(sim, sanitizer, records, preset, label, sim.now)
+    certificates = certify_run(
+        result.records,
+        num_threads=preset.num_threads,
+        window_multiplier=preset.window_multiplier,
+    )
+    return RunAnalysis(
+        label=f"{preset.name}/{scheduler_kind}/seed={seed}",
+        steps=result.sim_steps,
+        iterations=len(result.records),
+        findings=[*sanitizer.findings, *certificate_findings(certificates)],
+        certificates=certificates,
+    )
 
 
 @dataclass(frozen=True)

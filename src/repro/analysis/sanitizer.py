@@ -75,7 +75,8 @@ class Analyzer:
 
     name = "analyzer"
     #: Whether the analyzer consumes the shared-memory operation log
-    #: (``SharedMemory(record_log=True)`` must be set before the run).
+    #: (the memory's ``record_log`` must be on before the run; the run
+    #: drivers turn it on when any attached analyzer requires it).
     requires_log = True
 
     def __init__(self) -> None:

@@ -13,6 +13,11 @@
   lock-free), :class:`~repro.core.locked.LockedSGDProgram`
   (coarse-grained lock, Langford et al.) and
   :func:`~repro.core.minibatch.run_minibatch_sgd` (synchronous parallel).
+
+Every simulated run is built by
+:func:`~repro.core.algorithm.build_zoo_simulation` and run by
+:func:`~repro.core.algorithm.simulate`; ``run_algorithm``,
+``run_lock_free_sgd``, ``run_snapshot_sgd`` and ``FullSGD.run`` wrap it.
 """
 
 from repro.core.schedules import ConstantRate, EpochHalvingRate, LearningRateSchedule

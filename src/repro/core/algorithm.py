@@ -20,11 +20,10 @@ first-class interface so the zoo stops being five one-off files:
   scheduler registry in :mod:`repro.sched.registry`, so experiment
   configs, CLI flags and journal fingerprints address algorithms by
   stable names.
-* :func:`run_algorithm` — the unified driver: any registered algorithm
-  under any scheduler, returning the same analysis-ready
-  :class:`~repro.core.results.LockFreeRunResult` the Algorithm-1 driver
-  produces (plus an ``extras`` dict aggregating variant-specific
-  counters like CAS failures or lock spins).
+* :func:`build_zoo_simulation`, the only simulation builder, and
+  :func:`simulate`, the only run path (run, then assemble the
+  :class:`~repro.core.results.LockFreeRunResult`).  :func:`run_algorithm`
+  and the other drivers are thin wrappers over it.
 
 Lemma applicability, in brief: Lemma 6.1 (iterations are totally
 ordered by first landed update, with unique counter indices) holds for
@@ -196,26 +195,32 @@ def build_zoo_simulation(
     iterations: int,
     x0: Optional[np.ndarray] = None,
     seed: int = 0,
-    record_log: bool = False,
-    record_iterations: bool = True,
     trace_config: Optional[TraceConfig] = None,
 ) -> Tuple[Simulator, AtomicArray, np.ndarray]:
     """Allocate the shared state, build the algorithm's programs and
     spawn them — returns ``(simulator, model, x0_copy)`` ready to run.
 
-    Exposed separately from :func:`run_algorithm` so tests and benches
-    can drive the same simulation through ``run()`` / ``run_fast()`` /
-    ``run_analyzed()`` and compare step-for-step.
+    The one place a simulation is built, so tests and benches can drive
+    it through ``run()`` / ``run_fast()`` / ``run_analyzed()`` and
+    compare step-for-step.  ``trace_config`` (default
+    :meth:`TraceConfig.analysis`) sets what the run keeps.  Threads are
+    ``<name>-worker-<i>``, or ``worker-<i>`` when ``name`` is empty.
+    A bad thread count, budget or ``x0`` length raises
+    :class:`ConfigurationError` for every algorithm alike.
     """
     if num_threads < 1:
         raise ConfigurationError(f"num_threads must be >= 1, got {num_threads}")
-    memory = SharedMemory(record_log=record_log)
+    if iterations < 0:
+        raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
+    initial = np.zeros(objective.dim) if x0 is None else np.array(x0, dtype=float)
+    if initial.shape != (objective.dim,):
+        raise ConfigurationError(
+            f"x0 has shape {initial.shape} but objective.dim is {objective.dim}"
+        )
+    if trace_config is None:
+        trace_config = TraceConfig.analysis()
+    memory = SharedMemory(record_log=trace_config.record_log)
     model = AtomicArray.allocate(memory, objective.dim, name="model")
-    initial = (
-        np.zeros(objective.dim)
-        if x0 is None
-        else np.asarray(x0, dtype=float).copy()
-    )
     model.load(initial)
     counter = AtomicCounter.allocate(memory, name="iteration_counter")
     setup = AlgorithmSetup(
@@ -226,7 +231,7 @@ def build_zoo_simulation(
         step_size=step_size,
         iterations=iterations,
         num_threads=num_threads,
-        record_iterations=record_iterations,
+        record_iterations=trace_config.record_iterations,
     )
     programs = algorithm.build(setup)
     if len(programs) != num_threads:
@@ -235,12 +240,22 @@ def build_zoo_simulation(
             f"for {num_threads} thread(s)"
         )
     sim = Simulator(memory, scheduler, seed=seed, trace_config=trace_config)
+    prefix = f"{algorithm.name}-worker" if algorithm.name else "worker"
     for index, program in enumerate(programs):
-        sim.spawn(program, name=f"{algorithm.name}-worker-{index}")
+        sim.spawn(program, name=f"{prefix}-{index}")
     return sim, model, initial
 
 
-def run_algorithm(
+def collect_iteration_records(sim: Simulator) -> List[IterationRecord]:
+    """All iteration records of a finished run, sorted by the paper's
+    total order (time of first model update, Lemma 6.1)."""
+    return sorted(
+        (e for e in sim.trace if isinstance(e, IterationRecord)),
+        key=lambda r: r.order_time,
+    )
+
+
+def simulate(
     algorithm: Algorithm,
     objective: Objective,
     scheduler,
@@ -251,23 +266,24 @@ def run_algorithm(
     seed: int = 0,
     epsilon: Optional[float] = None,
     analyzers: Sequence = (),
-    record_memory_log: bool = False,
     metrics=None,
-) -> LockFreeRunResult:
-    """Run any registered algorithm under any scheduler to quiescence.
+    stop_epsilon: Optional[float] = None,
+    chunk: int = 1024,
+) -> Tuple[LockFreeRunResult, Simulator]:
+    """The one run path: build ``algorithm``'s simulation, run it to
+    quiescence and assemble its :class:`LockFreeRunResult`; returns the
+    result and the finished simulator.
 
-    The zoo counterpart of :func:`repro.core.epoch_sgd.run_lock_free_sgd`
-    — same result shape (accumulator trajectory in the first-update
-    total order, hitting time, per-thread counts), plus
-    ``result.extras``: variant-specific counters (``spin_steps``,
-    ``cas_failures``, ...) summed over threads.
-
-    ``analyzers`` attaches :class:`repro.analysis.sanitizer.Analyzer`
-    instances (forces the memory log on; same schedule, analyzers drain
-    at chunk boundaries).  ``metrics`` attaches a
-    :class:`repro.obs.registry.MetricsRegistry` and publishes the run's
-    paper-aligned snapshot at the end.
+    Every driver is a wrapper that opens its own span around this call.
+    ``analyzers`` drain every ``chunk`` steps (the memory log is on when
+    one ``requires_log``); ``stop_epsilon`` and ``metrics`` are as in
+    :func:`repro.core.epoch_sgd.run_lock_free_sgd`.
     """
+    if analyzers and stop_epsilon is not None:
+        raise ConfigurationError(
+            "analyzers cannot be combined with stop_epsilon (the early-stop "
+            "path steps the simulator directly)"
+        )
     sim, model, initial = build_zoo_simulation(
         algorithm,
         objective,
@@ -277,27 +293,28 @@ def run_algorithm(
         iterations=iterations,
         x0=x0,
         seed=seed,
-        record_log=record_memory_log or bool(analyzers),
+        trace_config=TraceConfig(
+            record_log=any(analyzer.requires_log for analyzer in analyzers)
+        ),
     )
     if metrics is not None:
         sim.attach_metrics(metrics)
     for analyzer in analyzers:
         sim.attach_analyzer(analyzer)
-    from repro.obs.spans import trace_span
+    if stop_epsilon is None:
+        sim.run_analyzed(chunk=chunk)
+    else:
+        x_star = objective.x_star
 
-    with trace_span(
-        "zoo.run",
-        algorithm=algorithm.name,
-        threads=num_threads,
-        iterations=iterations,
-        seed=seed,
-    ):
-        sim.run_analyzed()
+        def reached(sim_: Simulator) -> bool:
+            gap = model.snapshot() - x_star
+            return float(gap @ gap) <= stop_epsilon
 
-    records = sorted(
-        (e for e in sim.trace if isinstance(e, IterationRecord)),
-        key=lambda r: r.order_time,
-    )
+        sim.run(stop=reached)
+
+    records = collect_iteration_records(sim)
+    # Only pay for the O(N log N) derived quantities when a live
+    # registry is attached (None/null = uninstrumented).
     if records and sim.metrics is not None:
         from repro.obs.paper import paper_metrics, publish_paper_metrics
 
@@ -314,16 +331,15 @@ def run_algorithm(
 
     extras: Dict[str, float] = {}
     thread_iterations: Dict[int, int] = {}
-    for tid in sorted(sim.results()):
-        payload = sim.results()[tid]
+    for tid, payload in sorted(sim.results().items()):
         if not isinstance(payload, dict):
             continue
         if "iterations" in payload:
             thread_iterations[tid] = payload["iterations"]
         for key, value in payload.items():
-            if key in ("iterations", "accumulator"):
-                continue
-            if isinstance(value, (int, float)):
+            if key not in ("iterations", "accumulator") and isinstance(
+                value, (int, float)
+            ):
                 extras[key] = extras.get(key, 0) + value
     result = LockFreeRunResult(
         x_final=model.snapshot(),
@@ -335,6 +351,50 @@ def run_algorithm(
         sim_steps=sim.now,
         thread_iterations=thread_iterations,
         thread_steps={t.thread_id: t.steps_taken for t in sim.threads},
+        extras=extras,
     )
-    result.extras = extras  # type: ignore[attr-defined]
+    return result, sim
+
+
+def run_algorithm(
+    algorithm: Algorithm,
+    objective: Objective,
+    scheduler,
+    num_threads: int,
+    step_size: float,
+    iterations: int,
+    x0: Optional[np.ndarray] = None,
+    seed: int = 0,
+    epsilon: Optional[float] = None,
+    analyzers: Sequence = (),
+    metrics=None,
+) -> LockFreeRunResult:
+    """Run any registered algorithm under any scheduler to quiescence.
+
+    The zoo counterpart of :func:`repro.core.epoch_sgd.run_lock_free_sgd`
+    — same result shape (accumulator trajectory in the first-update
+    total order, hitting time, per-thread counts), with
+    ``result.extras`` holding variant-specific counters
+    (``spin_steps``, ``cas_failures``, ...) summed over threads.
+
+    ``analyzers`` attaches :class:`repro.analysis.sanitizer.Analyzer`
+    instances (forces the memory log on; same schedule, analyzers drain
+    at chunk boundaries).  ``metrics`` attaches a
+    :class:`repro.obs.registry.MetricsRegistry` and publishes the run's
+    paper-aligned snapshot at the end.
+    """
+    from repro.obs.spans import trace_span
+
+    with trace_span(
+        "zoo.run",
+        algorithm=algorithm.name,
+        threads=num_threads,
+        iterations=iterations,
+        seed=seed,
+    ):
+        result, _sim = simulate(
+            algorithm, objective, scheduler, num_threads, step_size,
+            iterations, x0=x0, seed=seed, epsilon=epsilon,
+            analyzers=analyzers, metrics=metrics,
+        )
     return result

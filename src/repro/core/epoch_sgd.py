@@ -25,17 +25,19 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.algorithm import Algorithm, AlgorithmSetup, register_algorithm
-from repro.core.results import LockFreeRunResult, accumulator_trajectory
+from repro.core.algorithm import (
+    Algorithm,
+    AlgorithmSetup,
+    register_algorithm,
+    simulate,
+)
+from repro.core.results import LockFreeRunResult
 from repro.errors import ConfigurationError
 from repro.objectives.base import Objective
 from repro.runtime.events import IterationRecord
-from repro.runtime.policy import TraceConfig
 from repro.runtime.program import Program, ThreadContext
-from repro.runtime.simulator import Simulator
 from repro.shm.array import AtomicArray
 from repro.shm.counter import AtomicCounter
-from repro.shm.memory import SharedMemory
 from repro.shm.ops import DoubleCompareSingleSwap
 from repro.shm.register import AtomicRegister
 
@@ -186,6 +188,9 @@ class EpochSGDProgram(Program):
         use_write: ABLATION ONLY — apply updates with plain ``write`` of
             ``view[j] − α·g̃[j]`` instead of fetch&add, reproducing the
             lost-update catastrophe the paper warns about.
+
+    All per-run state lives inside :meth:`run`, so one program object
+    can back a respawned thread (crash recovery reuses it).
     """
 
     def __init__(
@@ -266,6 +271,8 @@ class EpochSGDAlgorithm(Algorithm):
 
     name = "epoch-sgd"
     title = "Algorithm 1: lock-free SGD (per-entry fetch&add)"
+    #: ABLATION ONLY (see :class:`EpochSGDProgram`); set by LockFreeSGD.
+    use_write = False
 
     def build(self, setup: AlgorithmSetup):
         return [
@@ -276,17 +283,37 @@ class EpochSGDAlgorithm(Algorithm):
                 step_size=setup.step_size,
                 max_iterations=setup.iterations,
                 record_iterations=setup.record_iterations,
+                use_write=self.use_write,
             )
             for _ in range(setup.num_threads)
         ]
 
 
-def collect_iteration_records(sim: Simulator) -> List[IterationRecord]:
-    """All iteration records of a finished run, sorted by the paper's
-    total order (time of first model update, Lemma 6.1)."""
-    records = [e for e in sim.trace if isinstance(e, IterationRecord)]
-    records.sort(key=lambda r: r.order_time)
-    return records
+class LockFreeSGD(EpochSGDAlgorithm):
+    """Algorithm 1, or a ``program_factory``'s programs, as an
+    *unregistered* algorithm (threads ``worker-<i>``, no zoo cell): what
+    :func:`run_lock_free_sgd` and the chaos and sanitize workers run.
+    ``use_write`` is the lost-update ablation."""
+
+    name = ""
+
+    def __init__(
+        self,
+        program_factory: Optional[Callable[..., Program]] = None,
+        use_write: bool = False,
+    ) -> None:
+        self.program_factory = program_factory
+        self.use_write = use_write
+
+    def build(self, setup: AlgorithmSetup):
+        if self.program_factory is None:
+            return super().build(setup)
+        return [
+            self.program_factory(
+                model=setup.model, counter=setup.counter, thread_index=index
+            )
+            for index in range(setup.num_threads)
+        ]
 
 
 def run_lock_free_sgd(
@@ -299,19 +326,19 @@ def run_lock_free_sgd(
     seed: int = 0,
     epsilon: Optional[float] = None,
     program_factory: Optional[Callable[..., Program]] = None,
-    record_memory_log: bool = False,
     stop_epsilon: Optional[float] = None,
-    trace_config: Optional[TraceConfig] = None,
     analyzers: Sequence = (),
     metrics=None,
 ) -> LockFreeRunResult:
     """Run Algorithm 1 with ``num_threads`` threads until quiescence.
 
-    The driver allocates the shared model X (initialized to ``x0``) and
-    iteration counter C, spawns the threads, runs the simulation to
-    completion under ``scheduler``, and assembles the analysis-ready
-    result (accumulator trajectory x_t in the first-update total order,
-    success-region hitting time, per-thread iteration counts).
+    Runs :class:`LockFreeSGD` through
+    :func:`repro.core.algorithm.simulate`: the shared model X
+    (initialized to ``x0``) and iteration counter C are allocated, the
+    threads run to completion under ``scheduler``, and the
+    analysis-ready result is assembled (accumulator trajectory x_t in
+    the first-update total order, success-region hitting time,
+    per-thread iteration counts).
 
     Args:
         objective: Function/oracle to minimize.
@@ -328,119 +355,34 @@ def run_lock_free_sgd(
             as ``thread_index`` and must return a
             :class:`~repro.runtime.program.Program` (how the Hogwild and
             locked baselines plug in).
-        record_memory_log: Keep the full shared-memory operation log
-            (needed only by the history-checker tests).
         stop_epsilon: Optional early-stop radius²: end the simulation as
             soon as the *shared model snapshot* enters that region
             (hitting-time experiments that don't need the post-hit tail).
             Threads are abandoned mid-iteration; records of completed
             iterations remain valid.
-        trace_config: Optional engine tracing policy.  The default is
-            :meth:`TraceConfig.analysis` (iteration records on, memory
-            log and step records off); pass :meth:`TraceConfig.off` for
-            pure-throughput runs.  ``record_memory_log=True`` overrides
-            its ``record_log``.
         analyzers: Optional :class:`repro.analysis.sanitizer.Analyzer`
             instances to attach.  Forces the memory log on and drives the
             run through :meth:`Simulator.run_analyzed` (same schedule;
             analyzers drain the log between chunks).  Incompatible with
             ``stop_epsilon``.
         metrics: Optional :class:`repro.obs.registry.MetricsRegistry`.
-            Attached to the simulator (bulk ``repro_sim_*`` counters) and,
-            when iteration records are on, fed the run's paper-aligned
-            snapshot (τ histogram, window counts, lemma indicators) via
+            Attached to the simulator (bulk ``repro_sim_*`` counters) and
+            fed the run's paper-aligned snapshot (τ histogram, window
+            counts, lemma indicators) via
             :func:`repro.obs.paper.publish_paper_metrics` at the end.
             ``None``/null backend costs nothing.
 
     Returns:
         A :class:`~repro.core.results.LockFreeRunResult`.
     """
-    if num_threads < 1:
-        raise ConfigurationError(f"num_threads must be >= 1, got {num_threads}")
-    if trace_config is None:
-        trace_config = TraceConfig.analysis()
-    if analyzers and stop_epsilon is not None:
-        raise ConfigurationError(
-            "analyzers cannot be combined with stop_epsilon (the early-stop "
-            "path steps the simulator directly)"
-        )
-    memory = SharedMemory(
-        record_log=record_memory_log or trace_config.record_log or bool(analyzers)
-    )
-    model = AtomicArray.allocate(memory, objective.dim, name="model")
-    initial = (
-        np.zeros(objective.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
-    )
-    model.load(initial)
-    counter = AtomicCounter.allocate(memory, name="iteration_counter")
-    sim = Simulator(memory, scheduler, seed=seed, trace_config=trace_config)
-    if metrics is not None:
-        sim.attach_metrics(metrics)
-
-    for thread_index in range(num_threads):
-        if program_factory is not None:
-            program = program_factory(
-                model=model, counter=counter, thread_index=thread_index
-            )
-        else:
-            program = EpochSGDProgram(
-                model=model,
-                counter=counter,
-                objective=objective,
-                step_size=step_size,
-                max_iterations=iterations,
-                record_iterations=trace_config.record_iterations,
-            )
-        sim.spawn(program, name=f"worker-{thread_index}")
-
     from repro.obs.spans import trace_span
 
     with trace_span(
         "epoch_sgd.run", threads=num_threads, iterations=iterations, seed=seed
     ):
-        if stop_epsilon is None:
-            for analyzer in analyzers:
-                sim.attach_analyzer(analyzer)
-            sim.run_analyzed()
-        else:
-            x_star = objective.x_star
-
-            def reached(sim_: Simulator) -> bool:
-                gap = model.snapshot() - x_star
-                return float(gap @ gap) <= stop_epsilon
-
-            sim.run(stop=reached)
-
-    records = collect_iteration_records(sim)
-    # Only pay for the O(N log N) derived quantities when a live
-    # registry is attached (None/null = uninstrumented).
-    if records and sim.metrics is not None:
-        from repro.obs.paper import paper_metrics, publish_paper_metrics
-
-        publish_paper_metrics(
-            sim.metrics, paper_metrics(records, num_threads=num_threads)
+        result, _sim = simulate(
+            LockFreeSGD(program_factory), objective, scheduler, num_threads,
+            step_size, iterations, x0=x0, seed=seed, epsilon=epsilon,
+            analyzers=analyzers, metrics=metrics, stop_epsilon=stop_epsilon,
         )
-    trajectory = accumulator_trajectory(initial, records)
-    distances = np.linalg.norm(trajectory - objective.x_star, axis=1)
-    hit_time: Optional[int] = None
-    if epsilon is not None:
-        hits = np.nonzero(distances**2 <= epsilon)[0]
-        if hits.size:
-            hit_time = int(hits[0])
-
-    thread_iterations = {
-        tid: result["iterations"]
-        for tid, result in sim.results().items()
-        if isinstance(result, dict) and "iterations" in result
-    }
-    return LockFreeRunResult(
-        x_final=model.snapshot(),
-        x0=initial,
-        records=records,
-        distances=distances,
-        hit_time=hit_time,
-        epsilon=epsilon,
-        sim_steps=sim.now,
-        thread_iterations=thread_iterations,
-        thread_steps={t.thread_id: t.steps_taken for t in sim.threads},
-    )
+    return result

@@ -31,18 +31,20 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.algorithm import Algorithm, AlgorithmSetup, register_algorithm
-from repro.core.epoch_sgd import collect_iteration_records, sgd_iteration_body
-from repro.core.results import accumulator_trajectory
+from repro.core.algorithm import (
+    Algorithm,
+    AlgorithmSetup,
+    register_algorithm,
+    simulate,
+)
+from repro.core.epoch_sgd import sgd_iteration_body
 from repro.core.schedules import EpochHalvingRate, LearningRateSchedule
 from repro.errors import ConfigurationError
 from repro.objectives.base import Objective
 from repro.runtime.events import EpochEvent, IterationRecord
 from repro.runtime.program import Program, ThreadContext
-from repro.runtime.simulator import Simulator
 from repro.shm.array import AtomicArray
 from repro.shm.counter import AtomicCounter
-from repro.shm.memory import SharedMemory
 from repro.shm.register import AtomicRegister
 
 
@@ -183,6 +185,10 @@ class FullSGDAlgorithm(Algorithm):
 
     name = "full-sgd"
     title = "Algorithm 2: epoch-halving SGD with epoch-guarded updates"
+    segment = "zoo_epoch"  # the epoch register's memory segment
+    #: ABLATIONS ONLY (see :class:`FullSGDThreadProgram`); set by FullSGD.
+    use_guard = True
+    use_dcas_loop = False
 
     def __init__(self, num_epochs: int = 2) -> None:
         if num_epochs < 1:
@@ -192,7 +198,7 @@ class FullSGDAlgorithm(Algorithm):
         self.num_epochs = num_epochs
 
     def build(self, setup: AlgorithmSetup):
-        epoch_slot = setup.memory.allocate(1, name="zoo_epoch", initial=0.0)
+        epoch_slot = setup.memory.allocate(1, name=self.segment, initial=0.0)
         epoch_register = AtomicRegister(setup.memory, epoch_slot)
         schedule = EpochHalvingRate(setup.step_size)
         iterations_per_epoch = max(1, setup.iterations // self.num_epochs)
@@ -206,9 +212,49 @@ class FullSGDAlgorithm(Algorithm):
                 iterations_per_epoch=iterations_per_epoch,
                 num_epochs=self.num_epochs,
                 record_iterations=setup.record_iterations,
+                use_guard=self.use_guard,
+                use_dcas_loop=self.use_dcas_loop,
             )
             for _ in range(setup.num_threads)
         ]
+
+
+class EpochCheckpoints:
+    """``FullSGD.run``'s ``checkpoint_hook`` as an analyzer that needs no
+    memory log (the :class:`~repro.analysis.sanitizer.Analyzer`
+    protocol; not a subclass, so ``import repro`` does not load
+    :mod:`repro.analysis`).
+
+    A chunk boundary is the only place the engine is paused, so cuts
+    are consistent by construction; :meth:`drain` hands the hook a
+    :class:`~repro.durable.checkpoint.Checkpoint` when the ``epoch``
+    register advanced during the last chunk (once per epoch observed,
+    even if several epochs elapsed inside one chunk).
+    """
+
+    requires_log = False
+
+    def __init__(self, hook: Callable) -> None:
+        self.hook = hook
+        self.address = -1
+        self.last_epoch = 0
+
+    def on_attach(self, sim) -> None:
+        self.address = sim.memory.segment("epoch").base
+        self.last_epoch = int(sim.memory.peek(self.address))
+
+    def drain(self, sim) -> None:
+        epoch = int(sim.memory.peek(self.address))
+        if epoch > self.last_epoch:
+            from repro.durable.checkpoint import Checkpoint
+            from repro.obs.spans import trace_span
+
+            self.last_epoch = epoch
+            with trace_span("full_sgd.checkpoint", epoch=epoch):
+                self.hook(epoch, Checkpoint.capture(sim, label=f"epoch-{epoch}"))
+
+    def finish(self, sim) -> None:
+        pass
 
 
 @dataclass
@@ -253,8 +299,12 @@ class FullSGDResult:
         return len(self.records)
 
 
-class FullSGD:
+class FullSGD(FullSGDAlgorithm):
     """Driver for Algorithm 2.
+
+    Also an *unregistered* ``full-sgd``: its empty ``name`` makes the
+    threads ``worker-<i>`` and its register segment is ``epoch`` (the
+    layout restored checkpoints expect).
 
     Args:
         objective: Function/oracle to minimize.
@@ -276,6 +326,9 @@ class FullSGD:
         result = driver.run(RandomScheduler(seed=1), seed=1)
     """
 
+    name = ""
+    segment = "epoch"
+
     def __init__(
         self,
         objective: Objective,
@@ -292,6 +345,10 @@ class FullSGD:
             raise ConfigurationError(f"num_threads must be >= 1, got {num_threads}")
         if epsilon <= 0:
             raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
+        if iterations_per_epoch < 1:
+            raise ConfigurationError(
+                f"iterations_per_epoch must be >= 1, got {iterations_per_epoch}"
+            )
         self.objective = objective
         self.num_threads = num_threads
         self.epsilon = epsilon
@@ -308,7 +365,7 @@ class FullSGD:
             num_epochs = recommended_num_epochs(
                 alpha0, gradient_bound, num_threads, epsilon
             )
-        self.num_epochs = num_epochs
+        super().__init__(num_epochs)
         self.schedule = EpochHalvingRate(alpha0)
         self.use_guard = use_guard
         self.use_dcas_loop = use_dcas_loop
@@ -331,9 +388,10 @@ class FullSGD:
 
         ``checkpoint_hook(epoch, checkpoint)`` makes the run durable:
         the scheduler is wrapped in a :class:`~repro.sched.replay.
-        RecordingScheduler` (so every cut carries its decision prefix),
-        execution proceeds in ``checkpoint_chunk``-step chunks, and
-        whenever a chunk boundary reveals the shared epoch register has
+        RecordingScheduler` (so every cut carries its decision prefix)
+        and an :class:`EpochCheckpoints` analyzer joins the run, which
+        :meth:`Simulator.run_analyzed` pauses every ``checkpoint_chunk``
+        steps; whenever a pause reveals the shared epoch register has
         advanced, the hook receives a :class:`~repro.durable.checkpoint.
         Checkpoint` of the cut — restorable via prefix replay, with the
         replay itself certifying determinism.  Chunking and recording
@@ -355,112 +413,43 @@ class FullSGD:
             from repro.sched.replay import RecordingScheduler
 
             scheduler = RecordingScheduler(scheduler)
-        memory = SharedMemory(record_log=bool(analyzers))
-        model = AtomicArray.allocate(memory, self.objective.dim, name="model")
-        model.load(self.x0)
-        counter = AtomicCounter.allocate(memory, name="iteration_counter")
-        epoch_slot = memory.allocate(1, name="epoch", initial=0.0)
-        epoch_register = AtomicRegister(memory, epoch_slot)
-        sim = Simulator(memory, scheduler, seed=seed)
-        if metrics is not None:
-            sim.attach_metrics(metrics)
-        for thread_index in range(self.num_threads):
-            sim.spawn(
-                FullSGDThreadProgram(
-                    model=model,
-                    counter=counter,
-                    epoch_register=epoch_register,
-                    objective=self.objective,
-                    schedule=self.schedule,
-                    iterations_per_epoch=self.iterations_per_epoch,
-                    num_epochs=self.num_epochs,
-                    use_guard=self.use_guard,
-                    use_dcas_loop=self.use_dcas_loop,
-                ),
-                name=f"worker-{thread_index}",
-            )
-        for analyzer in analyzers:
-            sim.attach_analyzer(analyzer)
+            analyzers = (*analyzers, EpochCheckpoints(checkpoint_hook))
         from repro.obs.spans import trace_span
 
         with trace_span(
             "full_sgd.run", threads=self.num_threads, epochs=self.num_epochs
         ):
-            if checkpoint_hook is None:
-                sim.run_analyzed()
-            else:
-                self._run_checkpointed(
-                    sim, epoch_slot, checkpoint_hook, checkpoint_chunk
-                )
-        result = self._assemble_result(sim, model)
+            run, sim = simulate(
+                self, self.objective, scheduler, self.num_threads, self.alpha0,
+                self.iterations_per_epoch * self.num_epochs, x0=self.x0,
+                seed=seed, analyzers=analyzers, metrics=metrics,
+                chunk=checkpoint_chunk,
+            )
         if sim.metrics is not None:
             sim.metrics.gauge(
                 "repro_sgd_epochs_total", "epochs completed by the run"
-            ).set(result.num_epochs)
-            if result.records:
-                from repro.obs.paper import paper_metrics, publish_paper_metrics
-
-                publish_paper_metrics(
-                    sim.metrics,
-                    paper_metrics(result.records, num_threads=self.num_threads),
-                )
-        return result
-
-    def _run_checkpointed(
-        self, sim, epoch_slot: int, hook: Callable, chunk: int
-    ) -> None:
-        """Chunked drive loop firing ``hook`` at epoch-advance cuts.
-
-        A chunk boundary is the only place the engine is paused, so cuts
-        are consistent by construction; the hook fires when the shared
-        epoch register advanced during the last chunk (once per epoch
-        observed, even if several epochs elapsed inside one chunk).
-        """
-        from repro.durable.checkpoint import Checkpoint
-        from repro.obs.spans import trace_span
-
-        last_epoch = int(sim.memory.peek(epoch_slot))
-        while sim.runnable_count:
-            sim.run_fast(max_steps=chunk)
-            for analyzer in sim._analyzers:
-                analyzer.drain(sim)
-            epoch = int(sim.memory.peek(epoch_slot))
-            if epoch > last_epoch:
-                last_epoch = epoch
-                with trace_span("full_sgd.checkpoint", epoch=epoch):
-                    hook(epoch, Checkpoint.capture(sim, label=f"epoch-{epoch}"))
-        for analyzer in sim._analyzers:
-            analyzer.finish(sim)
-
-    def _assemble_result(self, sim, model) -> FullSGDResult:
-        """Collect the run's records, trajectory and accumulators."""
-
-        records = collect_iteration_records(sim)
-        trajectory = accumulator_trajectory(self.x0, records)
-        distances = np.linalg.norm(trajectory - self.objective.x_star, axis=1)
+            ).set(self.num_epochs)
         rejected = sum(
             1
-            for record in records
+            for record in run.records
             if record.applied is not None and record.gradient is not None
             for j, landed in enumerate(record.applied)
             if not landed and record.gradient[j] != 0.0
         )
-        accumulators = {
-            tid: result["accumulator"]
-            for tid, result in sim.results().items()
-            if isinstance(result, dict)
-        }
-        r = model.snapshot()
         return FullSGDResult(
-            r=r,
+            r=run.x_final,
             x0=self.x0,
-            distance=self.objective.distance_to_opt(r),
+            distance=self.objective.distance_to_opt(run.x_final),
             epsilon=self.epsilon,
             num_epochs=self.num_epochs,
             step_sizes=[self.schedule.rate(e) for e in range(self.num_epochs)],
-            records=records,
-            distances=distances,
+            records=run.records,
+            distances=run.distances,
             rejected_updates=rejected,
-            accumulators=accumulators,
-            sim_steps=sim.now,
+            accumulators={
+                tid: payload["accumulator"]
+                for tid, payload in sim.results().items()
+                if isinstance(payload, dict)
+            },
+            sim_steps=run.sim_steps,
         )

@@ -11,7 +11,7 @@ stream that the contention analysis consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -69,6 +69,9 @@ class LockFreeRunResult:
             maximum is the execution's idealized parallel wall-clock
             (critical path), cf. :func:`repro.metrics.trace.
             parallel_speedup`.
+        extras: Variant-specific counters summed over threads
+            (``spin_steps``, ``cas_failures``, ``scan_retries``, ...);
+            empty for plain Algorithm 1.
     """
 
     x_final: np.ndarray
@@ -80,6 +83,7 @@ class LockFreeRunResult:
     sim_steps: int
     thread_iterations: dict = field(default_factory=dict)
     thread_steps: dict = field(default_factory=dict)
+    extras: Dict[str, float] = field(default_factory=dict)
 
     @property
     def succeeded(self) -> bool:

@@ -25,14 +25,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.results import LockFreeRunResult, accumulator_trajectory
+from repro.core.algorithm import Algorithm, AlgorithmSetup, simulate
+from repro.core.results import LockFreeRunResult
 from repro.errors import ConfigurationError
 from repro.objectives.base import Objective
 from repro.runtime.events import IterationRecord
 from repro.runtime.program import Program, ThreadContext
-from repro.runtime.simulator import Simulator
 from repro.shm.counter import AtomicCounter
-from repro.shm.memory import SharedMemory
 from repro.shm.versioned import VersionedArray
 
 
@@ -156,6 +155,33 @@ class SnapshotSGDProgram(Program):
         }
 
 
+class SnapshotSGDAlgorithm(Algorithm):
+    """Consistent-snapshot SGD as an *unregistered* algorithm (A2's
+    comparison point, no zoo cell; threads ``snapshot-worker-<i>``).
+    :meth:`build` versions the builder's model in place, so the
+    ``model.versions`` segment follows the counter."""
+
+    name = "snapshot"
+
+    def __init__(self, max_scan_retries: int = 8) -> None:
+        self.max_scan_retries = max_scan_retries
+
+    def build(self, setup: AlgorithmSetup) -> List[Program]:
+        model = VersionedArray.over(setup.model, name="model")
+        return [
+            SnapshotSGDProgram(
+                model=model,
+                counter=setup.counter,
+                objective=setup.objective,
+                step_size=setup.step_size,
+                max_iterations=setup.iterations,
+                max_scan_retries=self.max_scan_retries,
+                record_iterations=setup.record_iterations,
+            )
+            for _ in range(setup.num_threads)
+        ]
+
+
 def run_snapshot_sgd(
     objective: Objective,
     scheduler,
@@ -168,65 +194,11 @@ def run_snapshot_sgd(
     max_scan_retries: int = 8,
 ) -> LockFreeRunResult:
     """Driver mirroring :func:`repro.core.epoch_sgd.run_lock_free_sgd`
-    but with a versioned model and consistent scans.
-
-    Returns a :class:`LockFreeRunResult`; per-thread scan statistics are
-    summed into ``thread_iterations``-style access via the simulator
-    results (see the A2 ablation driver for usage).
-    """
-    if num_threads < 1:
-        raise ConfigurationError(f"num_threads must be >= 1, got {num_threads}")
-    memory = SharedMemory(record_log=False)
-    model = VersionedArray(memory, objective.dim, name="model")
-    initial = (
-        np.zeros(objective.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
-    )
-    model.load(initial)
-    counter = AtomicCounter.allocate(memory, name="iteration_counter")
-    sim = Simulator(memory, scheduler, seed=seed)
-    for thread_index in range(num_threads):
-        sim.spawn(
-            SnapshotSGDProgram(
-                model=model,
-                counter=counter,
-                objective=objective,
-                step_size=step_size,
-                max_iterations=iterations,
-                max_scan_retries=max_scan_retries,
-            ),
-            name=f"snapshot-worker-{thread_index}",
-        )
-    sim.run_fast()
-
-    records = sorted(
-        (e for e in sim.trace if isinstance(e, IterationRecord)),
-        key=lambda r: r.order_time,
-    )
-    trajectory = accumulator_trajectory(initial, records)
-    distances = np.linalg.norm(trajectory - objective.x_star, axis=1)
-    hit_time: Optional[int] = None
-    if epsilon is not None:
-        hits = np.nonzero(distances**2 <= epsilon)[0]
-        if hits.size:
-            hit_time = int(hits[0])
-    result = LockFreeRunResult(
-        x_final=model.snapshot(),
-        x0=initial,
-        records=records,
-        distances=distances,
-        hit_time=hit_time,
-        epsilon=epsilon,
-        sim_steps=sim.now,
-        thread_iterations={
-            tid: payload["iterations"] for tid, payload in sim.results().items()
-        },
-        thread_steps={t.thread_id: t.steps_taken for t in sim.threads},
-    )
-    # Stash scan statistics for the ablation (duck-typed extras).
-    result.scan_retries = sum(  # type: ignore[attr-defined]
-        payload["scan_retries"] for payload in sim.results().values()
-    )
-    result.inconsistent_fallbacks = sum(  # type: ignore[attr-defined]
-        payload["inconsistent_fallbacks"] for payload in sim.results().values()
+    but with a versioned model and consistent scans; ``result.extras``
+    holds the ``scan_retries`` and ``inconsistent_fallbacks`` summed
+    over threads."""
+    result, _sim = simulate(
+        SnapshotSGDAlgorithm(max_scan_retries), objective, scheduler,
+        num_threads, step_size, iterations, x0=x0, seed=seed, epsilon=epsilon,
     )
     return result

@@ -107,8 +107,8 @@ def run(config: A2Config) -> ExperimentResult:
                 lf_cost,
                 sn_cost,
                 sn_cost / lf_cost,
-                snapshot.scan_retries,
-                snapshot.inconsistent_fallbacks,
+                snapshot.extras["scan_retries"],
+                snapshot.extras["inconsistent_fallbacks"],
                 lf_final,
                 sn_final,
             ]
@@ -116,7 +116,7 @@ def run(config: A2Config) -> ExperimentResult:
         xs.append(float(n))
         lock_free_cost.append(lf_cost)
         snapshot_cost.append(sn_cost)
-        retries_series.append(float(snapshot.scan_retries))
+        retries_series.append(float(snapshot.extras["scan_retries"]))
         passed = passed and sn_cost > lf_cost
         passed = passed and lock_free.succeeded and snapshot.succeeded
 

@@ -218,7 +218,6 @@ def _zoo_worker(
         for lemma in LEMMAS
     )
     distance = float(objective.distance_to_opt(result.x_final))
-    extras = getattr(result, "extras", {})
     return ZooCellOutcome(
         algorithm=algorithm_name,
         adversary=adversary,
@@ -236,7 +235,7 @@ def _zoo_worker(
         sanitizer_findings=(
             tuple(str(f) for f in sanitizer.findings) if sanitizer else ()
         ),
-        extras=tuple(sorted((k, float(v)) for k, v in extras.items())),
+        extras=tuple(sorted((k, float(v)) for k, v in result.extras.items())),
         curve=_downsample(result.distances, workload.curve_points),
         obs=metrics if config.collect_obs else None,
     )

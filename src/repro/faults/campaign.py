@@ -25,7 +25,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.epoch_sgd import EpochSGDProgram
+from repro.core.algorithm import build_zoo_simulation, collect_iteration_records
+from repro.core.epoch_sgd import LockFreeSGD
 from repro.errors import ConfigurationError
 from repro.experiments.grid import (
     Campaign,
@@ -52,13 +53,8 @@ from repro.faults.spec import (
 from repro.metrics.report import Table
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
-from repro.runtime.events import IterationRecord
-from repro.runtime.simulator import Simulator
 from repro.runtime.thread import ThreadState
 from repro.sched.registry import build_scheduler
-from repro.shm.array import AtomicArray
-from repro.shm.counter import AtomicCounter
-from repro.shm.memory import SharedMemory
 
 
 def preset_specs() -> Dict[str, FaultSpec]:
@@ -225,31 +221,24 @@ def _chaos_worker(
     objective = IsotropicQuadratic(
         dim=workload.dim, noise=GaussianNoise(workload.noise_sigma)
     )
-    memory = SharedMemory(record_log=False)
-    model = AtomicArray.allocate(memory, workload.dim, name="model")
-    model.load(np.full(workload.dim, workload.x0_scale))
-    counter = AtomicCounter.allocate(memory, name="iteration_counter")
     engine = spec.build(
         build_scheduler("random", seed=seed),
         seed=seed,
         num_threads=workload.num_threads,
     )
-    sim = Simulator(memory, engine, seed=seed)
-
-    def make_program() -> EpochSGDProgram:
-        return EpochSGDProgram(
-            model=model,
-            counter=counter,
-            objective=objective,
-            step_size=workload.step_size,
-            max_iterations=workload.iterations,
-        )
-
-    for index in range(workload.num_threads):
-        sim.spawn(make_program(), name=f"worker-{index}")
-
+    sim, model, _x0 = build_zoo_simulation(
+        LockFreeSGD(),
+        objective,
+        engine,
+        num_threads=workload.num_threads,
+        step_size=workload.step_size,
+        iterations=workload.iterations,
+        x0=np.full(workload.dim, workload.x0_scale),
+        seed=seed,
+    )
     suite = MonitorSuite(default_monitors()) if config.monitors else None
-    factory = (lambda crashed: make_program()) if config.recover else None
+    # A respawn reruns the crashed thread's program from the start.
+    factory = (lambda crashed: crashed.program) if config.recover else None
     recovery = run_with_recovery(
         sim,
         program_factory=factory,
@@ -260,7 +249,7 @@ def _chaos_worker(
 
     final = model.snapshot()
     distance = float(objective.distance_to_opt(final))
-    iterations = sum(1 for e in sim.trace if isinstance(e, IterationRecord))
+    records = collect_iteration_records(sim)
     torn = sum(getattr(inj, "torn", 0) for inj in engine.injectors)
     reroutes = engine.stall_reroutes
     violations = tuple(str(v) for v in suite.violations) if suite else ()
@@ -269,10 +258,6 @@ def _chaos_worker(
     if config.collect_obs:
         from repro.obs.paper import paper_metrics
 
-        records = sorted(
-            (e for e in sim.trace if isinstance(e, IterationRecord)),
-            key=lambda r: r.order_time,
-        )
         obs = paper_metrics(records, num_threads=workload.num_threads)
     return FaultRunOutcome(
         spec=spec.name,
@@ -284,7 +269,7 @@ def _chaos_worker(
         torn_updates=torn,
         skipped_crashes=engine.skipped_crashes,
         stall_reroutes=reroutes,
-        iterations=iterations,
+        iterations=len(records),
         steps=sim.now,
         distance=distance,
         converged=distance <= workload.convergence_radius,

@@ -120,9 +120,11 @@ class Simulator:
         ``None`` and the null backend detach cleanly; a live registry
         gets ``repro_sim_*`` counters that are incremented in bulk at
         :meth:`run`/:meth:`run_fast` exit and per event for the rare
-        spawn/crash transitions — never inside the step loop.  Also
-        forwards to :meth:`SharedMemory.attach_metrics` for per-opcode
-        operation counters.
+        spawn/crash transitions — never inside the step loop.  Threads
+        spawned or crashed before the attach are counted at once (the
+        drivers attach once the builder has spawned).  Also forwards to
+        :meth:`SharedMemory.attach_metrics` for per-opcode operation
+        counters.
         """
         from repro.obs.registry import live_registry
 
@@ -140,6 +142,8 @@ class Simulator:
             self._m_crashed = registry.counter(
                 "repro_sim_threads_crashed_total", "threads crashed by the adversary"
             )
+            self._m_spawned.inc(len(self.threads))
+            self._m_crashed.inc(self._crashed_count)
         self.memory.attach_metrics(registry)
 
     # ------------------------------------------------------------------

@@ -54,14 +54,21 @@ class VersionedArray:
     ) -> None:
         if length < 1:
             raise ConfigurationError(f"length must be >= 1, got {length}")
-        self.memory = memory
-        self.values = AtomicArray.allocate(
-            memory, length, name=name or None
-        )
+        self._version(AtomicArray.allocate(memory, length, name=name or None), name)
+
+    @classmethod
+    def over(cls, values: AtomicArray, name: str = "") -> "VersionedArray":
+        """Version an already allocated value array (allocates only the
+        ``<name>.versions`` segment)."""
+        array = cls.__new__(cls)
+        array._version(values, name)
+        return array
+
+    def _version(self, values: AtomicArray, name: str) -> None:
+        self.memory, self.values, self.length = values.memory, values, values.length
         self.versions = AtomicArray.allocate(
-            memory, length, name=f"{name}.versions" if name else None
+            values.memory, values.length, name=f"{name}.versions" if name else None
         )
-        self.length = length
 
     def load(self, values: np.ndarray) -> None:
         """Initialize the value entries (setup helper; versions reset)."""

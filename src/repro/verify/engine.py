@@ -41,9 +41,9 @@ from repro.core.algorithm import (
     Algorithm,
     algorithm_names,
     build_zoo_simulation,
+    collect_iteration_records,
     get_algorithm,
 )
-from repro.core.epoch_sgd import collect_iteration_records
 from repro.errors import ConfigurationError, SchedulerError
 from repro.experiments.grid import (
     Campaign,
@@ -55,6 +55,7 @@ from repro.experiments.grid import (
 )
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
+from repro.runtime.policy import TraceConfig
 from repro.runtime.simulator import Simulator
 from repro.sched.base import Scheduler
 from repro.sched.replay import PrefixReplayScheduler
@@ -219,8 +220,7 @@ def _verify_worker(
             iterations=iterations,
             x0=np.full(scope.dim, scope.x0_scale),
             seed=seed,
-            record_log=True,
-            record_iterations=True,
+            trace_config=TraceConfig(),
         )
         return sim
 

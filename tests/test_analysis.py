@@ -17,11 +17,8 @@ from repro.analysis import (
 from repro.analysis.lint import lint_paths, render_findings
 from repro.analysis.presets import run_sanitize, sanitize_presets
 from repro.analysis.sanitizer import RULE_LOST_UPDATE, RULE_TORN_UPDATE
-from repro.core.epoch_sgd import (
-    EpochSGDProgram,
-    collect_iteration_records,
-    run_lock_free_sgd,
-)
+from repro.core.algorithm import collect_iteration_records
+from repro.core.epoch_sgd import EpochSGDProgram, run_lock_free_sgd
 from repro.core.full_sgd import FullSGD
 from repro.errors import ConfigurationError
 from repro.objectives.noise import GaussianNoise

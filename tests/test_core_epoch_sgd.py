@@ -1,17 +1,22 @@
 """Unit tests for Algorithm 1 (EpochSGDProgram / run_lock_free_sgd)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.epoch_sgd import EpochSGDProgram, run_lock_free_sgd
+from repro.core.algorithm import build_zoo_simulation, collect_iteration_records
+from repro.core.epoch_sgd import EpochSGDProgram, LockFreeSGD, run_lock_free_sgd
 from repro.core.results import accumulator_trajectory
 from repro.core.sequential import run_sequential_sgd
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, HistoryViolationError
 from repro.objectives.noise import ZeroNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.objectives.sparse import SeparableQuadratic
+from repro.runtime.policy import TraceConfig
 from repro.sched.random_sched import RandomScheduler
 from repro.sched.sequential import SequentialScheduler
+from repro.shm.ops import FetchAdd
 
 
 class TestIterationBudget:
@@ -61,30 +66,46 @@ class TestSharedModelSemantics:
             total -= record.step_size * record.gradient
         np.testing.assert_allclose(result.x_final, total, rtol=1e-10)
 
-    def test_no_fetch_add_lost_under_contention(self, x0_small):
+    def _logged_run(self, seed, num_threads, iterations, x0):
+        """Algorithm 1 on a clean quadratic with the memory log kept."""
+        sim, model, _x0 = build_zoo_simulation(
+            LockFreeSGD(), IsotropicQuadratic(dim=2, noise=ZeroNoise()),
+            RandomScheduler(seed=seed), num_threads=num_threads,
+            step_size=0.05, iterations=iterations, x0=x0, seed=seed,
+            trace_config=TraceConfig(),
+        )
+        sim.run_fast()
+        return sim, model
+
+    def test_no_fetch_add_lost_under_contention(self, x0_small, check_history):
         """Linearizability through the algorithm: final X = x0 + all deltas."""
-        objective = IsotropicQuadratic(dim=2, noise=ZeroNoise())
-        result = run_lock_free_sgd(
-            objective, RandomScheduler(seed=2), num_threads=6,
-            step_size=0.05, iterations=60, x0=x0_small, seed=2,
-            record_memory_log=True,
-        )
+        sim, model = self._logged_run(2, 6, 60, x0_small)
+        check_history(sim, model, x0_small)
         # Reconstructed from records (independent of the memory log).
-        assert result.iterations == 60
+        assert len(collect_iteration_records(sim)) == 60
 
-    def test_memory_log_fetch_add_totals(self, x0_small):
-        objective = IsotropicQuadratic(dim=2, noise=ZeroNoise())
+    def test_memory_log_fetch_add_totals(self, check_history):
         # x0=0 so the initial load is pure poke; totals check from 0.
-        result = run_lock_free_sgd(
-            objective, RandomScheduler(seed=3), num_threads=4,
-            step_size=0.05, iterations=30, x0=np.zeros(2), seed=3,
-            record_memory_log=True,
-        )
-        # Addresses 0..1 are the model (allocated first).
+        sim, model = self._logged_run(3, 4, 30, np.zeros(2))
+        check_history(sim, model, np.zeros(2))
+        assert model.snapshot().shape == (2,)
 
-        # final values read off the returned snapshot
-        check_log = result.x_final
-        assert check_log.shape == (2,)
+    def test_history_check_catches_an_altered_delta(
+        self, x0_small, check_history
+    ):
+        sim, model = self._logged_run(2, 6, 60, x0_small)
+        log = list(sim.memory.log)
+        index = next(
+            i for i, record in enumerate(log)
+            if isinstance(record.op, FetchAdd)
+            and model.contains_address(record.op.address)
+        )
+        log[index] = dataclasses.replace(
+            log[index],
+            op=dataclasses.replace(log[index].op, delta=log[index].op.delta + 0.5),
+        )
+        with pytest.raises(HistoryViolationError):
+            check_history(sim, model, x0_small, log=log)
 
     def test_records_sorted_by_first_update(self, quadratic_noisy, x0_small):
         result = run_lock_free_sgd(

@@ -189,7 +189,7 @@ class TestSnapshotSGD:
                 objective, RandomScheduler(seed=4), num_threads=n,
                 step_size=0.05, iterations=120, x0=x0, seed=4,
             )
-            retries.append(result.scan_retries)
+            retries.append(result.extras["scan_retries"])
         assert retries[0] == 0
         assert retries[1] > 0
 

@@ -8,7 +8,8 @@ examples and benchmarks do.
 
 import numpy as np
 
-from repro.core.epoch_sgd import run_lock_free_sgd
+from repro.core.algorithm import build_zoo_simulation, collect_iteration_records
+from repro.core.epoch_sgd import LockFreeSGD, run_lock_free_sgd
 from repro.core.full_sgd import FullSGD
 from repro.objectives.datasets import make_regression
 from repro.objectives.least_squares import LeastSquares
@@ -17,6 +18,7 @@ from repro.objectives.datasets import make_classification
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.objectives.sparse import SeparableQuadratic
+from repro.runtime.policy import TraceConfig
 from repro.sched.crash import CrashPlan, CrashScheduler
 from repro.sched.random_sched import RandomScheduler
 from repro.sched.round_robin import RoundRobinScheduler
@@ -110,18 +112,22 @@ class TestCrashTolerance:
         assert result.succeeded
 
     def test_crashed_mid_update_leaves_partial_but_valid_memory(
-        self, quadratic_clean, x0_small
+        self, quadratic_clean, x0_small, check_history
     ):
         """A thread crashed between component fetch&adds leaves a torn
         update — legal in the model; memory history stays consistent."""
         scheduler = CrashScheduler(
             RandomScheduler(seed=4), [CrashPlan(thread_id=0, after_steps=9)]
         )
-        result = run_lock_free_sgd(
-            quadratic_clean, scheduler, num_threads=2, step_size=0.05,
-            iterations=40, x0=x0_small, seed=4, record_memory_log=True,
+        sim, model, _x0 = build_zoo_simulation(
+            LockFreeSGD(), quadratic_clean, scheduler, num_threads=2,
+            step_size=0.05, iterations=40, x0=x0_small, seed=4,
+            trace_config=TraceConfig(),
         )
-        assert result.iterations <= 40
+        sim.run_fast()
+        assert sim.crashed_count == 1
+        check_history(sim, model, x0_small)
+        assert len(collect_iteration_records(sim)) <= 40
 
 
 class TestAnalysisPipeline:
@@ -155,13 +161,17 @@ class TestAnalysisPipeline:
         # bound must be large enough to allow one failure.
         assert result.succeeded or bound > 0
 
-    def test_memory_log_replay_of_full_run(self, quadratic_noisy, x0_small):
-        result = run_lock_free_sgd(
-            quadratic_noisy, RoundRobinScheduler(), num_threads=3,
-            step_size=0.05, iterations=30, x0=x0_small, seed=12,
-            record_memory_log=True,
+    def test_memory_log_replay_of_full_run(
+        self, quadratic_noisy, x0_small, check_history
+    ):
+        sim, model, _x0 = build_zoo_simulation(
+            LockFreeSGD(), quadratic_noisy, RoundRobinScheduler(),
+            num_threads=3, step_size=0.05, iterations=30, x0=x0_small,
+            seed=12, trace_config=TraceConfig(),
         )
-        assert result.iterations == 30
+        sim.run_fast()
+        check_history(sim, model, x0_small)
+        assert len(collect_iteration_records(sim)) == 30
 
     def test_full_sgd_beats_algorithm1_final_accuracy(self):
         """At matched iteration budgets and alpha0, the halving schedule
