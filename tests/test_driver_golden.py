@@ -250,8 +250,7 @@ def test_run_algorithm_is_pinned(name, spans):
         metrics=registry,
     )
     metrics = registry.snapshot()
-    # Left out: run_algorithm used to attach its registry after spawning
-    # and read 0 here; test_metrics_count_the_spawned_threads covers it.
+    # Left out: test_metrics_count_the_spawned_threads pins this count.
     del metrics["repro_sim_threads_spawned_total"]
     digest = _sha(
         [_run_fields(result), result.extras, metrics, _span_fields(spans)]
