@@ -75,8 +75,9 @@ class Analyzer:
 
     name = "analyzer"
     #: Whether the analyzer consumes the shared-memory operation log
-    #: (the memory's ``record_log`` must be on before the run; the run
-    #: drivers turn it on when any attached analyzer requires it).
+    #: (the memory's ``record_log`` must be on before the run;
+    #: :func:`repro.core.algorithm.simulate` turns it on when an
+    #: attached analyzer requires it).
     requires_log = True
 
     def __init__(self) -> None:

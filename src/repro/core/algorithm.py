@@ -20,10 +20,10 @@ first-class interface so the zoo stops being five one-off files:
   scheduler registry in :mod:`repro.sched.registry`, so experiment
   configs, CLI flags and journal fingerprints address algorithms by
   stable names.
-* :func:`build_zoo_simulation`, the only simulation builder, and
+* :func:`build_zoo_simulation`, which builds every simulation, and
   :func:`simulate`, the only run path (run, then assemble the
   :class:`~repro.core.results.LockFreeRunResult`).  :func:`run_algorithm`
-  and the other drivers are thin wrappers over it.
+  and the other run entry points are thin wrappers over it.
 
 Lemma applicability, in brief: Lemma 6.1 (iterations are totally
 ordered by first landed update, with unique counter indices) holds for
@@ -274,7 +274,8 @@ def simulate(
     quiescence and assemble its :class:`LockFreeRunResult`; returns the
     result and the finished simulator.
 
-    Every driver is a wrapper that opens its own span around this call.
+    ``run_algorithm``, ``run_lock_free_sgd``, ``run_snapshot_sgd`` and
+    ``FullSGD.run`` each wrap this call in their own span.
     ``analyzers`` drain every ``chunk`` steps (the memory log is on when
     one ``requires_log``); ``stop_epsilon`` and ``metrics`` are as in
     :func:`repro.core.epoch_sgd.run_lock_free_sgd`.

@@ -158,7 +158,7 @@ class SnapshotSGDProgram(Program):
 class SnapshotSGDAlgorithm(Algorithm):
     """Consistent-snapshot SGD as an *unregistered* algorithm (A2's
     comparison point, no zoo cell; threads ``snapshot-worker-<i>``).
-    :meth:`build` versions the builder's model in place, so the
+    :meth:`build` versions the shared model X in place, so the
     ``model.versions`` segment follows the counter."""
 
     name = "snapshot"

@@ -121,10 +121,10 @@ class Simulator:
         gets ``repro_sim_*`` counters that are incremented in bulk at
         :meth:`run`/:meth:`run_fast` exit and per event for the rare
         spawn/crash transitions — never inside the step loop.  Threads
-        spawned or crashed before the attach are counted at once (the
-        drivers attach once the builder has spawned).  Also forwards to
-        :meth:`SharedMemory.attach_metrics` for per-opcode operation
-        counters.
+        spawned or crashed before the attach are counted at once, so a
+        registry attached to an already built simulation counts them
+        too.  Also forwards to :meth:`SharedMemory.attach_metrics` for
+        per-opcode operation counters.
         """
         from repro.obs.registry import live_registry
 

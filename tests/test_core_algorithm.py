@@ -230,60 +230,61 @@ class TestUnifiedDriver:
             )
 
 
-def _run_with(driver, iterations, x0):
-    """One tiny run of ``driver`` (a registered algorithm name or a
-    public entry point) with the given budget and initial model."""
+def _run_with(entry, iterations, x0):
+    """One tiny run of ``entry`` (a registered algorithm name or a
+    public run entry point) with the given budget and initial model."""
     objective = _objective()
     scheduler = RoundRobinScheduler()
     kwargs = dict(num_threads=2, step_size=0.05, iterations=iterations, x0=x0)
-    if driver == "run_lock_free_sgd":
+    if entry == "run_lock_free_sgd":
         return run_lock_free_sgd(objective, scheduler, **kwargs)
-    if driver == "run_snapshot_sgd":
+    if entry == "run_snapshot_sgd":
         return run_snapshot_sgd(objective, scheduler, **kwargs)
-    if driver == "FullSGD":
+    if entry == "FullSGD":
         return FullSGD(
             objective, num_threads=2, epsilon=0.25, alpha0=0.05,
             iterations_per_epoch=iterations, num_epochs=2, x0=x0,
         ).run(scheduler)
-    return run_algorithm(get_algorithm(driver), objective, scheduler, **kwargs)
+    return run_algorithm(get_algorithm(entry), objective, scheduler, **kwargs)
 
 
-DRIVERS = (*EXPECTED_NAMES, "run_lock_free_sgd", "run_snapshot_sgd", "FullSGD")
+ENTRIES = (*EXPECTED_NAMES, "run_lock_free_sgd", "run_snapshot_sgd", "FullSGD")
 
 
 class TestRunValidation:
-    """Every algorithm and driver rejects a bad budget or ``x0`` alike."""
+    """Every algorithm and run entry point rejects a bad budget or
+    ``x0`` alike."""
 
-    @pytest.mark.parametrize("driver", DRIVERS)
-    def test_negative_budget_raises(self, driver):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_negative_budget_raises(self, entry):
         with pytest.raises(ConfigurationError, match="iterations"):
-            _run_with(driver, iterations=-3, x0=np.full(2, 2.0))
+            _run_with(entry, iterations=-3, x0=np.full(2, 2.0))
 
-    @pytest.mark.parametrize("driver", DRIVERS)
-    def test_wrong_length_x0_raises(self, driver):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_wrong_length_x0_raises(self, entry):
         with pytest.raises(ConfigurationError, match="x0"):
-            _run_with(driver, iterations=4, x0=np.full(3, 2.0))
+            _run_with(entry, iterations=4, x0=np.full(3, 2.0))
 
 
-@pytest.mark.parametrize("driver", ["epoch-sgd", "run_lock_free_sgd", "FullSGD"])
-def test_metrics_count_the_spawned_threads(driver):
-    """Drivers attach the registry after the builder has spawned every
-    thread; the spawn counter still counts them."""
+@pytest.mark.parametrize("entry", ["epoch-sgd", "run_lock_free_sgd", "FullSGD"])
+def test_metrics_count_the_spawned_threads(entry):
+    """The registry is attached once ``build_zoo_simulation`` has
+    spawned every thread; the spawn counter still counts them."""
     registry = MetricsRegistry()
     objective = _objective()
-    if driver == "run_lock_free_sgd":
+    if entry == "run_lock_free_sgd":
         run_lock_free_sgd(
             objective, RoundRobinScheduler(), num_threads=3, step_size=0.05,
             iterations=6, metrics=registry,
         )
-    elif driver == "FullSGD":
+    elif entry == "FullSGD":
         FullSGD(
             objective, num_threads=3, epsilon=0.25, alpha0=0.05,
             iterations_per_epoch=3, num_epochs=2,
         ).run(RoundRobinScheduler(), metrics=registry)
     else:
         run_algorithm(
-            get_algorithm(driver), objective, RoundRobinScheduler(),
+            get_algorithm(entry), objective, RoundRobinScheduler(),
             num_threads=3, step_size=0.05, iterations=6, metrics=registry,
         )
     assert registry.snapshot()["repro_sim_threads_spawned_total"] == 3

@@ -367,7 +367,7 @@ def test_full_sgd_is_pinned(case, spans):
 # ----------------------------------------------------------------------
 # build_zoo_simulation
 # ----------------------------------------------------------------------
-BUILDER_PINS = {
+SIMULATION_PINS = {
     "epoch-sgd": (
         "1616c6c3a9d802585826dffda014e9aed6f0ad6e65ef03776f6d96a4c7afea59"
     ),
@@ -392,7 +392,7 @@ BUILDER_PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BUILDER_PINS))
+@pytest.mark.parametrize("name", sorted(SIMULATION_PINS))
 def test_built_simulation_state_is_pinned(name):
     sim, model, initial = build_zoo_simulation(
         get_algorithm(name),
@@ -410,4 +410,4 @@ def test_built_simulation_state_is_pinned(name):
     assert np.array_equal(initial, X0)
     sim.run_fast()
     digest = _sha([sim.state_digest(), model.snapshot()])
-    assert digest == BUILDER_PINS[name]
+    assert digest == SIMULATION_PINS[name]
