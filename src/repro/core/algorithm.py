@@ -338,9 +338,9 @@ def simulate(
         if "iterations" in payload:
             thread_iterations[tid] = payload["iterations"]
         for key, value in payload.items():
-            if key not in ("iterations", "accumulator") and isinstance(
-                value, (int, float)
-            ):
+            if key in ("iterations", "accumulator"):
+                continue
+            if isinstance(value, (int, float)):
                 extras[key] = extras.get(key, 0) + value
     result = LockFreeRunResult(
         x_final=model.snapshot(),
