@@ -5,6 +5,7 @@ journaled prefix, payload round-trips, config validation, heal metrics
 lines and the ``python -m repro heal`` entry point."""
 
 import functools
+import hashlib
 import json
 
 import pytest
@@ -203,6 +204,10 @@ class TestE14:
         assert result.experiment_id == "E14"
         assert result.passed
         assert "rolled back" in result.notes
+        digest = hashlib.sha256(result.render(plot=False).encode()).hexdigest()
+        assert digest == (
+            "0c29fd0c6954dc7244cc72ba27a4c2022eb05111c4ed8dc1e34394619057aef4"
+        )
 
     def test_to_heal_config_spans_the_declared_grid(self):
         config = to_heal_config(E14Config.quick())

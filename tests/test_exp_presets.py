@@ -12,6 +12,33 @@ import inspect
 import pytest
 
 from repro.cli import REGISTRY
+from repro.experiments.grid import get_campaign
+
+#: The campaign each campaign-backed experiment grids.
+CAMPAIGN_OF = {"E13": "zoo", "E14": "heal", "E15": "verify"}
+
+#: Journal fingerprint of each campaign-backed preset: ``repro run``
+#: grids exactly these configs, so a preset refactor must keep them.
+PRESET_FINGERPRINTS = {
+    ("E13", "quick"): (
+        "3f95284e68d1550ea342943469db00fce910361d746f4fba9d2b7c36d2db0da2"
+    ),
+    ("E13", "full"): (
+        "a9ef553e66f1304aa8fdf59f45fc53475e034ed6997e4d9a98c5ad0ae1271cd8"
+    ),
+    ("E14", "quick"): (
+        "77e04eebdd679a6a4e12e61cb5116fee3618446a6d1c7f927e5118620228f9a0"
+    ),
+    ("E14", "full"): (
+        "6b3bdaf883db4dfe4613fa7c51b62d9170196b59c0dafd0b836e99acdc1ac3d2"
+    ),
+    ("E15", "quick"): (
+        "30200d410192f113db3ba4bd17a5f504641a430a277997fbc4a791b2952e6c58"
+    ),
+    ("E15", "full"): (
+        "97a1917b5284824c97035dc744550365d9a897e4e134c065d6fa2645d59936a6"
+    ),
+}
 
 
 @pytest.mark.parametrize("key", sorted(REGISTRY))
@@ -51,3 +78,17 @@ def test_driver_protocol(key):
     assert len(signature.parameters) == 1
     # The module documents itself (the CLI list command shows this line).
     assert (module.__doc__ or "").strip()
+
+
+@pytest.mark.parametrize("key, scale", sorted(PRESET_FINGERPRINTS))
+def test_campaign_preset_fingerprints(key, scale):
+    module, config_cls = REGISTRY[key]
+    config = getattr(config_cls, scale)()
+    to_config = {
+        "E13": "to_zoo_config",
+        "E14": "to_heal_config",
+        "E15": "to_verify_config",
+    }[key]
+    campaign = get_campaign(CAMPAIGN_OF[key])
+    fingerprint = campaign.fingerprint(getattr(module, to_config)(config))
+    assert fingerprint == PRESET_FINGERPRINTS[key, scale]

@@ -5,6 +5,7 @@ journaled prefix, payload round-trips, config validation and the
 ``python -m repro zoo`` entry point."""
 
 import functools
+import hashlib
 import json
 
 import pytest
@@ -173,6 +174,10 @@ class TestE13:
         # One series point per adversary, per algorithm.
         assert set(result.series) == {"epoch-sgd", "leashed"}
         assert all(len(v) == 2 for v in result.series.values())
+        digest = hashlib.sha256(result.render(plot=False).encode()).hexdigest()
+        assert digest == (
+            "5ab3f396cce20dcf0f7e7d0ff8028cf554a58929d355da4e6a64caf563635e0e"
+        )
 
     def test_full_exceeds_quick(self):
         quick, full = E13Config.quick(), E13Config.full()
