@@ -18,6 +18,7 @@ code::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 from typing import Dict, Optional, Tuple
@@ -58,9 +59,9 @@ REGISTRY: Dict[str, Tuple[object, type]] = {
     "E10": (e10_momentum, e10_momentum.E10Config),
     "E11": (e11_dense_gradients, e11_dense_gradients.E11Config),
     "E12": (e12_sparsity, e12_sparsity.E12Config),
-    "E13": (e13_algorithm_zoo, e13_algorithm_zoo.E13Config),
-    "E14": (e14_resilience, e14_resilience.E14Config),
-    "E15": (e15_verify, e15_verify.E15Config),
+    "E13": (e13_algorithm_zoo, e13_algorithm_zoo.ZooConfig),
+    "E14": (e14_resilience, e14_resilience.HealGridConfig),
+    "E15": (e15_verify, e15_verify.VerifyConfig),
     "F1": (f1_figure, f1_figure.F1Config),
     "A1": (a1_ablations, a1_ablations.A1Config),
     "A2": (a2_consistency, a2_consistency.A2Config),
@@ -89,6 +90,17 @@ def _write_text_atomic(path: pathlib.Path, text: str) -> None:
     atomic_write(path, text.encode("utf-8"))
 
 
+def preset(key: str, scale: str, jobs: Optional[int] = None):
+    """``(driver module, config)`` of ``repro run <key> --scale
+    <scale>``, with ``jobs`` set on configs that have it (``None`` keeps
+    the preset's).  Campaign configs are frozen, hence ``replace``."""
+    module, config_cls = REGISTRY[key]
+    config = config_cls.full() if scale == "full" else config_cls.quick()
+    if jobs is not None and hasattr(config, "jobs"):
+        config = dataclasses.replace(config, jobs=jobs)
+    return module, config
+
+
 def _run_one(
     key: str,
     scale: str,
@@ -96,10 +108,7 @@ def _run_one(
     plot: bool,
     jobs: Optional[int] = None,
 ):
-    module, config_cls = REGISTRY[key]
-    config = config_cls.full() if scale == "full" else config_cls.quick()
-    if jobs is not None and hasattr(config, "jobs"):
-        config.jobs = jobs
+    module, config = preset(key, scale, jobs)
     result = module.run(config)
     text = result.render(plot=plot)
     print(text)

@@ -32,8 +32,7 @@ the adversaries are for).
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -49,7 +48,9 @@ from repro.experiments.ensemble import run_ensemble
 from repro.experiments.grid import (
     Campaign,
     Cell,
+    GridReport,
     comma_names,
+    gate,
     get_campaign,
     grid_seeds,
     register_campaign,
@@ -129,6 +130,16 @@ class ZooConfig:
                 f"unknown adversary(s): {', '.join(sorted(unknown))} "
                 f"(choose from {', '.join(scheduler_names())})"
             )
+
+    @classmethod
+    def quick(cls) -> "ZooConfig":
+        """``repro run E13 --scale quick``."""
+        return get_campaign("zoo").build(ZooCampaign.quick_params)
+
+    @classmethod
+    def full(cls) -> "ZooConfig":
+        """``repro run E13 --scale full``."""
+        return get_campaign("zoo").build(ZooCampaign.full_params)
 
 
 @dataclass(frozen=True)
@@ -293,13 +304,29 @@ def summarize_zoo(outcomes: List[ZooCellOutcome]) -> List[ZooCellSummary]:
 
 
 @dataclass
-class ZooReport:
+class ZooReport(GridReport):
     """Everything the zoo grid measured, renderable and serializable."""
 
-    outcomes: List[ZooCellOutcome]
     summaries: List[ZooCellSummary]
 
-    @property
+    title = "Algorithm zoo: variants x adversaries"
+    columns = (
+        ("algorithm", "algorithm"),
+        ("adversary", "adversary"),
+        ("runs", "runs"),
+        ("converged", "convergence_rate:.2f"),
+        ("mean ||x-x*||", "mean_distance:.4f"),
+        ("tau_max", "max_tau_max"),
+        ("tau_avg", "mean_tau_avg:.2f"),
+        ("mean steps", "mean_steps:.0f"),
+        *(
+            (f"lemma {lemma}", lambda s, i=i: s.certificates[i][1])
+            for i, lemma in enumerate(LEMMAS)
+        ),
+        ("sanitizer", lambda s: s.sanitizer_findings or "clean"),
+    )
+
+    @gate
     def certificates_ok(self) -> bool:
         """No applicable lemma certificate violated anywhere."""
         return all(
@@ -308,103 +335,26 @@ class ZooReport:
             for _lemma, status in outcome.certificates
         )
 
-    @property
+    @gate
     def sanitizer_clean(self) -> bool:
         """The race/staleness sanitizer flagged nothing anywhere."""
         return all(not o.sanitizer_findings for o in self.outcomes)
 
-    @property
-    def passed(self) -> bool:
-        return self.certificates_ok and self.sanitizer_clean
-
-    def render(self) -> str:
-        """ASCII grid report (the CLI artifact)."""
-        table = Table(
-            [
-                "algorithm",
-                "adversary",
-                "runs",
-                "converged",
-                "mean ||x-x*||",
-                "tau_max",
-                "tau_avg",
-                "mean steps",
-                *[f"lemma {lemma}" for lemma in LEMMAS],
-                "sanitizer",
-            ],
-            title="Algorithm zoo: variants x adversaries",
-        )
-        for s in self.summaries:
-            table.add_row(
-                [
-                    s.algorithm,
-                    s.adversary,
-                    s.runs,
-                    f"{s.convergence_rate:.2f}",
-                    f"{s.mean_distance:.4f}",
-                    s.max_tau_max,
-                    f"{s.mean_tau_avg:.2f}",
-                    f"{s.mean_steps:.0f}",
-                    *[status for _lemma, status in s.certificates],
-                    s.sanitizer_findings or "clean",
-                ]
-            )
-        parts = [table.render()]
+    def details(self) -> List[str]:
+        lines = []
         for outcome in self.outcomes:
             for finding in outcome.sanitizer_findings:
-                parts.append(
+                lines.append(
                     f"FINDING {outcome.algorithm} x {outcome.adversary} "
                     f"seed={outcome.seed}: {finding}"
                 )
             for lemma, status in outcome.certificates:
                 if status == "violated":
-                    parts.append(
+                    lines.append(
                         f"VIOLATED lemma {lemma}: {outcome.algorithm} x "
                         f"{outcome.adversary} seed={outcome.seed}"
                     )
-        parts.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(parts)
-
-    def to_json(self) -> str:
-        """Deterministic JSON (sorted keys, no timestamps): reruns with
-        the same config produce identical bytes."""
-        outcomes = []
-        for o in self.outcomes:
-            row = asdict(o)
-            # Observability metrics flow to the snapshot file, never the
-            # report: bytes stay identical with and without collect_obs.
-            row.pop("obs", None)
-            outcomes.append(row)
-        payload = {
-            "summaries": [asdict(s) for s in self.summaries],
-            "outcomes": outcomes,
-            "certificates_ok": self.certificates_ok,
-            "sanitizer_clean": self.sanitizer_clean,
-            "passed": self.passed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def outcome_to_payload(outcome: ZooCellOutcome) -> Dict[str, Any]:
-    """JSON-safe journal payload for one zoo cell."""
-    return asdict(outcome)
-
-
-def outcome_from_payload(payload: Dict[str, Any]) -> ZooCellOutcome:
-    """Inverse of :func:`outcome_to_payload` — exact reconstruction, so
-    journaled and freshly computed outcomes mix byte-identically."""
-    data = dict(payload)
-    data["tau_histogram"] = tuple(
-        (bucket, int(count)) for bucket, count in data["tau_histogram"]
-    )
-    data["certificates"] = tuple(
-        (lemma, status) for lemma, status in data["certificates"]
-    )
-    data["sanitizer_findings"] = tuple(data["sanitizer_findings"])
-    data["extras"] = tuple((k, float(v)) for k, v in data["extras"])
-    data["curve"] = tuple(float(v) for v in data["curve"])
-    data.setdefault("obs", None)
-    return ZooCellOutcome(**data)
+        return lines
 
 
 @register_campaign
@@ -437,8 +387,18 @@ class ZooCampaign(Campaign):
         "iterations": (100, int),
         "sanitize": (True, bool),
     }
-    encode = staticmethod(outcome_to_payload)
-    decode = staticmethod(outcome_from_payload)
+    #: ``repro run E13``'s presets (:meth:`ZooConfig.quick`/``full``).
+    quick_params = {
+        "algorithms": algorithm_names(),
+        "adversaries": ZOO_ADVERSARIES,
+        "seeds": 2,
+        "base_seed": 7000,
+        "threads": 4,
+        "iterations": 150,
+        "sanitize": True,
+    }
+    full_params = {**quick_params, "seeds": 5, "iterations": 400}
+    outcome_type = ZooCellOutcome
 
     def build(self, params, jobs=1, collect_obs=False):
         return ZooConfig(
@@ -557,50 +517,9 @@ class ZooCampaign(Campaign):
 # ----------------------------------------------------------------------
 # The E13 experiment wrapper
 # ----------------------------------------------------------------------
-@dataclass
-class E13Config:
-    """Parameters of the E13 zoo grid."""
-
-    algorithms: List[str] = field(
-        default_factory=lambda: list(algorithm_names())
-    )
-    adversaries: List[str] = field(default_factory=lambda: list(ZOO_ADVERSARIES))
-    num_threads: int = 4
-    iterations: int = 150
-    step_size: float = 0.05
-    num_seeds: int = 2
-    base_seed: int = 7000
-    jobs: int = 1
-
-    @classmethod
-    def quick(cls) -> "E13Config":
-        return cls()
-
-    @classmethod
-    def full(cls) -> "E13Config":
-        return cls(num_seeds=5, iterations=400)
-
-
-def to_zoo_config(config: E13Config) -> ZooConfig:
-    """The engine config an :class:`E13Config` denotes."""
-    return ZooConfig(
-        algorithms=tuple(config.algorithms),
-        adversaries=tuple(config.adversaries),
-        seeds=tuple(
-            range(config.base_seed, config.base_seed + config.num_seeds)
-        ),
-        workload=ZooWorkload(
-            num_threads=config.num_threads,
-            iterations=config.iterations,
-            step_size=config.step_size,
-        ),
-        jobs=config.jobs,
-    )
-
-
-def run(config: E13Config) -> ExperimentResult:
+def run(config: ZooConfig) -> ExperimentResult:
     """Execute E13: the full algorithm x adversary grid."""
-    report = get_campaign("zoo").run(to_zoo_config(config))
+    report = get_campaign("zoo").run(config)
     # The figure: per algorithm, mean convergence rate over adversaries
     # (xs index the adversary panel).
     xs = list(range(len(config.adversaries)))
@@ -612,8 +531,8 @@ def run(config: E13Config) -> ExperimentResult:
     table = Table(
         ["algorithm", "adversary", "converged", "mean ||x-x*||", "tau_max"],
         title=(
-            f"E13: algorithm zoo (n={config.num_threads}, "
-            f"T={config.iterations}, {config.num_seeds} seeds/cell)"
+            f"E13: algorithm zoo (n={config.workload.num_threads}, "
+            f"T={config.workload.iterations}, {len(config.seeds)} seeds/cell)"
         ),
     )
     for s in report.summaries:

@@ -25,8 +25,7 @@ number CI asserts to be ≥ 1.
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
@@ -36,7 +35,9 @@ from repro.errors import ConfigurationError
 from repro.experiments.grid import (
     Campaign,
     Cell,
+    GridReport,
     comma_names,
+    gate,
     get_campaign,
     grid_seeds,
     register_campaign,
@@ -154,6 +155,16 @@ class HealGridConfig:
                 f"unknown plan(s): {', '.join(sorted(unknown))} "
                 f"(choose from {', '.join(sorted(heal_plan_specs()))})"
             )
+
+    @classmethod
+    def quick(cls) -> "HealGridConfig":
+        """``repro run E14 --scale quick``."""
+        return get_campaign("heal").build(HealCampaign.quick_params)
+
+    @classmethod
+    def full(cls) -> "HealGridConfig":
+        """``repro run E14 --scale full``."""
+        return get_campaign("heal").build(HealCampaign.full_params)
 
 
 @dataclass(frozen=True)
@@ -279,11 +290,26 @@ def summarize_heal(outcomes: List[HealCellOutcome]) -> List[HealCellSummary]:
 
 
 @dataclass
-class HealGridReport:
+class HealGridReport(GridReport):
     """Everything the resilience grid measured."""
 
-    outcomes: List[HealCellOutcome]
     summaries: List[HealCellSummary]
+
+    title = "Resilience grid: algorithms x corruption plans"
+    columns = (
+        ("algorithm", "algorithm"),
+        ("plan", "plan"),
+        ("runs", "runs"),
+        ("converged", "convergence_rate:.2f"),
+        ("mean ||x-x*||", "mean_distance:.4f"),
+        ("detections", "detections"),
+        ("rollbacks", "rollbacks"),
+        ("recovered", "recovered"),
+        ("degraded", "degraded"),
+        ("abandoned", "abandoned"),
+        ("mean latency", "mean_recovery_latency:.1f"),
+    )
+    extras = ("summaries", "recovered_cells")
 
     @property
     def recovered_cells(self) -> int:
@@ -291,98 +317,26 @@ class HealGridReport:
         healthy — the detected→rolled-back→recovered count CI asserts."""
         return sum(o.recovered for o in self.outcomes)
 
-    @property
+    @gate
     def none_abandoned(self) -> bool:
         return all(o.health != "abandoned" for o in self.outcomes)
 
-    @property
+    @gate
     def all_converged(self) -> bool:
         return all(o.converged for o in self.outcomes)
 
-    @property
-    def passed(self) -> bool:
-        return self.none_abandoned and self.all_converged
-
-    def render(self) -> str:
-        """ASCII grid report (the CLI artifact)."""
-        table = Table(
-            [
-                "algorithm",
-                "plan",
-                "runs",
-                "converged",
-                "mean ||x-x*||",
-                "detections",
-                "rollbacks",
-                "recovered",
-                "degraded",
-                "abandoned",
-                "mean latency",
-            ],
-            title="Resilience grid: algorithms x corruption plans",
-        )
-        for s in self.summaries:
-            table.add_row(
-                [
-                    s.algorithm,
-                    s.plan,
-                    s.runs,
-                    f"{s.convergence_rate:.2f}",
-                    f"{s.mean_distance:.4f}",
-                    s.detections,
-                    s.rollbacks,
-                    s.recovered,
-                    s.degraded,
-                    s.abandoned,
-                    f"{s.mean_recovery_latency:.1f}",
-                ]
-            )
-        parts = [table.render()]
-        for outcome in self.outcomes:
-            if outcome.degradations:
-                ladder = " -> ".join(outcome.degradations)
-                parts.append(
-                    f"DEGRADED {outcome.algorithm} x {outcome.plan} "
-                    f"seed={outcome.seed}: {ladder} (health={outcome.health})"
-                )
-        parts.append(
+    def details(self) -> List[str]:
+        lines = [
+            f"DEGRADED {o.algorithm} x {o.plan} seed={o.seed}: "
+            f"{' -> '.join(o.degradations)} (health={o.health})"
+            for o in self.outcomes
+            if o.degradations
+        ]
+        lines.append(
             f"recovered cells (detected -> rolled back -> healthy): "
             f"{self.recovered_cells}"
         )
-        parts.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(parts)
-
-    def to_json(self) -> str:
-        """Deterministic JSON (sorted keys, no timestamps): reruns with
-        the same config produce identical bytes."""
-        payload = {
-            "summaries": [asdict(s) for s in self.summaries],
-            "outcomes": [asdict(o) for o in self.outcomes],
-            "recovered_cells": self.recovered_cells,
-            "none_abandoned": self.none_abandoned,
-            "all_converged": self.all_converged,
-            "passed": self.passed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def outcome_to_payload(outcome: HealCellOutcome) -> Dict[str, Any]:
-    """JSON-safe journal payload for one resilience cell."""
-    return asdict(outcome)
-
-
-def outcome_from_payload(payload: Dict[str, Any]) -> HealCellOutcome:
-    """Inverse of :func:`outcome_to_payload` — exact reconstruction, so
-    journaled and freshly computed outcomes mix byte-identically."""
-    data = dict(payload)
-    data["detections"] = tuple(
-        (str(rule), int(count)) for rule, count in data["detections"]
-    )
-    data["degradations"] = tuple(data["degradations"])
-    data["recovery_latencies"] = tuple(
-        int(v) for v in data["recovery_latencies"]
-    )
-    return HealCellOutcome(**data)
+        return lines
 
 
 @register_campaign
@@ -420,8 +374,25 @@ class HealCampaign(Campaign):
         "retry_budget": (8, int),
         "check_interval": (64, int),
     }
-    encode = staticmethod(outcome_to_payload)
-    decode = staticmethod(outcome_from_payload)
+    #: ``repro run E14``'s presets (:meth:`HealGridConfig.quick`/``full``).
+    quick_params = {
+        "algorithms": HEAL_ALGORITHMS,
+        "plans": ("none", "bit-flip", "nan-poison", "dup-write"),
+        "seeds": 2,
+        "base_seed": 8000,
+        "threads": 4,
+        "iterations": 200,
+        "adversary": "random",
+        "retry_budget": 8,
+        "check_interval": 64,
+    }
+    full_params = {
+        **quick_params,
+        "plans": tuple(heal_plan_specs()),
+        "seeds": 4,
+        "iterations": 400,
+    }
+    outcome_type = HealCellOutcome
 
     def build(self, params, jobs=1, collect_obs=False):
         return HealGridConfig(
@@ -579,52 +550,9 @@ class HealCampaign(Campaign):
 # ----------------------------------------------------------------------
 # The E14 experiment wrapper
 # ----------------------------------------------------------------------
-@dataclass
-class E14Config:
-    """Parameters of the E14 resilience grid."""
-
-    algorithms: List[str] = field(
-        default_factory=lambda: list(HEAL_ALGORITHMS)
-    )
-    plans: List[str] = field(
-        default_factory=lambda: ["none", "bit-flip", "nan-poison", "dup-write"]
-    )
-    num_threads: int = 4
-    iterations: int = 200
-    step_size: float = 0.05
-    num_seeds: int = 2
-    base_seed: int = 8000
-    jobs: int = 1
-
-    @classmethod
-    def quick(cls) -> "E14Config":
-        return cls()
-
-    @classmethod
-    def full(cls) -> "E14Config":
-        return cls(plans=list(heal_plan_specs()), num_seeds=4, iterations=400)
-
-
-def to_heal_config(config: E14Config) -> HealGridConfig:
-    """The engine config an :class:`E14Config` denotes."""
-    return HealGridConfig(
-        algorithms=tuple(config.algorithms),
-        plans=tuple(config.plans),
-        seeds=tuple(
-            range(config.base_seed, config.base_seed + config.num_seeds)
-        ),
-        workload=HealWorkload(
-            num_threads=config.num_threads,
-            iterations=config.iterations,
-            step_size=config.step_size,
-        ),
-        jobs=config.jobs,
-    )
-
-
-def run(config: E14Config) -> ExperimentResult:
+def run(config: HealGridConfig) -> ExperimentResult:
     """Execute E14: the resilience grid."""
-    report = get_campaign("heal").run(to_heal_config(config))
+    report = get_campaign("heal").run(config)
     xs = list(range(len(config.plans)))
     series: Dict[str, List[float]] = {}
     for summary in report.summaries:
@@ -632,8 +560,8 @@ def run(config: E14Config) -> ExperimentResult:
     table = Table(
         ["algorithm", "plan", "converged", "rollbacks", "recovered", "health"],
         title=(
-            f"E14: resilience grid (n={config.num_threads}, "
-            f"T={config.iterations}, {config.num_seeds} seeds/cell)"
+            f"E14: resilience grid (n={config.workload.num_threads}, "
+            f"T={config.workload.iterations}, {len(config.seeds)} seeds/cell)"
         ),
     )
     for s in report.summaries:

@@ -18,60 +18,21 @@ and the applicable lemma certificates on each, and demand
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.experiments.grid import get_campaign
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.report import Table
-from repro.verify.engine import (
-    VERIFY_VARIANTS,
-    VerifyConfig,
-    VerifyScope,
-)
+from repro.verify.engine import VerifyConfig
 from repro.verify.report import cell_passed
 
 #: The acceptance floor for the POR reduction factor.
 MIN_REDUCTION_FACTOR = 2.0
 
 
-@dataclass
-class E15Config:
-    """Parameters of the E15 verification grid."""
-
-    variants: List[str] = field(default_factory=lambda: list(VERIFY_VARIANTS))
-    threads: int = 2
-    iterations: int = 1
-    num_seeds: int = 1
-    base_seed: int = 1
-    jobs: int = 1
-
-    @classmethod
-    def quick(cls) -> "E15Config":
-        return cls()
-
-    @classmethod
-    def full(cls) -> "E15Config":
-        return cls(num_seeds=2)
-
-
-def to_verify_config(config: E15Config) -> VerifyConfig:
-    """The engine config an :class:`E15Config` denotes."""
-    return VerifyConfig(
-        variants=tuple(config.variants),
-        seeds=tuple(
-            range(config.base_seed, config.base_seed + config.num_seeds)
-        ),
-        scope=VerifyScope(
-            threads=config.threads, iterations=config.iterations
-        ),
-        jobs=config.jobs,
-    )
-
-
-def run(config: E15Config) -> ExperimentResult:
+def run(config: VerifyConfig) -> ExperimentResult:
     """Execute E15: the variant x seed enumeration grid + SMT queries."""
-    report = get_campaign("verify").run(to_verify_config(config))
+    report = get_campaign("verify").run(config)
     reduction_ok = all(
         o.reduction_factor >= MIN_REDUCTION_FACTOR
         for o in report.outcomes
@@ -89,8 +50,8 @@ def run(config: E15Config) -> ExperimentResult:
             "verdict",
         ],
         title=(
-            f"E15: exhaustive certification (n={config.threads}, "
-            f"T={config.iterations}, {config.num_seeds} seed(s)/variant)"
+            f"E15: exhaustive certification (n={config.scope.threads}, "
+            f"T={config.scope.iterations}, {len(config.seeds)} seed(s)/variant)"
         ),
     )
     for o in report.outcomes:

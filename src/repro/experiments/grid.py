@@ -11,29 +11,36 @@ and ``verify`` (:mod:`repro.verify.engine`) — are each one registered
 * its config, built by :meth:`Campaign.build` from canonical params;
 * its cells (:meth:`Campaign.cells`: namespace, worker, key) and
   the span each cell runs under (:meth:`Campaign.cell_span`);
-* its outcome codec (:meth:`Campaign.encode` / :meth:`Campaign.decode`);
-* its report (:meth:`Campaign.report`), per-cell telemetry and
-  ``--metrics`` snapshot lines;
+* its outcome dataclass (:attr:`Campaign.outcome_type`), from which
+  the journal codec is derived;
+* its report (:meth:`Campaign.report`), a declaration on
+  :class:`GridReport` (table columns, detail lines, ``@gate``
+  properties), plus per-cell telemetry and ``--metrics`` snapshot
+  lines;
 * its own CLI flags and how they map to params;
 * its serve parameter table (:attr:`Campaign.serve_params`).
 
 Everything else is written once here: the grid loop (one
 :class:`~repro.experiments.ensemble.EnsemblePool` per grid, one
 :func:`~repro.experiments.ensemble.run_ensemble` call per cell), the
-jobs-excluded journal fingerprint, the partial report an interrupt
-flushes, the report files, the ``repro <kind>`` subcommand and its
-handler.  :mod:`repro.serve.specs` reads the same registry, so a new
-kind is one class — no edits to ``cli.py`` or ``serve/specs.py``.
+outcome codec (:meth:`Campaign.encode` / :meth:`Campaign.decode`), the
+report's table, verdict and sorted-key JSON, the jobs-excluded journal
+fingerprint, the partial report an interrupt flushes, the report files,
+the ``repro <kind>`` subcommand and its handler.
+:mod:`repro.serve.specs` reads the same registry, so a new kind is one
+class — no edits to ``cli.py`` or ``serve/specs.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
+import json
 import pathlib
 import shlex
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import (
     Any,
     Callable,
@@ -47,10 +54,15 @@ from typing import (
     Optional,
     Tuple,
     Type,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
 )
 
 from repro.errors import ConfigurationError
 from repro.experiments.ensemble import EnsemblePool, run_ensemble
+from repro.metrics.report import Table
 
 
 def str_list(value: Any) -> Tuple[str, ...]:
@@ -82,6 +94,136 @@ class Cell(NamedTuple):
     key: Tuple[Any, ...]
 
 
+# ----------------------------------------------------------------------
+# The outcome codec
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _converter(hint: Any) -> Optional[Callable[[Any], Any]]:
+    """How JSON data becomes a value of type ``hint``, built once per
+    type; ``None`` where the data passes through untouched (scalars,
+    ``Any``, plain dicts).  Lists become tuples again and dicts become
+    the nested dataclass their field declares."""
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        converters = tuple(
+            (field.name, _converter(hints[field.name]))
+            for field in fields(hint)
+        )
+
+        def build(data: Mapping[str, Any]) -> Any:
+            # A field the payload lacks (an older journal) takes its
+            # default.
+            return hint(
+                **{
+                    name: data[name] if convert is None else convert(data[name])
+                    for name, convert in converters
+                    if name in data
+                }
+            )
+
+        return build
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        options = [arg for arg in args if arg is not type(None)]
+        inner = _converter(options[0]) if len(options) == 1 else None
+        if inner is None:
+            return None
+        return lambda data: None if data is None else inner(data)
+    if origin is not tuple:
+        return None
+    if len(args) == 2 and args[1] is Ellipsis:
+        item = _converter(args[0])
+        if item is None:
+            return tuple
+        return lambda data: tuple(item(value) for value in data)
+    items = tuple(_converter(arg) for arg in args)
+    if all(convert is None for convert in items):
+        return tuple
+    return lambda data: tuple(
+        value if convert is None else convert(value)
+        for convert, value in zip(items, data)
+    )
+
+
+# ----------------------------------------------------------------------
+# The report base
+# ----------------------------------------------------------------------
+class gate(property):
+    """A :class:`GridReport` property that :attr:`~GridReport.passed`
+    requires; the JSON report carries each gate's value too."""
+
+
+@dataclass
+class GridReport:
+    """A campaign's report.  Subclasses declare their table (``title``,
+    ``columns``, ``table_rows``), their :meth:`details` lines, their
+    ``@gate`` properties and their JSON ``extras``; the rendering, the
+    verdict and the deterministic JSON are written once here."""
+
+    #: Grid-ordered cell outcomes.
+    outcomes: List[Any]
+
+    #: The table's title.
+    title: ClassVar[str] = ""
+    #: ``(header, cell)`` per column, where ``cell`` is a row's
+    #: ``"attribute"`` or ``"attribute:format-spec"``, or a function of
+    #: the row.
+    columns: ClassVar[Tuple[Tuple[str, Any], ...]] = ()
+    #: The attribute whose items are the table's rows.
+    table_rows: ClassVar[str] = "summaries"
+    #: Attributes the JSON carries beside the outcomes, gates and verdict.
+    extras: ClassVar[Tuple[str, ...]] = ("summaries",)
+
+    def details(self) -> List[str]:
+        """Lines printed between the table and the verdict."""
+        return []
+
+    def gates(self) -> Dict[str, bool]:
+        """Every ``@gate`` property, by name."""
+        cls = type(self)
+        return {
+            name: getattr(self, name)
+            for name in dir(cls)
+            if isinstance(getattr(cls, name), gate)
+        }
+
+    @property
+    def passed(self) -> bool:
+        """Every gate holds."""
+        return all(self.gates().values())
+
+    def render(self) -> str:
+        """ASCII report (the CLI artifact): table, details, verdict."""
+        table = Table([header for header, _ in self.columns], title=self.title)
+        for row in getattr(self, self.table_rows):
+            table.add_row([_table_cell(row, cell) for _, cell in self.columns])
+        verdict = f"verdict: {'PASS' if self.passed else 'FAIL'}"
+        return "\n".join([table.render(), *self.details(), verdict])
+
+    def to_json(self) -> str:
+        """Deterministic JSON (sorted keys, no timestamps): reruns with
+        the same config produce identical bytes.  Outcomes leave out
+        ``obs``: observability metrics go to the snapshot file, never
+        the report, so bytes match with and without ``collect_obs``."""
+        payload = {name: getattr(self, name) for name in self.extras}
+        payload.update(self.gates(), passed=self.passed)
+        payload["outcomes"] = [
+            {key: value for key, value in asdict(o).items() if key != "obs"}
+            for o in self.outcomes
+        ]
+        text = json.dumps(payload, indent=2, sort_keys=True, default=asdict)
+        return text + "\n"
+
+
+def _table_cell(row: Any, cell: Any) -> Any:
+    """One :attr:`GridReport.columns` cell of ``row``."""
+    if callable(cell):
+        return cell(row)
+    name, _, spec = cell.partition(":")
+    value = getattr(row, name)
+    return format(value, spec) if spec else value
+
+
 class Campaign:
     """One campaign kind.  Register subclasses with
     :func:`register_campaign`; the registry holds one instance each."""
@@ -104,6 +246,9 @@ class Campaign:
     #: Serve params, in canonical order: name -> (default, coercion).
     #: Defaults are the served job's, which differ from the CLI's.
     serve_params: ClassVar[Dict[str, Tuple[Any, Callable[[Any], Any]]]] = {}
+    #: The dataclass one cell's worker returns; :meth:`decode` is
+    #: derived from its field annotations.
+    outcome_type: ClassVar[type]
 
     # ------------------------------------------------------------------
     # Declared per kind
@@ -124,17 +269,9 @@ class Campaign:
         """The ``trace_span`` one row runs under (a literal span name)."""
         raise NotImplementedError
 
-    def encode(self, outcome: Any) -> Any:
-        """One outcome as a JSON-safe journal payload."""
-        raise NotImplementedError
-
-    def decode(self, payload: Any) -> Any:
-        """Exact inverse of :meth:`encode`."""
-        raise NotImplementedError
-
     def report(self, config: Any, outcomes: List[Any]) -> Any:
         """Fold grid-ordered outcomes into the report (``render()``,
-        ``to_json()``, ``passed``)."""
+        ``to_json()``, ``passed``: a :class:`GridReport`)."""
         raise NotImplementedError
 
     def telemetry(self, registry: Any, outcome: Any) -> None:
@@ -161,6 +298,15 @@ class Campaign:
     # ------------------------------------------------------------------
     # Written once
     # ------------------------------------------------------------------
+    def encode(self, outcome: Any) -> Any:
+        """One outcome as its JSON-safe journal payload."""
+        return asdict(outcome)
+
+    def decode(self, payload: Any) -> Any:
+        """Exact inverse of :meth:`encode` after a JSON round trip, so
+        journaled and freshly computed outcomes mix byte-identically."""
+        return _converter(self.outcome_type)(payload)
+
     def fingerprint(self, config: Any) -> str:
         """Stable fingerprint of everything that determines results.
 

@@ -56,8 +56,6 @@ from repro.faults.campaign import (
     CampaignReport,
     ChaosWorkload,
     FaultRunOutcome,
-    outcome_from_payload,
-    outcome_to_payload,
     preset_specs,
     run_campaign,
 )
@@ -88,8 +86,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignReport",
     "FaultRunOutcome",
-    "outcome_from_payload",
-    "outcome_to_payload",
     "preset_specs",
     "run_campaign",
 ]

@@ -19,8 +19,7 @@ with the same seeds produces the same bytes — the property CI pins.
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -31,7 +30,9 @@ from repro.errors import ConfigurationError
 from repro.experiments.grid import (
     Campaign,
     Cell,
+    GridReport,
     comma_names,
+    gate,
     get_campaign,
     grid_seeds,
     register_campaign,
@@ -50,7 +51,6 @@ from repro.faults.spec import (
     StallSpec,
     TornUpdateSpec,
 )
-from repro.metrics.report import Table
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.runtime.thread import ThreadState
@@ -206,7 +206,7 @@ class FaultRunOutcome:
     #: crashed again (a "doomed worker").
     crash_tally: Tuple[Tuple[int, int], ...] = ()
     #: Paper-aligned metrics of the cell (``collect_obs`` campaigns
-    #: only).  Excluded from :meth:`CampaignReport.to_json`, so report
+    #: only).  Excluded from :meth:`GridReport.to_json`, so report
     #: bytes are identical with or without observability — metrics flow
     #: to the separate snapshot file instead.
     obs: Optional[Dict[str, Any]] = None
@@ -300,61 +300,38 @@ class SpecSummary:
 
 
 @dataclass
-class CampaignReport:
+class CampaignReport(GridReport):
     """Everything a campaign measured, renderable and serializable."""
 
-    outcomes: List[FaultRunOutcome]
     summaries: List[SpecSummary]
 
-    @property
+    title = "Chaos campaign: fault specs x seeds"
+    columns = (
+        ("spec", "spec"),
+        ("runs", "runs"),
+        ("survival", "survival_rate:.2f"),
+        ("converged", "convergence_rate:.2f"),
+        ("mean ||x-x*||", "mean_distance:.4f"),
+        ("crashed", "mean_crashed:.2f"),
+        ("respawned", "mean_respawned:.2f"),
+        ("torn", "torn_updates"),
+        ("budget-skips", "skipped_crashes"),
+        ("denied", "respawn_denied"),
+        ("violations", "violations"),
+    )
+
+    @gate
     def clean(self) -> bool:
         """No invariant monitor fired anywhere in the grid."""
         return all(not outcome.violations for outcome in self.outcomes)
 
-    @property
+    @gate
     def all_converged(self) -> bool:
         """Survivors converged in every cell."""
         return all(outcome.converged for outcome in self.outcomes)
 
-    @property
-    def passed(self) -> bool:
-        return self.clean and self.all_converged
-
-    def render(self) -> str:
-        """ASCII robustness report (the CLI artifact)."""
-        table = Table(
-            [
-                "spec",
-                "runs",
-                "survival",
-                "converged",
-                "mean ||x-x*||",
-                "crashed",
-                "respawned",
-                "torn",
-                "budget-skips",
-                "denied",
-                "violations",
-            ],
-            title="Chaos campaign: fault specs x seeds",
-        )
-        for s in self.summaries:
-            table.add_row(
-                [
-                    s.spec,
-                    s.runs,
-                    f"{s.survival_rate:.2f}",
-                    f"{s.convergence_rate:.2f}",
-                    f"{s.mean_distance:.4f}",
-                    f"{s.mean_crashed:.2f}",
-                    f"{s.mean_respawned:.2f}",
-                    s.torn_updates,
-                    s.skipped_crashes,
-                    s.respawn_denied,
-                    s.violations,
-                ]
-            )
-        parts = [table.render()]
+    def details(self) -> List[str]:
+        lines = []
         for outcome in self.outcomes:
             if outcome.respawn_denied or any(
                 count > 1 for _, count in outcome.crash_tally
@@ -362,37 +339,17 @@ class CampaignReport:
                 tally = ", ".join(
                     f"{root}x{count}" for root, count in outcome.crash_tally
                 )
-                parts.append(
+                lines.append(
                     f"LINEAGES spec={outcome.spec} seed={outcome.seed}: "
                     f"denied={outcome.respawn_denied} crashes [{tally}]"
                 )
         for outcome in self.outcomes:
             for violation in outcome.violations:
-                parts.append(
+                lines.append(
                     f"VIOLATION spec={outcome.spec} seed={outcome.seed}: "
                     f"{violation}"
                 )
-        parts.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(parts)
-
-    def to_json(self) -> str:
-        """Deterministic JSON (sorted keys, no timestamps): reruns with
-        the same config produce identical bytes."""
-        outcomes = []
-        for o in self.outcomes:
-            row = asdict(o)
-            # Observability metrics live in the snapshot file, never the
-            # report: bytes stay identical with and without collect_obs.
-            row.pop("obs", None)
-            outcomes.append(row)
-        payload = {
-            "summaries": [asdict(s) for s in self.summaries],
-            "outcomes": outcomes,
-            "clean": self.clean,
-            "all_converged": self.all_converged,
-            "passed": self.passed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return lines
 
 
 def summarize(outcomes: List[FaultRunOutcome]) -> List[SpecSummary]:
@@ -419,28 +376,6 @@ def summarize(outcomes: List[FaultRunOutcome]) -> List[SpecSummary]:
             )
         )
     return summaries
-
-
-def outcome_to_payload(outcome: FaultRunOutcome) -> Dict[str, Any]:
-    """JSON-safe journal payload for one campaign cell."""
-    payload = asdict(outcome)
-    payload["violations"] = list(outcome.violations)
-    return payload
-
-
-def outcome_from_payload(payload: Dict[str, Any]) -> FaultRunOutcome:
-    """Inverse of :func:`outcome_to_payload` — exact reconstruction, so
-    journaled and freshly computed outcomes mix byte-identically."""
-    data = dict(payload)
-    data["violations"] = tuple(data.get("violations", ()))
-    # Journals written before the lineage fields existed decode with the
-    # dataclass defaults.
-    data.setdefault("respawn_denied", 0)
-    data["crash_tally"] = tuple(
-        (int(root), int(count)) for root, count in data.get("crash_tally", ())
-    )
-    data.setdefault("obs", None)
-    return FaultRunOutcome(**data)
 
 
 @register_campaign
@@ -476,8 +411,7 @@ class ChaosCampaign(Campaign):
         "recover": (True, bool),
         "monitors": (True, bool),
     }
-    encode = staticmethod(outcome_to_payload)
-    decode = staticmethod(outcome_from_payload)
+    outcome_type = FaultRunOutcome
 
     def build(self, params, jobs=1, collect_obs=False):
         presets = preset_specs()

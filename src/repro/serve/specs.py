@@ -239,15 +239,11 @@ def _dispatch_spec(
     on_cell: Callable[[Any, Any], None],
 ) -> Dict[str, Any]:
     if spec.kind == "experiment":
-        registry = _experiment_registry()
-        module, config_cls = registry[spec.params["id"]]
-        config = (
-            config_cls.full()
-            if spec.params["scale"] == "full"
-            else config_cls.quick()
+        from repro.cli import preset
+
+        module, config = preset(
+            spec.params["id"], spec.params["scale"], spec.jobs
         )
-        if spec.jobs != 1 and hasattr(config, "jobs"):
-            config.jobs = spec.jobs
         result = module.run(config)
         return {
             "kind": "experiment",

@@ -49,6 +49,7 @@ from repro.experiments.grid import (
     Campaign,
     Cell,
     comma_names,
+    get_campaign,
     grid_seeds,
     register_campaign,
     str_list,
@@ -62,13 +63,7 @@ from repro.sched.replay import PrefixReplayScheduler
 from repro.sched.round_robin import RoundRobinScheduler
 from repro.verify.enumerator import enumerate_schedules
 from repro.verify.mutants import get_mutant, mutant_names
-from repro.verify.report import (
-    Counterexample,
-    VerifyCellOutcome,
-    VerifyReport,
-    outcome_from_payload,
-    outcome_to_payload,
-)
+from repro.verify.report import Counterexample, VerifyCellOutcome, VerifyReport
 from repro.verify.smt import SmtConfig, run_smt_queries
 
 #: The default variant panel: the two fetch&add-family algorithms the
@@ -162,6 +157,16 @@ class VerifyConfig:
                 f"max_counterexamples must be >= 1, "
                 f"got {self.max_counterexamples}"
             )
+
+    @classmethod
+    def quick(cls) -> "VerifyConfig":
+        """``repro run E15 --scale quick``."""
+        return get_campaign("verify").build(VerifyCampaign.quick_params)
+
+    @classmethod
+    def full(cls) -> "VerifyConfig":
+        """``repro run E15 --scale full``."""
+        return get_campaign("verify").build(VerifyCampaign.full_params)
 
 
 def _resolve_variant(name: str) -> Tuple[Algorithm, str, Optional[int]]:
@@ -363,8 +368,20 @@ class VerifyCampaign(Campaign):
         "memoize": (False, bool),
         "smt_engine": ("finite", str),
     }
-    encode = staticmethod(outcome_to_payload)
-    decode = staticmethod(outcome_from_payload)
+    #: ``repro run E15``'s presets (:meth:`VerifyConfig.quick`/``full``).
+    quick_params = {
+        "variants": VERIFY_VARIANTS,
+        "seeds": 1,
+        "base_seed": 1,
+        "threads": 2,
+        "iterations": 1,
+        "max_steps": 48,
+        "full_tree": True,
+        "memoize": False,
+        "smt_engine": "auto",
+    }
+    full_params = {**quick_params, "seeds": 2}
+    outcome_type = VerifyCellOutcome
 
     def build(self, params, jobs=1, collect_obs=False):
         return VerifyConfig(

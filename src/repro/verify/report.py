@@ -1,20 +1,20 @@
 """The verify tier's report model — one shape for both engines.
 
-Mirrors the E13/E14 report discipline: frozen plain-value outcome rows
-that cross the process pool untouched, exact payload codecs so
-journaled and freshly computed cells mix byte-identically, grid-ordered
-aggregation, and deterministic JSON (sorted keys, no timestamps) so
-``--jobs 1`` and ``--jobs N`` runs compare with ``cmp``.
+Like every campaign kind (:mod:`repro.experiments.grid`): frozen
+plain-value outcome rows that cross the process pool untouched and
+journal through the registry's one codec, grid-ordered aggregation, and
+a :class:`~repro.experiments.grid.GridReport` whose deterministic JSON
+(sorted keys, no timestamps) lets ``--jobs 1`` and ``--jobs N`` runs
+compare with ``cmp``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.core.algorithm import LEMMAS
-from repro.metrics.report import Table
+from repro.experiments.grid import GridReport, gate
 from repro.verify.smt import SmtResult
 
 
@@ -95,117 +95,66 @@ def cell_passed(outcome: VerifyCellOutcome) -> bool:
     )
 
 
-def outcome_to_payload(outcome: VerifyCellOutcome) -> Dict[str, Any]:
-    """JSON-safe journal payload for one verify cell."""
-    return asdict(outcome)
-
-
-def outcome_from_payload(payload: Dict[str, Any]) -> VerifyCellOutcome:
-    """Inverse of :func:`outcome_to_payload` — exact reconstruction."""
-    data = dict(payload)
-    data["counterexamples"] = tuple(
-        Counterexample(
-            schedule=tuple(int(s) for s in row["schedule"]),
-            findings=tuple(str(f) for f in row["findings"]),
-            replay_ok=bool(row["replay_ok"]),
-        )
-        for row in data["counterexamples"]
-    )
-    data["certificates"] = tuple(
-        (lemma, status) for lemma, status in data["certificates"]
-    )
-    return VerifyCellOutcome(**data)
-
-
-def smt_to_payload(result: SmtResult) -> Dict[str, Any]:
-    return asdict(result)
-
-
 @dataclass
-class VerifyReport:
+class VerifyReport(GridReport):
     """Everything both engines proved (or failed to)."""
 
-    outcomes: List[VerifyCellOutcome]
     smt_results: List[SmtResult]
 
+    title = "Verification tier: exhaustive small-scope enumeration"
+    table_rows = "outcomes"
+    columns = (
+        ("variant", "variant"),
+        ("seed", "seed"),
+        ("expect", "expectation"),
+        ("schedules", "schedules"),
+        ("full tree", lambda o: o.interleavings or "-"),
+        (
+            "reduction",
+            lambda o: (
+                f"{o.reduction_factor:.2f}x" if o.reduction_factor else "-"
+            ),
+        ),
+        ("counterex", lambda o: o.counterexample_count or "none"),
+        *(
+            (f"lemma {lemma}", lambda o, i=i: o.certificates[i][1])
+            for i, lemma in enumerate(LEMMAS)
+        ),
+        ("verdict", lambda o: "pass" if cell_passed(o) else "FAIL"),
+    )
+    extras = ("cell_verdicts", "smt_results")
+
     @property
+    def cell_verdicts(self) -> List[Dict[str, Any]]:
+        """Each cell's verdict (:func:`cell_passed`)."""
+        return [
+            {"variant": o.variant, "seed": o.seed, "passed": cell_passed(o)}
+            for o in self.outcomes
+        ]
+
+    @gate
     def enumeration_ok(self) -> bool:
         """Every cell met its expectation (universal certificate on
         clean variants, replayable flagged counterexample on mutants)."""
         return all(cell_passed(o) for o in self.outcomes)
 
-    @property
+    @gate
     def smt_ok(self) -> bool:
         """No lemma query refuted (skipped-for-missing-solver is not a
         failure; the finite engines still decide every default query)."""
         return all(r.status != "refuted" for r in self.smt_results)
 
-    @property
-    def passed(self) -> bool:
-        return self.enumeration_ok and self.smt_ok
-
-    def render(self) -> str:
-        """ASCII report (the CLI artifact)."""
-        table = Table(
-            [
-                "variant",
-                "seed",
-                "expect",
-                "schedules",
-                "full tree",
-                "reduction",
-                "counterex",
-                *[f"lemma {lemma}" for lemma in LEMMAS],
-                "verdict",
-            ],
-            title="Verification tier: exhaustive small-scope enumeration",
-        )
-        for o in self.outcomes:
-            table.add_row(
-                [
-                    o.variant,
-                    o.seed,
-                    o.expectation,
-                    o.schedules,
-                    o.interleavings or "-",
-                    f"{o.reduction_factor:.2f}x" if o.reduction_factor else "-",
-                    o.counterexample_count or "none",
-                    *[status for _lemma, status in o.certificates],
-                    "pass" if cell_passed(o) else "FAIL",
-                ]
-            )
-        parts = [table.render()]
+    def details(self) -> List[str]:
+        lines = []
         for o in self.outcomes:
             for cx in o.counterexamples:
                 replay = "replay ok" if cx.replay_ok else "REPLAY DIVERGED"
-                parts.append(
+                lines.append(
                     f"COUNTEREXAMPLE {o.variant} seed={o.seed} "
                     f"schedule={list(cx.schedule)} ({replay})"
                 )
-                for finding in cx.findings:
-                    parts.append(f"  {finding}")
+                lines.extend(f"  {finding}" for finding in cx.findings)
         if self.smt_results:
-            parts.append("SMT lemma queries (unsat means proved):")
-            for result in self.smt_results:
-                parts.append(f"  {result}")
-        parts.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(parts)
-
-    def to_json(self) -> str:
-        """Deterministic JSON — identical bytes across ``--jobs``."""
-        payload = {
-            "outcomes": [outcome_to_payload(o) for o in self.outcomes],
-            "cell_verdicts": [
-                {
-                    "variant": o.variant,
-                    "seed": o.seed,
-                    "passed": cell_passed(o),
-                }
-                for o in self.outcomes
-            ],
-            "smt_results": [smt_to_payload(r) for r in self.smt_results],
-            "enumeration_ok": self.enumeration_ok,
-            "smt_ok": self.smt_ok,
-            "passed": self.passed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            lines.append("SMT lemma queries (unsat means proved):")
+            lines.extend(f"  {result}" for result in self.smt_results)
+        return lines

@@ -1,13 +1,14 @@
 """The campaign registry's shared paths: a kind registered at run time
-gets a CLI subcommand, a serve kind, a journaled ``--resume`` and a
-partial report with no edit to ``cli.py`` or ``serve/specs.py``; the
-registry's order and lookups; and the ``chaos --trace`` recorder is
-never left installed by an early exit."""
+declares an outcome dataclass and a report, and gets the journal codec,
+the rendered and JSON report, a CLI subcommand, a serve kind, a
+journaled ``--resume`` and a partial report with no edit to ``cli.py``
+or ``serve/specs.py``; the registry's order and lookups; and the
+``chaos --trace`` recorder is never left installed by an early exit."""
 
 import functools
 import json
 import signal
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Tuple
 
 import pytest
@@ -19,8 +20,10 @@ from repro.experiments import grid
 from repro.experiments.grid import (
     Campaign,
     Cell,
+    GridReport,
     campaign_names,
     comma_names,
+    gate,
     get_campaign,
     grid_seeds,
     register_campaign,
@@ -37,24 +40,27 @@ class ToyConfig:
     jobs: int = 1
 
 
+@dataclass(frozen=True)
+class ToyOutcome:
+    word: str
+    seed: int
+    score: int
+
+
 def _toy_worker(word, seed):
-    return {"word": word, "seed": seed, "score": len(word) * seed}
+    return ToyOutcome(word, seed, len(word) * seed)
 
 
 @dataclass
-class ToyReport:
-    outcomes: list
+class ToyReport(GridReport):
+    title = "Toy scores"
+    columns = (("word", "word"), ("seed", "seed"), ("score", "score"))
+    table_rows = "outcomes"
+    extras = ()
 
-    @property
-    def passed(self):
-        return all(o["score"] < 100 for o in self.outcomes)
-
-    def render(self):
-        rows = [f"{o['word']} seed={o['seed']} score={o['score']}" for o in self.outcomes]
-        return "\n".join(rows + [f"verdict: {'PASS' if self.passed else 'FAIL'}"])
-
-    def to_json(self):
-        return json.dumps({"outcomes": self.outcomes}, indent=2, sort_keys=True) + "\n"
+    @gate
+    def scores_small(self):
+        return all(o.score < 100 for o in self.outcomes)
 
 
 class ToyCampaign(Campaign):
@@ -83,17 +89,13 @@ class ToyCampaign(Campaign):
     def cell_span(self, config, cell):
         return trace_span("toy.cell", word=cell.key[0])
 
-    def encode(self, outcome):
-        return dict(outcome)
-
-    def decode(self, payload):
-        return dict(payload)
+    outcome_type = ToyOutcome
 
     def report(self, config, outcomes):
         return ToyReport(list(outcomes))
 
     def snapshot_lines(self, report):
-        return [{"kind": "cell", **o} for o in report.outcomes]
+        return [{"kind": "cell", **asdict(o)} for o in report.outcomes]
 
     def add_arguments(self, parser):
         parser.add_argument("--words", default="a,bb,ccc")

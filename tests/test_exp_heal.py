@@ -15,13 +15,10 @@ from repro.durable.journal import RunJournal
 from repro.durable.signals import GracefulShutdown
 from repro.errors import ConfigurationError, InterruptedRunError
 from repro.experiments.e14_resilience import (
-    E14Config,
+    HealCampaign,
     HealGridConfig,
     HealWorkload,
     heal_plan_specs,
-    outcome_from_payload,
-    outcome_to_payload,
-    to_heal_config,
 )
 from repro.experiments.grid import get_campaign
 
@@ -99,8 +96,8 @@ class TestHealGridDeterminism:
     def test_outcome_payload_round_trips_through_json(self):
         _, outcomes = _heal_reference()
         for outcome in outcomes:
-            payload = json.loads(json.dumps(outcome_to_payload(outcome)))
-            assert outcome_from_payload(payload) == outcome
+            payload = json.loads(json.dumps(HEAL.encode(outcome)))
+            assert HEAL.decode(payload) == outcome
 
     def test_metrics_lines_are_pure_and_grid_ordered(self):
         _, outcomes = _heal_reference()
@@ -195,10 +192,10 @@ class TestE14:
     def test_quick_grid_passes_with_recoveries(self):
         from repro.experiments.e14_resilience import run
 
-        config = E14Config(
-            algorithms=["epoch-sgd"],
-            plans=["none", "nan-poison"],
-            num_seeds=2,
+        config = HealGridConfig(
+            algorithms=("epoch-sgd",),
+            plans=("none", "nan-poison"),
+            seeds=(8000, 8001),
         )
         result = run(config)
         assert result.experiment_id == "E14"
@@ -209,15 +206,15 @@ class TestE14:
             "0c29fd0c6954dc7244cc72ba27a4c2022eb05111c4ed8dc1e34394619057aef4"
         )
 
-    def test_to_heal_config_spans_the_declared_grid(self):
-        config = to_heal_config(E14Config.quick())
+    def test_quick_preset_spans_the_declared_grid(self):
+        config = HealGridConfig.quick()
         assert config.plans == ("none", "bit-flip", "nan-poison", "dup-write")
-        assert len(config.seeds) == E14Config.quick().num_seeds
+        assert len(config.seeds) == HealCampaign.quick_params["seeds"]
 
     def test_full_exceeds_quick(self):
-        quick, full = E14Config.quick(), E14Config.full()
+        quick, full = HealGridConfig.quick(), HealGridConfig.full()
         assert len(full.plans) > len(quick.plans)
-        assert full.num_seeds > quick.num_seeds
+        assert len(full.seeds) > len(quick.seeds)
 
 
 class TestHealCli:

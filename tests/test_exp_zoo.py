@@ -15,13 +15,11 @@ from repro.durable.journal import RunJournal
 from repro.durable.signals import GracefulShutdown
 from repro.errors import ConfigurationError, InterruptedRunError
 from repro.experiments import e13_algorithm_zoo as zoo
+from repro.core.algorithm import algorithm_names
 from repro.experiments.e13_algorithm_zoo import (
-    E13Config,
+    ZooCampaign,
     ZooConfig,
     ZooWorkload,
-    outcome_from_payload,
-    outcome_to_payload,
-    to_zoo_config,
 )
 from repro.experiments.grid import get_campaign
 
@@ -84,8 +82,8 @@ class TestZooDeterminism:
     def test_outcome_payload_round_trips_through_json(self):
         _, outcomes = _zoo_reference()
         for outcome in outcomes:
-            payload = json.loads(json.dumps(outcome_to_payload(outcome)))
-            assert outcome_from_payload(payload) == outcome
+            payload = json.loads(json.dumps(ZOO.encode(outcome)))
+            assert ZOO.decode(payload) == outcome
 
 
 class TestZooKillResume:
@@ -162,11 +160,11 @@ class TestZooConfigValidation:
 
 class TestE13:
     def test_small_grid_passes(self):
-        config = E13Config(
-            algorithms=["epoch-sgd", "leashed"],
-            adversaries=["round-robin", "contention-max"],
-            iterations=40,
-            num_seeds=1,
+        config = ZooConfig(
+            algorithms=("epoch-sgd", "leashed"),
+            adversaries=("round-robin", "contention-max"),
+            seeds=(7000,),
+            workload=ZooWorkload(iterations=40),
         )
         result = zoo.run(config)
         assert result.experiment_id == "E13"
@@ -180,14 +178,15 @@ class TestE13:
         )
 
     def test_full_exceeds_quick(self):
-        quick, full = E13Config.quick(), E13Config.full()
-        assert full.num_seeds > quick.num_seeds
-        assert full.iterations > quick.iterations
+        quick, full = ZooConfig.quick(), ZooConfig.full()
+        assert len(full.seeds) > len(quick.seeds)
+        assert full.workload.iterations > quick.workload.iterations
 
-    def test_to_zoo_config_spans_the_declared_grid(self):
-        config = to_zoo_config(E13Config(num_seeds=3, base_seed=50))
+    def test_preset_params_span_the_declared_grid(self):
+        params = {**ZooCampaign.quick_params, "seeds": 3, "base_seed": 50}
+        config = ZOO.build(params)
         assert config.seeds == (50, 51, 52)
-        assert set(config.algorithms) == set(E13Config().algorithms)
+        assert set(config.algorithms) == set(algorithm_names())
 
 
 class TestZooCli:

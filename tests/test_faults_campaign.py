@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
+from repro.experiments.grid import get_campaign
 from repro.faults.campaign import (
     CampaignConfig,
     ChaosWorkload,
@@ -200,15 +201,11 @@ class TestLineageAccounting:
                 assert 0 <= thread_id and count >= 1
 
     def test_lineage_fields_survive_the_journal_codec(self):
-        from repro.faults.campaign import (
-            outcome_from_payload,
-            outcome_to_payload,
-        )
-
+        chaos = get_campaign("chaos")
         report = self._denied_report()
         for outcome in report.outcomes:
-            payload = json.loads(json.dumps(outcome_to_payload(outcome)))
-            rebuilt = outcome_from_payload(payload)
+            payload = json.loads(json.dumps(chaos.encode(outcome)))
+            rebuilt = chaos.decode(payload)
             assert rebuilt.respawn_denied == outcome.respawn_denied
             assert rebuilt.crash_tally == outcome.crash_tally
 

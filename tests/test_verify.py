@@ -44,13 +44,7 @@ from repro.verify import (
 )
 from repro.verify.engine import _verify_worker
 from repro.verify.enumerator import frontier_digest
-from repro.verify.report import (
-    Counterexample,
-    VerifyCellOutcome,
-    cell_passed,
-    outcome_from_payload,
-    outcome_to_payload,
-)
+from repro.verify.report import Counterexample, VerifyCellOutcome, cell_passed
 from repro.verify.smt import _window_sums
 
 VERIFY = get_campaign("verify")
@@ -364,8 +358,8 @@ class TestVerifyEngine:
             measure_full_tree=False,
         )
         outcome = _verify_worker(config, "mutant-torn-counter", 1)
-        payload = json.loads(json.dumps(outcome_to_payload(outcome)))
-        assert outcome_from_payload(payload) == outcome
+        payload = json.loads(json.dumps(VERIFY.encode(outcome)))
+        assert VERIFY.decode(payload) == outcome
 
     def test_fingerprint_ignores_jobs_but_not_scope(self):
         base = VerifyConfig(variants=("epoch-sgd",))
@@ -557,9 +551,7 @@ class TestE15AndCli:
         from repro.experiments import e15_verify
 
         result = e15_verify.run(
-            e15_verify.E15Config(
-                variants=["epoch-sgd", "mutant-torn-counter"]
-            )
+            VerifyConfig(variants=("epoch-sgd", "mutant-torn-counter"))
         )
         assert result.experiment_id == "E15"
         assert result.passed
