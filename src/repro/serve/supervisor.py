@@ -639,8 +639,8 @@ class JobSupervisor:
     # ------------------------------------------------------------------
     def drain(self) -> None:
         """Stop admissions, cancel the queue, stop running workers at
-        their next safe point, wait for the worker threads, then kill
-        and join the idle worker processes."""
+        their next safe point, wait for the worker threads, kill and
+        join the idle worker processes, then close the span file."""
         with self._lock:
             if self._draining:
                 return
@@ -657,6 +657,8 @@ class JobSupervisor:
             thread.join(self.policy.drain_grace + 10.0)
         if isinstance(self.runner, ProcessJobRunner):
             self.runner.close()
+        if self.causal is not None:
+            self.causal.close()
 
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:

@@ -3,7 +3,9 @@ admission control, duplicate coalescing, the cache fast path, the
 crash-retry ladder with seeded backoff, respawn-budget lineage
 accounting, deadline abandonment, and graceful drain."""
 
+import gc
 import threading
+import warnings
 
 import pytest
 
@@ -246,6 +248,26 @@ class TestDrain:
         supervisor.drain()
         supervisor.drain()
         assert supervisor.draining
+
+    def test_drain_closes_the_span_file(self, tmp_path):
+        """A span file left open for the garbage collector is a
+        ResourceWarning under ``python -X dev``; drain closes it."""
+        supervisor = JobSupervisor(
+            ServerPolicy(workers=1),
+            cache=ResultCache(None),
+            workdir=tmp_path,
+            clock=FakeServeClock(),
+            runner=ScriptedRunner([]),
+        )
+        supervisor.start()
+        _wait_terminal(supervisor, supervisor.submit(SPEC))
+        assert (tmp_path / "trace" / "supervisor.spans.jsonl").exists()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            supervisor.drain()
+            del supervisor
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
 
 
 class TestViews:
