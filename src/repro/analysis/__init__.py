@@ -30,7 +30,6 @@ from repro.analysis.report import (
     certificate_from_dict,
     finding_from_dict,
     finding_sort_key,
-    merge_reports,
     run_analysis_from_dict,
 )
 from repro.analysis.sanitizer import Analyzer, RaceStalenessSanitizer
@@ -54,6 +53,5 @@ __all__ = [
     "iteration_order_findings",
     "lint_paths",
     "lint_source",
-    "merge_reports",
     "render_findings",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: Finding severities, in increasing order of badness.  ``error``
 #: findings fail a run; ``warning`` findings are surfaced but do not
@@ -249,15 +249,3 @@ class AnalysisReport:
             "passed": self.passed,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def merge_reports(
-    reports: List[AnalysisReport], strict: Optional[bool] = None
-) -> AnalysisReport:
-    """Concatenate per-preset reports into one, preserving run order."""
-    merged = AnalysisReport(strict=bool(strict) if strict is not None else any(
-        r.strict for r in reports
-    ))
-    for report in reports:
-        merged.runs.extend(report.runs)
-    return merged
