@@ -19,6 +19,8 @@ import pathlib
 
 import pytest
 
+from repro.cli import preset
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 _JOBS_OVERRIDE = None
@@ -58,11 +60,8 @@ def bench_jobs() -> int:
 
 def pick_config(config_cls):
     """The preset matching the requested scale, with the jobs knob set
-    on configs that have one."""
-    config = config_cls.full() if bench_scale() == "full" else config_cls.quick()
-    if hasattr(config, "jobs"):
-        config.jobs = bench_jobs()
-    return config
+    on configs that have one (the same step as ``repro run``)."""
+    return preset(config_cls, bench_scale(), bench_jobs())
 
 
 @pytest.fixture

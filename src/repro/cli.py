@@ -90,15 +90,14 @@ def _write_text_atomic(path: pathlib.Path, text: str) -> None:
     atomic_write(path, text.encode("utf-8"))
 
 
-def preset(key: str, scale: str, jobs: Optional[int] = None):
-    """``(driver module, config)`` of ``repro run <key> --scale
-    <scale>``, with ``jobs`` set on configs that have it (``None`` keeps
-    the preset's).  Campaign configs are frozen, hence ``replace``."""
-    module, config_cls = REGISTRY[key]
+def preset(config_cls: type, scale: str, jobs: Optional[int] = None):
+    """``config_cls``'s ``full()`` or ``quick()`` preset, with ``jobs``
+    set on configs that have it (``None`` keeps the preset's).
+    Campaign configs are frozen, hence ``dataclasses.replace``."""
     config = config_cls.full() if scale == "full" else config_cls.quick()
     if jobs is not None and hasattr(config, "jobs"):
         config = dataclasses.replace(config, jobs=jobs)
-    return module, config
+    return config
 
 
 def _run_one(
@@ -108,8 +107,8 @@ def _run_one(
     plot: bool,
     jobs: Optional[int] = None,
 ):
-    module, config = preset(key, scale, jobs)
-    result = module.run(config)
+    module, config_cls = REGISTRY[key]
+    result = module.run(preset(config_cls, scale, jobs))
     text = result.render(plot=plot)
     print(text)
     if out_dir is not None:

@@ -241,10 +241,8 @@ def _dispatch_spec(
     if spec.kind == "experiment":
         from repro.cli import preset
 
-        module, config = preset(
-            spec.params["id"], spec.params["scale"], spec.jobs
-        )
-        result = module.run(config)
+        module, config_cls = _experiment_registry()[spec.params["id"]]
+        result = module.run(preset(config_cls, spec.params["scale"], spec.jobs))
         return {
             "kind": "experiment",
             "passed": bool(result.passed),
