@@ -271,7 +271,7 @@ class Campaign:
 
     def report(self, config: Any, outcomes: List[Any]) -> Any:
         """Fold grid-ordered outcomes into the report (``render()``,
-        ``to_json()``, ``passed``: a :class:`GridReport`)."""
+        ``to_json()``, ``passed``), usually a :class:`GridReport`."""
         raise NotImplementedError
 
     def telemetry(self, registry: Any, outcome: Any) -> None:

@@ -76,6 +76,7 @@ class ToyCampaign(Campaign):
         "seeds": (2, int),
         "base_seed": (1, int),
     }
+    outcome_type = ToyOutcome
 
     def build(self, params, jobs=1, collect_obs=False):
         if not params["words"]:
@@ -88,8 +89,6 @@ class ToyCampaign(Campaign):
 
     def cell_span(self, config, cell):
         return trace_span("toy.cell", word=cell.key[0])
-
-    outcome_type = ToyOutcome
 
     def report(self, config, outcomes):
         return ToyReport(list(outcomes))

@@ -1,10 +1,12 @@
 """Structural checks over every experiment's config presets.
 
 The benches choose quick()/full() presets by environment variable; these
-tests pin that both presets construct, that full is at least as large as
-quick on its headline knob, and that the registry's drivers all follow
-the run(config) -> ExperimentResult protocol (signature level — the
-drivers' behaviour is covered by test_exp_drivers.py)."""
+tests pin that both presets construct, that full shrinks no numeric or
+sequence field of quick and grows at least one, that the campaign-backed
+presets (E13-E15) keep their journal fingerprints, and that the
+registry's drivers all follow the run(config) -> ExperimentResult
+protocol (signature level — the drivers' behaviour is covered by
+test_exp_drivers.py)."""
 
 import dataclasses
 import inspect
