@@ -557,8 +557,8 @@ class TestE15AndCli:
         assert result.passed
         assert "por_schedules" in result.series
         assert len(result.series["full_interleavings"]) == 2
-        # Tier-1 has no z3, so the "auto" SMT engine resolves to the
-        # finite-domain one these bytes were pinned with.
+        # The [test] extra installs no z3, so the "auto" SMT engine
+        # resolves to the finite-domain one these bytes were pinned with.
         digest = hashlib.sha256(result.render(plot=False).encode()).hexdigest()
         assert digest == (
             "681d8357474d3c356da6e581c70e3d620be5763f8f8bcfa06509d3ac1faf008b"
