@@ -439,51 +439,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trend(args: argparse.Namespace) -> int:
-    """Perf-trend observatory over ``benchmarks/results/BENCH_*.json``.
-
-    Default: render the ledger (with per-metric deltas).  ``--update``
-    ingests changed bench files first.  ``--check`` runs the regression
-    gate: exit 1 if any throughput metric dropped more than
-    ``--threshold`` against its ledger baseline.
-    """
-    from repro.obs.trend import (
-        check_regressions,
-        ingest,
-        load_ledger,
-        render_trend,
-    )
-
-    results_dir = pathlib.Path(args.results)
-    if not results_dir.is_dir():
-        print(f"no such results directory: {results_dir}", file=sys.stderr)
-        return 2
-    ledger_path = (
-        pathlib.Path(args.ledger)
-        if args.ledger is not None
-        else results_dir / "TREND.jsonl"
-    )
-    if args.update:
-        added, ledger = ingest(results_dir, ledger_path)
-        print(f"ingested {added} new ledger entr(ies) -> {ledger_path}")
-    else:
-        ledger = load_ledger(ledger_path)
-    print(render_trend(ledger), end="")
-    if args.check:
-        regressions = check_regressions(
-            results_dir, ledger_path, threshold=args.threshold
-        )
-        if regressions:
-            for message in regressions:
-                print(f"REGRESSION {message}", file=sys.stderr)
-            return 1
-        print(
-            f"trend gate ok: no throughput metric down more than "
-            f"{args.threshold:.0%} vs ledger baseline"
-        )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -502,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run an experiment (or 'all') and print its artifact"
     )
     run_parser.add_argument(
-        "experiment", help="experiment id (E1..E10, F1, A1) or 'all'"
+        "experiment",
+        help=f"experiment id ({', '.join(REGISTRY)}) or 'all'",
     )
     run_parser.add_argument(
         "--scale",
@@ -690,34 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output file (default: trace.json)",
     )
     trace_parser.set_defaults(func=cmd_trace)
-
-    trend_parser = subparsers.add_parser(
-        "trend",
-        help="perf-trend observatory: append-only ledger + regression "
-        "gate over benchmarks/results/BENCH_*.json",
-    )
-    trend_parser.add_argument(
-        "--results", default="benchmarks/results",
-        help="bench results directory (default: benchmarks/results)",
-    )
-    trend_parser.add_argument(
-        "--ledger", default=None,
-        help="ledger file (default: <results>/TREND.jsonl)",
-    )
-    trend_parser.add_argument(
-        "--update", action="store_true",
-        help="ingest changed BENCH_*.json files into the ledger first",
-    )
-    trend_parser.add_argument(
-        "--check", action="store_true",
-        help="fail (exit 1) if any throughput metric regressed more "
-        "than --threshold vs its ledger baseline",
-    )
-    trend_parser.add_argument(
-        "--threshold", type=float, default=0.2,
-        help="relative regression tolerance for --check (default 0.2)",
-    )
-    trend_parser.set_defaults(func=cmd_trend)
 
     report_parser = subparsers.add_parser(
         "report", help="summarize verdicts from a directory of artifacts"

@@ -57,7 +57,6 @@ from repro.experiments.grid import (
     str_list,
 )
 from repro.experiments.runner import ExperimentResult
-from repro.metrics.report import Table
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.sched.registry import build_scheduler, scheduler_names
@@ -528,23 +527,17 @@ def run(config: ZooConfig) -> ExperimentResult:
         series.setdefault(summary.algorithm, []).append(
             summary.mean_distance
         )
-    table = Table(
-        ["algorithm", "adversary", "converged", "mean ||x-x*||", "tau_max"],
+    columns = dict(ZooReport.columns)
+    picked = (
+        "algorithm", "adversary", "converged", "mean ||x-x*||", "tau_max"
+    )
+    table = report.table(
+        [(header, columns[header]) for header in picked],
         title=(
             f"E13: algorithm zoo (n={config.workload.num_threads}, "
             f"T={config.workload.iterations}, {len(config.seeds)} seeds/cell)"
         ),
     )
-    for s in report.summaries:
-        table.add_row(
-            [
-                s.algorithm,
-                s.adversary,
-                f"{s.convergence_rate:.2f}",
-                f"{s.mean_distance:.4f}",
-                s.max_tau_max,
-            ]
-        )
     return ExperimentResult(
         experiment_id="E13",
         title="the algorithm zoo — every variant under every adversary, "

@@ -52,7 +52,6 @@ from repro.faults.spec import (
     PoisonSpec,
 )
 from repro.heal.rollback import HealPolicy, run_with_healing
-from repro.metrics.report import Table
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 
@@ -550,6 +549,13 @@ class HealCampaign(Campaign):
 # ----------------------------------------------------------------------
 # The E14 experiment wrapper
 # ----------------------------------------------------------------------
+def _row_health(summary: HealCellSummary) -> str:
+    """A grid row's worst seed health."""
+    if summary.abandoned:
+        return "abandoned"
+    return "degraded" if summary.degraded else "healthy"
+
+
 def run(config: HealGridConfig) -> ExperimentResult:
     """Execute E14: the resilience grid."""
     report = get_campaign("heal").run(config)
@@ -557,29 +563,16 @@ def run(config: HealGridConfig) -> ExperimentResult:
     series: Dict[str, List[float]] = {}
     for summary in report.summaries:
         series.setdefault(summary.algorithm, []).append(summary.mean_distance)
-    table = Table(
-        ["algorithm", "plan", "converged", "rollbacks", "recovered", "health"],
+    columns = dict(HealGridReport.columns)
+    picked = ("algorithm", "plan", "converged", "rollbacks", "recovered")
+    table = report.table(
+        [(header, columns[header]) for header in picked]
+        + [("health", _row_health)],
         title=(
             f"E14: resilience grid (n={config.workload.num_threads}, "
             f"T={config.workload.iterations}, {len(config.seeds)} seeds/cell)"
         ),
     )
-    for s in report.summaries:
-        health = (
-            "abandoned"
-            if s.abandoned
-            else ("degraded" if s.degraded else "healthy")
-        )
-        table.add_row(
-            [
-                s.algorithm,
-                s.plan,
-                f"{s.convergence_rate:.2f}",
-                s.rollbacks,
-                s.recovered,
-                health,
-            ]
-        )
     return ExperimentResult(
         experiment_id="E14",
         title="the resilience grid — silent data corruption detected, "

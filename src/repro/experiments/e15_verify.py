@@ -22,9 +22,8 @@ from typing import Dict, List
 
 from repro.experiments.grid import get_campaign
 from repro.experiments.runner import ExperimentResult
-from repro.metrics.report import Table
 from repro.verify.engine import VerifyConfig
-from repro.verify.report import cell_passed
+from repro.verify.report import VerifyReport
 
 #: The acceptance floor for the POR reduction factor.
 MIN_REDUCTION_FACTOR = 2.0
@@ -38,35 +37,17 @@ def run(config: VerifyConfig) -> ExperimentResult:
         for o in report.outcomes
         if o.interleavings
     )
-    table = Table(
+    table = report.table(
         [
-            "variant",
-            "seed",
-            "expect",
-            "schedules",
-            "full tree",
-            "reduction",
-            "counterex",
-            "verdict",
+            column
+            for column in VerifyReport.columns
+            if not column[0].startswith("lemma ")
         ],
         title=(
             f"E15: exhaustive certification (n={config.scope.threads}, "
             f"T={config.scope.iterations}, {len(config.seeds)} seed(s)/variant)"
         ),
     )
-    for o in report.outcomes:
-        table.add_row(
-            [
-                o.variant,
-                o.seed,
-                o.expectation,
-                o.schedules,
-                o.interleavings or "-",
-                f"{o.reduction_factor:.2f}x" if o.reduction_factor else "-",
-                o.counterexample_count or "none",
-                "pass" if cell_passed(o) else "FAIL",
-            ]
-        )
     # The figure: per variant, schedules explored in the reduced vs the
     # full walk (xs index the variant panel).
     xs = list(range(len(report.outcomes)))

@@ -52,6 +52,7 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
     Type,
     Union,
@@ -192,11 +193,17 @@ class GridReport:
         """Every gate holds."""
         return all(self.gates().values())
 
+    def table(self, columns: Sequence[Tuple[str, Any]], title: str) -> Table:
+        """The rows as a :class:`Table` of ``columns``, shaped like
+        :attr:`columns` (``repro run`` tables pick some of them)."""
+        table = Table([header for header, _ in columns], title=title)
+        for row in getattr(self, self.table_rows):
+            table.add_row([_table_cell(row, cell) for _, cell in columns])
+        return table
+
     def render(self) -> str:
         """ASCII report (the CLI artifact): table, details, verdict."""
-        table = Table([header for header, _ in self.columns], title=self.title)
-        for row in getattr(self, self.table_rows):
-            table.add_row([_table_cell(row, cell) for _, cell in self.columns])
+        table = self.table(self.columns, self.title)
         verdict = f"verdict: {'PASS' if self.passed else 'FAIL'}"
         return "\n".join([table.render(), *self.details(), verdict])
 

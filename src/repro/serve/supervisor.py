@@ -50,7 +50,9 @@ sleeping.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import signal
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -344,7 +346,14 @@ class ProcessJobRunner:
 
     @staticmethod
     def _stop(worker: _Worker) -> None:
+        """Kill the worker and its process group: the processes a
+        ``jobs > 1`` spec's ensemble pool forked would otherwise block
+        forever on a task queue no one feeds."""
         worker.proc.kill()
+        try:
+            os.killpg(worker.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # no group left, or the worker died before forming one
         worker.proc.join()
         worker.conn.close()
 

@@ -62,6 +62,9 @@ def _write_json(path: pathlib.Path, payload: Mapping[str, Any]) -> None:
 
 def worker_main(conn: Any) -> None:
     """Process entry point: run the jobs sent on ``conn`` until EOF."""
+    # Lead a process group of our own, which a ``jobs > 1`` spec's
+    # ensemble pool joins: killing the group reaps the pool with us.
+    os.setpgid(0, 0)
     _release_inherited_sockets(keep=conn.fileno())
     # Idle, the worker has nothing to save: SIGTERM ends it and a
     # terminal Ctrl-C is the server's to handle.  Each job's

@@ -1,6 +1,7 @@
 """Tests for the CLI and the trace serializer."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,14 @@ class TestCli:
         out = capsys.readouterr().out
         for key in REGISTRY:
             assert key in out
+
+    def test_run_help_names_every_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        for key in REGISTRY:
+            assert re.search(rf"\b{key}\b", out), key
 
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "E99"]) == 2

@@ -221,26 +221,3 @@ class TestTraceCli:
         assert main(
             ["trace", str(empty), "--out", str(tmp_path / "t.json")]
         ) == 1
-
-
-class TestTrendCli:
-    def test_update_then_check(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "BENCH_zoo.json").write_text(
-            json.dumps({"steps_per_sec": 1000.0, "unix_time": 1.0})
-        )
-        assert main(["trend", "--results", str(results), "--update"]) == 0
-        out = capsys.readouterr().out
-        assert "ingested 1 new ledger entr" in out
-        assert "BENCH_zoo" in out
-        # A 50% throughput drop fails --check with a REGRESSION line.
-        (results / "BENCH_zoo.json").write_text(
-            json.dumps({"steps_per_sec": 500.0, "unix_time": 2.0})
-        )
-        assert main(["trend", "--results", str(results), "--check"]) == 1
-        err = capsys.readouterr().err
-        assert "REGRESSION" in err and "steps_per_sec" in err
-
-    def test_missing_results_dir_exit_2(self, tmp_path):
-        assert main(["trend", "--results", str(tmp_path / "nope")]) == 2

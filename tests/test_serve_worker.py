@@ -300,7 +300,9 @@ class TestWorkerLifecycle:
         and the pool's processes inherit the worker's pipe end and its
         fork sentinel.  Once the worker is SIGKILLed they hold both
         open, so its death alone must end the attempt as a crash, under
-        the default policy too (no stall timeout, no deadline)."""
+        the default policy too (no stall timeout, no deadline).  The
+        pool shares the worker's process group and dies with it: none
+        of its processes outlives the worker by more than 5 s."""
         seen = {}
 
         async def test(server, supervisor):
@@ -308,19 +310,15 @@ class TestWorkerLifecycle:
             seen["killed"], seen["pool"] = await _kill_mid_job(
                 server, job_id
             )
+            pool, deadline = seen["pool"], time.monotonic() + 5.0
+            while any(map(_alive, pool)) and time.monotonic() < deadline:
+                await asyncio.sleep(0.05)
+            seen["orphans"] = [pid for pid in pool if _alive(pid)]
             seen["job"] = await _until_terminal(server, job_id, timeout=30.0)
 
-        try:
-            _run_server(tmp_path, ServerPolicy(), test)
-        finally:
-            # The killed worker's pool processes outlive it, blocked on
-            # a task queue no one feeds any more.
-            for pid in seen.get("pool", ()):
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
+        _run_server(tmp_path, ServerPolicy(), test)
         assert seen["pool"], "the job never forked its ensemble pool"
+        assert seen["orphans"] == [], "pool processes outlived the worker"
         job = seen["job"]
         assert job["state"] == "done" and job["attempts"] == 2, job
         assert job["worker_pid"] != seen["killed"]
