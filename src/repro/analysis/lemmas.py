@@ -30,13 +30,14 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.analysis.report import Finding, LemmaCertificate
 from repro.runtime.events import IterationRecord
 from repro.theory.contention import (
-    delay_sequence,
-    lemma_6_2_max_bad,
+    TraceTimes,
+    lemma_6_2_window_counts,
     lemma_6_4_sums,
-    tau_max,
     thread_count,
 )
 
@@ -134,15 +135,29 @@ def certify_lemma_6_2(
     bounds it strictly below ``num_threads``.  Traces too short for a
     single window certify vacuously (0 windows, measured 0).
     """
-    worst, windows = lemma_6_2_max_bad(
-        records, window_multiplier=window_multiplier, num_threads=num_threads
+    return lemma_6_2_certificate(
+        lemma_6_2_window_counts(
+            records, window_multiplier=window_multiplier, num_threads=num_threads
+        ),
+        num_threads=num_threads,
+        window_multiplier=window_multiplier,
     )
+
+
+def lemma_6_2_certificate(
+    window_counts: Sequence[int], num_threads: int, window_multiplier: int
+) -> LemmaCertificate:
+    """:func:`certify_lemma_6_2` from the trace's per-window bad counts
+    (:func:`~repro.theory.contention.lemma_6_2_window_counts`)."""
+    worst = max(window_counts, default=0)
     return LemmaCertificate(
         lemma="6.2",
         holds=worst < num_threads,
         measured=float(worst),
         bound=float(num_threads),
-        detail=f"n={num_threads} K={window_multiplier} windows={windows}",
+        detail=(
+            f"n={num_threads} K={window_multiplier} windows={len(window_counts)}"
+        ),
     )
 
 
@@ -155,14 +170,28 @@ def certify_lemma_6_4(
     sequence; the bound uses the *measured* τ_max and thread count, so
     the certificate is honest about the execution it describes.
     """
-    delays = delay_sequence(records)
+    times = TraceTimes(records)
+    contention = times.contention()
+    return lemma_6_4_certificate(
+        times.delays(),
+        tau_max=int(contention.max()) if contention.size else 0,
+        threads=thread_count(records),
+    )
+
+
+def lemma_6_4_certificate(
+    delays: np.ndarray, tau_max: int, threads: int
+) -> LemmaCertificate:
+    """:func:`certify_lemma_6_4` from the trace's delay sequence, its
+    measured τ_max and the number of threads that completed
+    iterations."""
     if delays.size == 0:
         return LemmaCertificate(
             lemma="6.4", holds=True, measured=0.0, bound=0.0, detail="records=0"
         )
     sums = lemma_6_4_sums(delays)
-    measured_tau_max = max(1, tau_max(records))
-    n = max(1, thread_count(records))
+    measured_tau_max = max(1, tau_max)
+    n = max(1, threads)
     bound = 2.0 * math.sqrt(measured_tau_max * n)
     worst = float(sums.max())
     return LemmaCertificate(

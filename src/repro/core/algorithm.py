@@ -311,7 +311,7 @@ def simulate(
             gap = model.snapshot() - x_star
             return float(gap @ gap) <= stop_epsilon
 
-        sim.run(stop=reached)
+        sim.run_fast(stop=reached)
 
     records = collect_iteration_records(sim)
     # Only pay for the O(N log N) derived quantities when a live

@@ -118,12 +118,28 @@ def accumulator_trajectory(
     x0 = np.asarray(x0, dtype=float)
     trajectory = np.empty((len(records) + 1, x0.size))
     trajectory[0] = x0
-    current = x0.copy()
-    for t, record in enumerate(records, start=1):
-        if record.gradient is not None:
-            delta = -record.step_size * record.gradient
-            if record.applied is not None:
-                delta = delta * np.asarray(record.applied, dtype=float)
-            current = current + delta
-        trajectory[t] = current
+    if records:
+        # Row t first holds iteration t's delta.  A record without a
+        # gradient gets -1.0 * +0.0 = -0.0 in every entry, because
+        # x + (-0.0) is x bit for bit (x + (+0.0) turns -0.0 into +0.0).
+        zero = np.zeros(x0.size)
+        gradients = np.array(
+            [zero if r.gradient is None else r.gradient for r in records],
+            dtype=float,
+        )
+        steps = np.array(
+            [1.0 if r.gradient is None else r.step_size for r in records],
+            dtype=float,
+        )
+        deltas = trajectory[1:]
+        np.multiply(-steps[:, None], gradients, out=deltas)
+        if any(r.applied is not None for r in records):
+            ones = np.ones(x0.size)
+            deltas *= np.array(
+                [ones if r.applied is None else r.applied for r in records],
+                dtype=float,
+            )
+        # An accumulate adds the rows one after another, in order: the
+        # same additions as applying each delta to the running x.
+        np.cumsum(trajectory, axis=0, out=trajectory)
     return trajectory

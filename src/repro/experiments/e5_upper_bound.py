@@ -136,7 +136,7 @@ def _lockfree_worker(
         and bool(obs["lemma_6_2_holds"])
         and bool(obs["lemma_6_4_holds"])
     )
-    return hit, measure_tau_max(result.records), certs_ok, obs
+    return hit, int(obs["tau_max"]), certs_ok, obs
 
 
 def _sequential_worker(config: E5Config, alpha: float, seed: int) -> float:

@@ -7,18 +7,19 @@ window bad-iteration counts (Lemma 6.2), and the indicator sums
 :class:`~repro.runtime.events.IterationRecord` stream of a run.
 
 **Agreement with post-hoc certification is by construction**: the
-heavy quantities are produced by the *same* functions the
-:mod:`repro.analysis.lemmas` certifiers call
-(:func:`~repro.theory.contention.delay_sequence`,
-:func:`~repro.theory.contention.tau_max`,
-:func:`~repro.theory.contention.lemma_6_2_window_counts`,
-:func:`~repro.theory.contention.lemma_6_4_sums`), and the
-``lemma_6_2``/``lemma_6_4`` entries of a snapshot are read straight off
-:class:`~repro.analysis.report.LemmaCertificate` objects issued by
+heavy quantities are produced by the *same* code the
+:mod:`repro.analysis.lemmas` certifiers run
+(:class:`~repro.theory.contention.TraceTimes`' delays, contention and
+window counts, :func:`~repro.theory.contention.lemma_6_4_sums`), and
+the ``lemma_6_2``/``lemma_6_4`` entries of a snapshot are read straight
+off :class:`~repro.analysis.report.LemmaCertificate` objects issued by
+:func:`~repro.analysis.lemmas.lemma_6_2_certificate` /
+:func:`~repro.analysis.lemmas.lemma_6_4_certificate`, the functions
 :func:`~repro.analysis.lemmas.certify_lemma_6_2` /
-:func:`certify_lemma_6_4`.  A live counter disagreeing with the
-certificate for the same trace is therefore impossible without a code
-bug — the cross-check test in ``tests/test_obs_paper.py`` pins it.
+:func:`~repro.analysis.lemmas.certify_lemma_6_4` issue theirs through.
+A live counter disagreeing with the certificate for the same trace is
+therefore impossible without a code bug — the cross-check test in
+``tests/test_obs_paper.py`` pins it.
 
 Everything returned is JSON-safe (ints, floats, bools, lists) and a
 pure function of the record stream, so snapshots are deterministic and
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.obs.registry import TAU_BUCKETS, live_registry
 from repro.runtime.events import IterationRecord
 
@@ -36,21 +39,17 @@ from repro.runtime.events import IterationRecord
 def tau_histogram_buckets(
     delays: Sequence[int], buckets: Tuple[float, ...] = TAU_BUCKETS
 ) -> List[List[object]]:
-    """Cumulative ``le`` buckets of a delay sequence (+Inf last)."""
-    counts = [0] * (len(buckets) + 1)
-    for value in delays:
-        for index, bound in enumerate(buckets):
-            if value <= bound:
-                counts[index] += 1
-                break
-        else:
-            counts[-1] += 1
-    cumulative = 0
-    out: List[List[object]] = []
-    for bound, count in zip(buckets, counts):
-        cumulative += count
-        label = int(bound) if float(bound).is_integer() else bound
-        out.append([label, cumulative])
+    """Cumulative ``le`` buckets of a delay sequence (+Inf last).
+
+    ``buckets`` are ascending bounds; each delay lands in the first
+    bucket whose bound it does not exceed.
+    """
+    slots = np.searchsorted(np.asarray(buckets, dtype=float), delays, side="left")
+    counts = np.bincount(slots, minlength=len(buckets) + 1)
+    out: List[List[object]] = [
+        [int(bound) if float(bound).is_integer() else bound, cumulative]
+        for bound, cumulative in zip(buckets, np.cumsum(counts[:-1]).tolist())
+    ]
     out.append(["+Inf", len(delays)])
     return out
 
@@ -75,39 +74,38 @@ def paper_metrics(
       ``lemma_6_4_holds`` — Lemma 6.4's indicator sums against
       ``2√(τ_max·n)``;
     * ``lemma_6_1_violations`` — Lemma 6.1 total-order violations.
+
+    The records are sorted once (:class:`~repro.theory.contention.
+    TraceTimes`), and the delays, the interval contention and the
+    window counts are each computed once and shared by the snapshot
+    and its certificates.
     """
     from repro.analysis.lemmas import (
         certify_iteration_order,
-        certify_lemma_6_2,
-        certify_lemma_6_4,
+        lemma_6_2_certificate,
+        lemma_6_4_certificate,
     )
-    from repro.theory.contention import (
-        delay_sequence,
-        lemma_6_2_window_counts,
-        tau_avg,
-        tau_max,
-        thread_count,
-    )
+    from repro.theory.contention import TraceTimes, thread_count
 
-    delays = delay_sequence(records)
+    times = TraceTimes(records)
+    delays = times.delays()
+    contention = times.contention()
+    tau_max = int(contention.max()) if contention.size else 0
+    threads = thread_count(records)
+    window_counts = times.window_counts(window_multiplier, num_threads)
     cert_61 = certify_iteration_order(records)
-    cert_62 = certify_lemma_6_2(
-        records, num_threads=num_threads, window_multiplier=window_multiplier
-    )
-    cert_64 = certify_lemma_6_4(records)
-    window_counts = lemma_6_2_window_counts(
-        records, window_multiplier=window_multiplier, num_threads=num_threads
-    )
+    cert_62 = lemma_6_2_certificate(window_counts, num_threads, window_multiplier)
+    cert_64 = lemma_6_4_certificate(delays, tau_max=tau_max, threads=threads)
     return {
         "iterations": len(records),
-        "threads_observed": thread_count(records),
+        "threads_observed": threads,
         "num_threads": int(num_threads),
-        "tau_max": int(tau_max(records)),
-        "tau_avg": float(tau_avg(records)),
+        "tau_max": tau_max,
+        "tau_avg": float(contention.mean()) if contention.size else 0.0,
         "delay_max": int(delays.max()) if delays.size else 0,
-        "tau_histogram": tau_histogram_buckets([int(d) for d in delays]),
+        "tau_histogram": tau_histogram_buckets(delays),
         "window": int(window_multiplier * num_threads),
-        "window_counts": [int(c) for c in window_counts],
+        "window_counts": window_counts,
         "window_bad_max": float(cert_62.measured),
         "window_bound": float(cert_62.bound),
         "lemma_6_2_holds": bool(cert_62.holds),

@@ -46,17 +46,23 @@ class ThreadContext:
     ) -> None:
         self.thread_id = thread_id
         self.rng = rng
-        self._simulator = simulator
+        # The simulator's clock and trace, not the simulator: a context
+        # is reachable from the simulator (through its thread), so a
+        # back reference would make every run's object graph cyclic
+        # and leave it for the garbage collector instead of freeing it
+        # as soon as the last reference goes.
+        self._clock = simulator.clock
+        self._trace = simulator.trace
         self.annotations: Dict[str, Any] = {}
 
     @property
     def now(self) -> int:
         """Current logical time (steps executed so far)."""
-        return self._simulator.clock.now
+        return self._clock.now
 
     def emit(self, event: Event) -> None:
         """Append a semantic event to the simulation trace."""
-        self._simulator.trace.append(event)
+        self._trace.append(event)
 
     def annotate(self, key: str, value: Any) -> None:
         """Publish thread-local state for adaptive adversaries to read."""

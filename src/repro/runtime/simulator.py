@@ -42,7 +42,7 @@ from repro.runtime.program import Program, ThreadContext
 from repro.runtime.rng import RngStream
 from repro.runtime.thread import SimThread, ThreadState
 from repro.shm.memory import SharedMemory
-from repro.shm.ops import DISPATCH_TABLE, Operation
+from repro.shm.ops import DISPATCH_TABLE, OP_READ, Operation
 
 
 class Simulator:
@@ -321,20 +321,40 @@ class Simulator:
             self._m_steps.inc(executed)
         return executed
 
-    def run_fast(self, max_steps: Optional[int] = None) -> int:
+    def run_fast(
+        self,
+        max_steps: Optional[int] = None,
+        stop: Optional[Callable[["Simulator"], bool]] = None,
+    ) -> int:
         """Batch execution loop for ensemble/throughput runs.
 
-        Semantically identical to ``run(max_steps)`` — same scheduler
-        decisions, same memory effects, same thread results — but when no
-        consumer needs per-step records (``record_steps`` off and no live
-        ``on_step`` hook) the loop skips :class:`StepRecord` construction
-        and per-step attribute lookups entirely.  Falls back to
-        :meth:`run` whenever step records are required.
+        Semantically identical to ``run(max_steps, stop=stop)`` — same
+        scheduler decisions, same memory effects, same thread results —
+        but when no consumer needs per-step records (``record_steps`` off
+        and no live ``on_step`` hook) the loop skips :class:`StepRecord`
+        construction and per-step attribute lookups entirely.  Falls back
+        to :meth:`run` whenever step records are required.
+
+        ``stop`` must be a function of shared memory only.  It is
+        evaluated once before the first step and then only after steps
+        whose opcode is not ``OP_READ`` (a read never changes memory), so
+        the run stops at the same step as under :meth:`run`, which
+        evaluates it before every step.
 
         Returns the number of steps executed by this call.
         """
         if self.record_steps or self._on_step is not None:
-            return self.run(max_steps=max_steps)
+            return self.run(max_steps=max_steps, stop=stop)
+        # Bound under another name: the ``except StopIteration as stop``
+        # clause below unbinds ``stop`` once the first thread finishes.
+        reached = stop
+        if (
+            reached is not None
+            and self._runnable
+            and max_steps != 0
+            and reached(self)
+        ):
+            return 0
         # Engine-internal fast path: the loop below reaches into Clock,
         # SimThread and SharedMemory internals (all same-engine classes)
         # to avoid per-step method-call and bookkeeping overhead, while
@@ -397,6 +417,8 @@ class Simulator:
                         )
                     thread.pending_op = next_op
                 executed += 1
+                if reached is not None and op.opcode != OP_READ and reached(self):
+                    break
         finally:
             # The direct-dispatch branch bypasses memory.execute; restore
             # its sequence counter so any later logged operation numbers

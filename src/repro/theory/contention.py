@@ -26,9 +26,94 @@ from repro.errors import ConfigurationError
 from repro.runtime.events import IterationRecord
 
 
-def _ordered(records: Sequence[IterationRecord]) -> List[IterationRecord]:
-    """Records sorted by the paper's total order (first model update)."""
-    return sorted(records, key=lambda r: r.order_time)
+class TraceTimes:
+    """The timestamps the Section 6.1 quantities read, sorted once.
+
+    Each attribute is an int64 array with one entry per iteration, in
+    the paper's total order (first model update; ties keep the input
+    order, as a stable sort does): ``order``, ``start``, ``end`` and
+    ``read_start``.  ``sorted_start`` and ``sorted_end`` hold the start
+    and end times ascending.
+    One run's analysis (:func:`repro.obs.paper.paper_metrics`) builds
+    one of these and derives every quantity from it, instead of
+    sorting the records once per quantity.
+    """
+
+    def __init__(self, records: Sequence[IterationRecord]) -> None:
+        order = np.array([r.order_time for r in records], dtype=np.int64)
+        by_order = np.argsort(order, kind="stable")
+        self.order = order[by_order]
+        self.start = np.array(
+            [r.start_time for r in records], dtype=np.int64
+        )[by_order]
+        self.end = np.array([r.end_time for r in records], dtype=np.int64)[by_order]
+        self.read_start = np.array(
+            [r.read_start_time for r in records], dtype=np.int64
+        )[by_order]
+        self.sorted_start = np.sort(self.start)
+        self.sorted_end = np.sort(self.end)
+
+    def contention(self) -> np.ndarray:
+        """ρ(θ) per iteration (see :func:`interval_contention`)."""
+        started_by_end = np.searchsorted(self.sorted_start, self.end, side="right")
+        ended_before_start = np.searchsorted(
+            self.sorted_end, self.start, side="left"
+        )
+        return started_by_end - ended_before_start - 1  # exclude θ itself
+
+    def delays(self) -> np.ndarray:
+        """τ_t per iteration (see :func:`delay_sequence`).
+
+        τ_t counts, among the first t+1 iterations, those ending at or
+        after iteration t's read start.  When every iteration has
+        ``end >= order >= read_start``, no iteration later in the order
+        can end before an earlier one starts reading, so the count may
+        run over every iteration at once.  A trace breaking that
+        condition takes the incremental loop.
+        """
+        count = self.order.size
+        if np.all(self.end >= self.order) and np.all(self.order >= self.read_start):
+            completed_before = np.searchsorted(
+                self.sorted_end, self.read_start, side="left"
+            )
+            return np.arange(1, count + 1, dtype=np.int64) - completed_before
+        delays = np.zeros(count, dtype=np.int64)
+        ends_so_far: List[int] = []  # kept sorted
+        for t, (end, read_start) in enumerate(
+            zip(self.end.tolist(), self.read_start.tolist())
+        ):
+            bisect.insort(ends_so_far, end)
+            delays[t] = (t + 1) - bisect.bisect_left(ends_so_far, read_start)
+        return delays
+
+    def window_counts(
+        self, window_multiplier: int, num_threads: int, stride: int = 0
+    ) -> List[int]:
+        """Lemma 6.2's per-window bad counts (see
+        :func:`lemma_6_2_window_counts`)."""
+        if window_multiplier < 1:
+            raise ConfigurationError(
+                f"window_multiplier must be >= 1, got {window_multiplier}"
+            )
+        if num_threads < 1:
+            raise ConfigurationError(f"num_threads must be >= 1, got {num_threads}")
+        starts = self.sorted_start
+        total = starts.size
+        window = window_multiplier * num_threads
+        if total < window:
+            return []
+        # bad(θ): #starts strictly inside (θ.start, θ.end] exceeds K·n.
+        started_by_end = np.searchsorted(starts, self.end, side="right")
+        started_by_start = np.searchsorted(starts, self.start, side="right")
+        is_bad = (started_by_end - started_by_start) > window
+        bad_ends = np.sort(self.end[is_bad])
+        # A window covers the start times of its K·n consecutive starts;
+        # count the bad iterations completing inside that interval.
+        lefts = np.arange(0, total - window + 1, stride if stride >= 1 else window)
+        counts = np.searchsorted(
+            bad_ends, starts[lefts + window - 1], side="right"
+        ) - np.searchsorted(bad_ends, starts[lefts], side="left")
+        return counts.tolist()
 
 
 def iteration_intervals(
@@ -38,10 +123,8 @@ def iteration_intervals(
 
     Returns an array of shape (N, 2).
     """
-    ordered = _ordered(records)
-    return np.array(
-        [[r.start_time, r.end_time] for r in ordered], dtype=np.int64
-    ).reshape(-1, 2)
+    times = TraceTimes(records)
+    return np.stack((times.start, times.end), axis=1)
 
 
 def interval_contention(records: Sequence[IterationRecord]) -> np.ndarray:
@@ -52,14 +135,7 @@ def interval_contention(records: Sequence[IterationRecord]) -> np.ndarray:
     iterations overlapping θ are exactly those that start no later than
     θ ends and end no earlier than θ starts.
     """
-    intervals = iteration_intervals(records)
-    if intervals.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.sort(intervals[:, 0])
-    ends = np.sort(intervals[:, 1])
-    started_by_end = np.searchsorted(starts, intervals[:, 1], side="right")
-    ended_before_start = np.searchsorted(ends, intervals[:, 0], side="left")
-    return started_by_end - ended_before_start - 1  # exclude θ itself
+    return TraceTimes(records).contention()
 
 
 def tau_max(records: Sequence[IterationRecord]) -> int:
@@ -91,16 +167,7 @@ def delay_sequence(records: Sequence[IterationRecord]) -> np.ndarray:
     convention that v_t misses updates "from only the last τ_t
     iterations".
     """
-    ordered = _ordered(records)
-    delays = np.zeros(len(ordered), dtype=np.int64)
-    ends_so_far: List[int] = []  # kept sorted
-    for t, record in enumerate(ordered):
-        bisect.insort(ends_so_far, record.end_time)
-        # Iterations among the first t+1 whose end >= this read start.
-        read_start = record.read_start_time
-        completed_before = bisect.bisect_left(ends_so_far, read_start)
-        delays[t] = (t + 1) - completed_before
-    return delays
+    return TraceTimes(records).delays()
 
 
 def lemma_6_2_violations(
@@ -121,34 +188,15 @@ def lemma_6_2_violations(
         A list of (window_start_rank, bad_count) pairs for windows where
         bad_count ≥ n.  An empty list means the lemma held everywhere.
     """
-    if window_multiplier < 1:
-        raise ConfigurationError(
-            f"window_multiplier must be >= 1, got {window_multiplier}"
-        )
-    if num_threads < 1:
-        raise ConfigurationError(f"num_threads must be >= 1, got {num_threads}")
-    by_start = sorted(records, key=lambda r: r.start_time)
-    total = len(by_start)
-    window = window_multiplier * num_threads
-    if total < window:
-        return []
-    starts = np.array([r.start_time for r in by_start], dtype=np.int64)
-    ends = np.array([r.end_time for r in by_start], dtype=np.int64)
-    # bad(θ): #starts strictly inside (θ.start, θ.end] exceeds K·n.
-    started_by_end = np.searchsorted(starts, ends, side="right")
-    started_by_start = np.searchsorted(starts, starts, side="right")
-    is_bad = (started_by_end - started_by_start) > window
-
-    violations: List[Tuple[int, int]] = []
-    step = stride if stride >= 1 else window
-    for left in range(0, total - window + 1, step):
-        interval_lo = starts[left]
-        interval_hi = starts[left + window - 1]
-        completes_inside = (ends >= interval_lo) & (ends <= interval_hi)
-        bad_count = int(np.count_nonzero(is_bad & completes_inside))
-        if bad_count >= num_threads:
-            violations.append((left, bad_count))
-    return violations
+    counts = lemma_6_2_window_counts(
+        records, window_multiplier, num_threads, stride=stride
+    )
+    step = stride if stride >= 1 else window_multiplier * num_threads
+    return [
+        (index * step, count)
+        for index, count in enumerate(counts)
+        if count >= num_threads
+    ]
 
 
 def max_incomplete_iterations(records: Sequence[IterationRecord]) -> int:
@@ -194,31 +242,9 @@ def lemma_6_2_window_counts(
     Returns an empty list when the trace is too short for even one
     window.
     """
-    if window_multiplier < 1:
-        raise ConfigurationError(
-            f"window_multiplier must be >= 1, got {window_multiplier}"
-        )
-    if num_threads < 1:
-        raise ConfigurationError(f"num_threads must be >= 1, got {num_threads}")
-    by_start = sorted(records, key=lambda r: r.start_time)
-    total = len(by_start)
-    window = window_multiplier * num_threads
-    if total < window:
-        return []
-    starts = np.array([r.start_time for r in by_start], dtype=np.int64)
-    ends = np.array([r.end_time for r in by_start], dtype=np.int64)
-    started_by_end = np.searchsorted(starts, ends, side="right")
-    started_by_start = np.searchsorted(starts, starts, side="right")
-    is_bad = (started_by_end - started_by_start) > window
-
-    counts: List[int] = []
-    step = stride if stride >= 1 else window
-    for left in range(0, total - window + 1, step):
-        interval_lo = starts[left]
-        interval_hi = starts[left + window - 1]
-        completes_inside = (ends >= interval_lo) & (ends <= interval_hi)
-        counts.append(int(np.count_nonzero(is_bad & completes_inside)))
-    return counts
+    return TraceTimes(records).window_counts(
+        window_multiplier, num_threads, stride=stride
+    )
 
 
 def lemma_6_2_max_bad(
@@ -270,11 +296,12 @@ def lemma_6_4_bound(records: Sequence[IterationRecord]) -> Tuple[float, float]:
     Returns:
         (max_sum, bound) — the lemma predicts max_sum ≤ bound.
     """
-    delays = delay_sequence(records)
+    times = TraceTimes(records)
+    delays = times.delays()
     if delays.size == 0:
         return 0.0, 0.0
     sums = lemma_6_4_sums(delays)
-    measured_tau_max = tau_max(records)
+    measured_tau_max = int(times.contention().max())
     n = max(1, thread_count(records))
     bound = 2.0 * math.sqrt(max(measured_tau_max, 1) * n)
     return float(sums.max()), bound

@@ -27,6 +27,7 @@ from repro.errors import ConfigurationError
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.obs.registry import MetricsRegistry
+from repro.runtime.policy import TraceConfig
 from repro.sched.registry import build_scheduler
 from repro.sched.round_robin import RoundRobinScheduler
 
@@ -228,6 +229,57 @@ class TestUnifiedDriver:
                 step_size=0.05,
                 iterations=10,
             )
+
+
+class TestFastLoopEarlyStop:
+    """``run_fast(stop=p)`` checks ``p`` only after steps that can write
+    memory, and still stops at the step ``run(stop=p)`` stops at."""
+
+    @staticmethod
+    def _stopped(mode, name, adversary, seed, radius, trace_config=None):
+        objective = _objective()
+        sim, model, _x0 = build_zoo_simulation(
+            get_algorithm(name),
+            objective,
+            build_scheduler(adversary, seed=seed),
+            num_threads=3,
+            step_size=0.05,
+            iterations=200,
+            x0=np.full(2, 2.0),
+            seed=seed,
+            trace_config=trace_config,
+        )
+
+        def reached(_sim):
+            gap = model.snapshot() - objective.x_star
+            return float(gap @ gap) <= radius
+
+        executed = getattr(sim, mode)(stop=reached)
+        return executed, sim
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    @pytest.mark.parametrize("adversary", PANEL_ADVERSARIES)
+    @pytest.mark.parametrize("name", EXPECTED_NAMES)
+    def test_run_fast_stops_where_run_stops(self, name, adversary, seed):
+        slow_steps, slow = self._stopped("run", name, adversary, seed, 1.0)
+        fast_steps, fast = self._stopped("run_fast", name, adversary, seed, 1.0)
+        assert not slow.is_done  # the predicate ended the run, not quiescence
+        assert (fast_steps, fast.now) == (slow_steps, slow.now)
+        assert fast.state_digest() == slow.state_digest()
+
+    @pytest.mark.parametrize("mode", ("run", "run_fast"))
+    def test_a_predicate_true_at_the_start_runs_no_step(self, mode):
+        executed, sim = self._stopped(mode, "hogwild", "random", 1, 100.0)
+        assert (executed, sim.now) == (0, 0)
+
+    def test_recorded_steps_fall_back_to_run(self):
+        slow_steps, slow = self._stopped("run", "epoch-sgd", "random", 1, 1.0)
+        fast_steps, fast = self._stopped(
+            "run_fast", "epoch-sgd", "random", 1, 1.0,
+            trace_config=TraceConfig(record_steps=True, record_log=False),
+        )
+        assert len(fast.steps) == fast.now == fast_steps == slow_steps
+        assert fast.state_digest() == slow.state_digest()
 
 
 def _run_with(entry, iterations, x0):

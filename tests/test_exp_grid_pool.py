@@ -217,9 +217,10 @@ class TestWorkerHeap:
             _zoo_worker, _zoo_config(2), "locked", "stale-attack"
         )
         seeds = [100, 101]
-        # Each seed's simulator graph is cyclic garbage...
-        assert self._in_worker(_leftover_simulators, run_one, seeds, False) == 2
-        # ...which the chunk runner collects before returning.
+        # A finished run's graph holds no cycle, so reference counting
+        # frees each seed's simulator even when nothing collects...
+        assert self._in_worker(_leftover_simulators, run_one, seeds, False) == 0
+        # ...and the chunk runner's collection finds none either.
         assert self._in_worker(_leftover_simulators, run_one, seeds, True) == 0
 
     def test_workers_freeze_the_inherited_heap(self):
