@@ -233,7 +233,7 @@ class SanitizeCampaign(Campaign):
                 )
 
     def cell_span(self, config, cell):
-        from repro.obs.spans import trace_span
+        from repro.obs.causal import trace_span
 
         preset, scheduler_kind = cell.key
         return trace_span(

@@ -315,7 +315,7 @@ def simulate(
 
     records = collect_iteration_records(sim)
     # Only pay for the O(N log N) derived quantities when a live
-    # registry is attached (None/null = uninstrumented).
+    # registry is attached (None = uninstrumented).
     if records and sim.metrics is not None:
         from repro.obs.paper import paper_metrics, publish_paper_metrics
 
@@ -384,7 +384,7 @@ def run_algorithm(
     :class:`repro.obs.registry.MetricsRegistry` and publishes the run's
     paper-aligned snapshot at the end.
     """
-    from repro.obs.spans import trace_span
+    from repro.obs.causal import trace_span
 
     with trace_span(
         "zoo.run",

@@ -370,12 +370,12 @@ def run_lock_free_sgd(
             fed the run's paper-aligned snapshot (τ histogram, window
             counts, lemma indicators) via
             :func:`repro.obs.paper.publish_paper_metrics` at the end.
-            ``None``/null backend costs nothing.
+            ``None`` costs nothing.
 
     Returns:
         A :class:`~repro.core.results.LockFreeRunResult`.
     """
-    from repro.obs.spans import trace_span
+    from repro.obs.causal import trace_span
 
     with trace_span(
         "epoch_sgd.run", threads=num_threads, iterations=iterations, seed=seed

@@ -247,7 +247,7 @@ class EpochCheckpoints:
         epoch = int(sim.memory.peek(self.address))
         if epoch > self.last_epoch:
             from repro.durable.checkpoint import Checkpoint
-            from repro.obs.spans import trace_span
+            from repro.obs.causal import trace_span
 
             self.last_epoch = epoch
             with trace_span("full_sgd.checkpoint", epoch=epoch):
@@ -403,7 +403,7 @@ class FullSGD(FullSGDAlgorithm):
         counters, an epochs-completed gauge, and the run's paper-aligned
         snapshot at the end); the whole run executes under a
         ``full_sgd.run`` span when a
-        :class:`repro.obs.spans.SpanRecorder` is active.
+        :class:`repro.obs.causal.CausalRecorder` is installed.
         """
         if checkpoint_chunk < 1:
             raise ConfigurationError(
@@ -414,7 +414,7 @@ class FullSGD(FullSGDAlgorithm):
 
             scheduler = RecordingScheduler(scheduler)
             analyzers = (*analyzers, EpochCheckpoints(checkpoint_hook))
-        from repro.obs.spans import trace_span
+        from repro.obs.causal import trace_span
 
         with trace_span(
             "full_sgd.run", threads=self.num_threads, epochs=self.num_epochs

@@ -259,7 +259,7 @@ class Checkpoint:
                 "checkpoint has no recorded schedule prefix; replay "
                 "restore needs one (capture under a RecordingScheduler)"
             )
-        from repro.obs.spans import trace_span
+        from repro.obs.causal import trace_span
         from repro.sched.replay import PrefixReplayScheduler
 
         scheduler = PrefixReplayScheduler(inner, self.schedule, verify=verify)

@@ -2,10 +2,8 @@
 
 A process pool can wedge in ways no exception reports: a worker OOM-
 killed mid-chunk, a fork that never came up, a chunk whose adversarial
-schedule runs pathologically long.  Before this layer, a wedged pool
-either hung the campaign forever (``chunk_timeout=None``) or was
-abandoned wholesale on the first stall.  The watchdog turns that into a
-graded escalation ladder, reported as structured
+schedule runs pathologically long.  The watchdog is the one way to
+bound such a stall: a graded escalation ladder, reported as structured
 :class:`~repro.analysis.report.Finding` objects instead of silence:
 
 * **WD001 (stall, warning)** — no chunk completed a heartbeat within
@@ -84,14 +82,11 @@ class EnsembleWatchdog:
         self.findings: List[Any] = []
         # Escalations are wall-clock weather, so the counters are
         # non-deterministic telemetry (live view / exposition only).
-        from repro.obs.registry import live_registry
-
-        registry = live_registry(metrics)
         self._m_escalations = (
             None
-            if registry is None
+            if metrics is None
             else {
-                rule: registry.counter(
+                rule: metrics.counter(
                     f"repro_watchdog_{rule.lower()}_total",
                     f"watchdog {rule} escalations",
                     deterministic=False,

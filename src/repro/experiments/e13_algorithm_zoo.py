@@ -422,7 +422,7 @@ class ZooCampaign(Campaign):
                 )
 
     def cell_span(self, config, cell):
-        from repro.obs.spans import trace_span
+        from repro.obs.causal import trace_span
 
         algorithm, adversary = cell.key
         return trace_span(

@@ -420,7 +420,7 @@ class HealCampaign(Campaign):
                 )
 
     def cell_span(self, config, cell):
-        from repro.obs.spans import trace_span
+        from repro.obs.causal import trace_span
 
         algorithm, plan = cell.key
         return trace_span(

@@ -63,7 +63,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.durable.watchdog import ABANDON, REROUTE, EnsembleWatchdog, WatchdogPolicy
+from repro.durable.watchdog import ABANDON, REROUTE, EnsembleWatchdog
 from repro.errors import ConfigurationError
 
 T = TypeVar("T")
@@ -263,7 +263,6 @@ def _run_chunks_pooled(
     chunks: List[List[int]],
     pool: EnsemblePool,
     chunk_retries: int,
-    chunk_timeout: Optional[float],
     backoff_base: float,
     watchdog: Optional[EnsembleWatchdog] = None,
     shutdown: Optional[Any] = None,
@@ -287,20 +286,15 @@ def _run_chunks_pooled(
     completes nothing escalates stall → reroute (the pool is discarded,
     killing the stalled workers, and every unfinished chunk is
     resubmitted to a fresh one) → abandon (the pool is discarded and
-    unfinished chunks fall back to serial).  When no watchdog is given,
-    ``chunk_timeout`` builds the legacy single-strike one (first stall
-    abandons).  ``on_chunk`` fires in the parent exactly once per chunk,
-    as soon as its result lands — the journaling hook.  ``shutdown``
-    (anything with a ``requested`` attribute) is polled between wait
-    rounds; once set, the pool is discarded and the caller decides what
-    the partial result means.  However this returns or raises, no work
-    of this call is left running on ``pool``.
+    unfinished chunks fall back to serial); without a watchdog the
+    runner waits.  ``on_chunk`` fires in the parent exactly once per
+    chunk, as soon as its result lands — the journaling hook.
+    ``shutdown`` (anything with a ``requested`` attribute) is polled
+    between wait rounds; once set, the pool is discarded and the caller
+    decides what the partial result means.  However this returns or
+    raises, no work of this call is left running on ``pool``.
     """
     results: List[Optional[List[T]]] = [None] * len(chunks)
-    if watchdog is None and chunk_timeout is not None:
-        watchdog = EnsembleWatchdog(
-            WatchdogPolicy(heartbeat_timeout=chunk_timeout, max_reroutes=0)
-        )
     #: future -> (chunk index, the executor it was submitted to)
     in_flight: Dict[Any, Tuple[int, Any]] = {}
     attempts = [0] * len(chunks)
@@ -405,7 +399,6 @@ def run_ensemble(
     seeds: Sequence[int],
     jobs: Optional[int] = 1,
     chunk_retries: int = 1,
-    chunk_timeout: Optional[float] = None,
     backoff_base: float = 0.05,
     journal: Optional[Any] = None,
     namespace: str = "",
@@ -429,10 +422,6 @@ def run_ensemble(
             serially in-process.
         chunk_retries: In-pool resubmissions per chunk after a transient
             pool failure, before that chunk falls back to serial.
-        chunk_timeout: Legacy stall budget: seconds the runner waits for
-            *some* chunk to complete before abandoning the pool (used to
-            build a single-strike watchdog when ``watchdog`` is not
-            given); ``None`` waits forever.
         backoff_base: First retry's backoff sleep in seconds; doubles per
             subsequent retry of the same chunk (exponential backoff).
         journal: Optional :class:`~repro.durable.journal.RunJournal`.
@@ -485,11 +474,9 @@ def run_ensemble(
         already covers.
     """
     from repro.obs.causal import get_causal_recorder
-    from repro.obs.registry import live_registry
 
     seeds = list(seeds)
     jobs = resolve_jobs(jobs)
-    registry = live_registry(metrics)
     # Causal tracing (serve tier): per-seed records are deterministic
     # (pure functions of (namespace, seed) with content-derived ids, so
     # the logical stitch is byte-identical across --jobs values and
@@ -516,13 +503,13 @@ def run_ensemble(
                 seed=seed,
             )
     m_completed = m_skipped = None
-    if registry is not None:
-        m_completed = registry.counter(
+    if metrics is not None:
+        m_completed = metrics.counter(
             "repro_ensemble_seeds_completed_total",
             "seeds freshly computed by this process",
             deterministic=False,
         )
-        m_skipped = registry.counter(
+        m_skipped = metrics.counter(
             "repro_ensemble_seeds_journal_skipped_total",
             "seeds restored from the journal instead of rerun",
             deterministic=False,
@@ -593,7 +580,6 @@ def run_ensemble(
             chunks,
             held,
             chunk_retries,
-            chunk_timeout,
             backoff_base,
             watchdog=watchdog,
             shutdown=shutdown,
@@ -608,8 +594,8 @@ def run_ensemble(
     # deterministically and with a clean traceback.
     for index, part in enumerate(parts):
         if part is None:
-            if registry is not None:
-                registry.counter(
+            if metrics is not None:
+                metrics.counter(
                     "repro_ensemble_chunks_serial_rerun_total",
                     "chunks the pool never delivered, rerun in-process",
                     deterministic=False,

@@ -40,6 +40,7 @@ import json
 import pathlib
 import shlex
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import (
     Any,
@@ -348,14 +349,11 @@ class Campaign:
         counters plus :meth:`telemetry`; ``progress(seed, outcome)``
         fires per fresh cell.  None of this changes report bytes.
         """
-        from repro.obs.registry import live_registry
-
-        registry = live_registry(metrics)
 
         def note_cell(seed: int, outcome: Any) -> None:
-            if registry is not None:
-                self.telemetry(registry, outcome)
-                registry.counter(*self.cells_metric).inc()
+            if metrics is not None:
+                self.telemetry(metrics, outcome)
+                metrics.counter(*self.cells_metric).inc()
             if progress is not None:
                 progress(seed, outcome)
 
@@ -445,11 +443,12 @@ class Campaign:
         bad config or journal, 130 when SIGINT/SIGTERM stopped the run
         at a cell boundary (a partial report is flushed to ``--out`` and
         the exact resume command is printed).  ``args.argv`` is the
-        invocation's own argv, which the resume command replays.
+        invocation's own argv, which the resume command replays.  A
+        kind that declares ``--trace PATH`` records the run's spans as
+        :func:`_trace_spill` describes.
         """
         from repro.durable.signals import GracefulShutdown
         from repro.errors import InterruptedRunError
-        from repro.obs.spans import SpanRecorder, set_span_recorder
 
         snapshot = getattr(args, "metrics", None)
         interval = getattr(args, "metrics_interval", None)
@@ -476,15 +475,12 @@ class Campaign:
             if top is not None:
                 top.maybe_render()
 
-        journal, exit_code = _open_journal(args, self.fingerprint(config))
+        fingerprint = self.fingerprint(config)
+        journal, exit_code = _open_journal(args, fingerprint)
         if exit_code is not None:
             return exit_code
-        recorder = None
         try:
-            if trace is not None:
-                recorder = SpanRecorder()
-                set_span_recorder(recorder)
-            with GracefulShutdown() as shutdown:
+            with _trace_spill(trace, fingerprint), GracefulShutdown() as shutdown:
                 report = self.run(
                     config,
                     journal=journal,
@@ -500,10 +496,6 @@ class Campaign:
         finally:
             if journal is not None:
                 journal.close()
-            if recorder is not None:
-                set_span_recorder(None)
-                recorder.write_chrome_trace(trace)
-                print(f"chrome trace written to {trace}", file=sys.stderr)
         if top is not None:
             top.maybe_render(force=True)
         print(report.render())
@@ -538,6 +530,49 @@ class Campaign:
             + shlex.join(["python", "-m", "repro", *argv]),
             file=sys.stderr,
         )
+
+
+@contextmanager
+def _trace_spill(trace: Optional[str], fingerprint: str) -> Iterator[None]:
+    """With a ``--trace`` path, record the block's spans through a fresh
+    ``cli`` causal recorder and, however the block ends, stitch its
+    spill's wall-clock trace to ``trace``.
+
+    The spill is ``trace`` with a ``.spans.jsonl`` suffix, emptied
+    first so reruns never mix.  The trace id derives from the
+    jobs-excluded fingerprint, so the spill's logical stitch is the
+    same for every ``--jobs`` value.
+    """
+    if trace is None:
+        yield
+        return
+    import time
+
+    from repro.obs.causal import (
+        SPILL_SUFFIX,
+        CausalRecorder,
+        install_causal_recorder,
+        mint_trace_id,
+        stitch_spills,
+        write_stitched_trace,
+    )
+
+    spill = pathlib.Path(trace).with_suffix(SPILL_SUFFIX)
+    spill.unlink(missing_ok=True)
+    recorder = CausalRecorder(
+        spill,
+        role="cli",
+        trace_id=mint_trace_id(fingerprint),
+        clock=time.monotonic,  # repro: allow(RPD201)
+    )
+    install_causal_recorder(recorder)
+    try:
+        yield
+    finally:
+        install_causal_recorder(None)
+        recorder.close()
+        write_stitched_trace(trace, stitch_spills([spill]))
+        print(f"chrome trace written to {trace} (spans: {spill})", file=sys.stderr)
 
 
 def _open_journal(args: argparse.Namespace, fingerprint: str):

@@ -443,7 +443,7 @@ class ChaosCampaign(Campaign):
             )
 
     def cell_span(self, config, cell):
-        from repro.obs.spans import trace_span
+        from repro.obs.causal import trace_span
 
         (spec,) = cell.key
         return trace_span("campaign.spec", spec=spec, seeds=len(config.seeds))

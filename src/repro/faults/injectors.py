@@ -434,26 +434,23 @@ class FaultInjectionScheduler(Scheduler):
     def attach_metrics(self, metrics) -> None:
         """Wire ``repro_faults_*`` counters (fault events are rare, so
         they are counted per event — the per-step select path stays
-        uninstrumented).  ``None``/null registry detaches."""
-        from repro.obs.registry import live_registry
-
-        registry = live_registry(metrics)
-        if registry is None:
+        uninstrumented).  ``None`` detaches."""
+        if metrics is None:
             self._m_crashes = self._m_skipped = self._m_reroutes = None
             self._m_corruptions = None
             return
-        self._m_crashes = registry.counter(
+        self._m_crashes = metrics.counter(
             "repro_faults_crashes_total", "injected crashes fired"
         )
-        self._m_skipped = registry.counter(
+        self._m_skipped = metrics.counter(
             "repro_faults_crashes_skipped_total",
             "crash requests rejected by the budget guards",
         )
-        self._m_reroutes = registry.counter(
+        self._m_reroutes = metrics.counter(
             "repro_faults_stall_reroutes_total",
             "picks rerouted around stalled threads",
         )
-        self._m_corruptions = registry.counter(
+        self._m_corruptions = metrics.counter(
             "repro_faults_corruptions_total",
             "value-corruption events applied to shared memory",
         )

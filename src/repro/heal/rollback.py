@@ -228,21 +228,18 @@ def run_with_healing(
     )
     report = HealReport(final_algorithm=algorithm, final_step_size=step_size)
 
-    from repro.obs.registry import live_registry
-
-    registry = live_registry(metrics)
     m_detections = m_rollbacks = m_degradations = h_latency = None
-    if registry is not None:
-        m_detections = registry.counter(
+    if metrics is not None:
+        m_detections = metrics.counter(
             "repro_heal_detections_total", "health detector firings"
         )
-        m_rollbacks = registry.counter(
+        m_rollbacks = metrics.counter(
             "repro_heal_rollbacks_total", "checkpoint rollbacks performed"
         )
-        m_degradations = registry.counter(
+        m_degradations = metrics.counter(
             "repro_heal_degradations_total", "ladder degradations taken"
         )
-        h_latency = registry.histogram(
+        h_latency = metrics.histogram(
             "repro_heal_recovery_latency_steps",
             buckets=LATENCY_BUCKETS,
             help="logical steps between restored cut and detection",
@@ -262,7 +259,7 @@ def run_with_healing(
             num_threads=num_threads,
         )
         engine.set_suppression(windows)
-        if registry is not None:
+        if metrics is not None:
             engine.attach_metrics(metrics)
         return engine
 

@@ -1,12 +1,13 @@
 """Observability: run-time metrics, paper-aligned derived quantities,
-span tracing, snapshot files and text views (DESIGN.md §13).
+span tracing (through the causal recorder), snapshot files and text
+views (DESIGN.md §13).
 
 The package splits telemetry along the repo's determinism boundary:
 
 * deterministic metrics (pure functions of the seeded simulation) may
   enter byte-identity-checked snapshot files;
 * wall-clock telemetry (span durations, pool/watchdog weather) lives in
-  the live ``repro top`` view and the Chrome-trace dump only.
+  the live ``repro top`` view and the stitched Chrome traces only.
 """
 
 from repro.obs.causal import (
@@ -24,41 +25,30 @@ from repro.obs.causal import (
     span_id,
     stitch_records,
     stitch_spills,
+    trace_span,
     write_stitched_trace,
 )
 from repro.obs.paper import (
-    PaperTracker,
     merge_paper_metrics,
     paper_metrics,
     publish_paper_metrics,
     tau_histogram_buckets,
 )
 from repro.obs.registry import (
-    NULL,
     TAU_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
-    live_registry,
 )
 from repro.obs.snapshot import (
     load_snapshot_jsonl,
     prometheus_exposition,
     write_snapshot_jsonl,
 )
-from repro.obs.spans import (
-    Span,
-    SpanRecorder,
-    get_span_recorder,
-    set_span_recorder,
-    trace_span,
-)
 from repro.obs.top import TopView, render_metrics_block, render_snapshot_lines
 
 __all__ = [
-    "NULL",
     "TAU_BUCKETS",
     "CausalRecorder",
     "Counter",
@@ -66,17 +56,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "PaperTracker",
-    "Span",
-    "SpanRecorder",
     "TopView",
     "TraceContext",
     "find_spills",
     "flight_note",
     "get_causal_recorder",
     "get_flight_recorder",
-    "get_span_recorder",
     "install_causal_recorder",
     "install_flight_recorder",
     "mint_trace_id",
@@ -85,7 +70,6 @@ __all__ = [
     "stitch_records",
     "stitch_spills",
     "write_stitched_trace",
-    "live_registry",
     "load_snapshot_jsonl",
     "merge_paper_metrics",
     "paper_metrics",
@@ -93,7 +77,6 @@ __all__ = [
     "publish_paper_metrics",
     "render_metrics_block",
     "render_snapshot_lines",
-    "set_span_recorder",
     "tau_histogram_buckets",
     "trace_span",
     "write_snapshot_jsonl",

@@ -3,9 +3,10 @@ cross-process stitcher, and a crash flight recorder (DESIGN.md §18).
 
 The serve tier runs one logical job across at least three OS processes
 — the HTTP server/supervisor, one worker per attempt, and the worker's
-ensemble pool — and :mod:`repro.obs.spans` dies at each fork: every
-process would keep a private in-memory recorder with private ids.  This
-module makes the *job* the unit of tracing instead of the process:
+ensemble pool — and a ``--trace`` campaign forks its pool the same way.
+An in-memory recorder would die at each fork, with private ids in every
+process, so this module makes the *job* the unit of tracing instead of
+the process, and is the repo's only span recorder:
 
 * **Trace ids.**  Every job carries a trace id, minted from the job
   fingerprint (:func:`mint_trace_id`) or accepted from an
@@ -15,6 +16,9 @@ module makes the *job* the unit of tracing instead of the process:
   supervisor can point a flow at the request span the server recorded,
   and a resumed attempt re-emits a journal-restored seed under the
   *same* id as the attempt that computed it.
+* **One span call.**  :func:`trace_span` spans a block on the installed
+  :class:`CausalRecorder` and costs nothing when none is installed —
+  the one-liner every instrumented driver uses.
 * **Spill files.**  Each process appends its spans to a per-process
   JSONL spill (:class:`CausalRecorder`) via the durable
   :func:`~repro.durable.atomic_io.append_line`, so a SIGKILL loses at
@@ -52,11 +56,12 @@ import pathlib
 import re
 import threading
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import (
     IO,
     Any,
     Callable,
+    ContextManager,
     Deque,
     Dict,
     Iterable,
@@ -367,6 +372,19 @@ def install_causal_recorder(recorder: Optional[CausalRecorder]) -> None:
 
 def get_causal_recorder() -> Optional[CausalRecorder]:
     return _ACTIVE_CAUSAL
+
+
+def trace_span(name: str, **args: Any) -> ContextManager[Optional[str]]:
+    """Span the enclosed block on the installed causal recorder.
+
+    A serve worker or a ``--trace`` campaign installs one, so driver
+    spans such as ``campaign.spec`` land in its spill with no driver
+    changes; with none installed this is a no-op yielding ``None``.
+    """
+    recorder = _ACTIVE_CAUSAL
+    if recorder is None:
+        return nullcontext()
+    return recorder.span(name, **args)  # repro: allow(RPL107)
 
 
 class FlightRecorder:

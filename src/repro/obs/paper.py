@@ -1,4 +1,4 @@
-"""Paper-aligned derived metrics, streamed online.
+"""Paper-aligned derived metrics of a run.
 
 The quantities the paper's analysis is stated in — per-update delay τ
 (Theorem 5.1), interval contention and its maximum τ_max, per-``K·n``
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.registry import TAU_BUCKETS, live_registry
+from repro.obs.registry import TAU_BUCKETS
 from repro.runtime.events import IterationRecord
 
 
@@ -165,32 +165,31 @@ def publish_paper_metrics(
     Gauges keep running maxima (``tau_max``-style), counters accumulate
     across runs (iterations, lemma violations), and the τ histogram is
     re-observed bucket by bucket so a live ``repro top`` view can render
-    it.  A ``None``/null registry is a no-op.
+    it.  ``None`` is a no-op.
     """
-    registry = live_registry(metrics)
-    if registry is None or not snapshot:
+    if metrics is None or not snapshot:
         return
-    registry.counter(
+    metrics.counter(
         f"{prefix}_iterations_total", "completed SGD iterations"
     ).inc(int(snapshot.get("iterations", 0)))
-    registry.gauge(
+    metrics.gauge(
         f"{prefix}_tau_max", "running max interval contention (paper tau_max)"
     ).max(int(snapshot.get("tau_max", 0)))
-    registry.gauge(
+    metrics.gauge(
         f"{prefix}_delay_max", "running max per-iteration delay tau_t"
     ).max(int(snapshot.get("delay_max", 0)))
-    registry.gauge(
+    metrics.gauge(
         f"{prefix}_window_bad_max",
         "worst Kn-window bad-iteration count (Lemma 6.2; bound is n)",
     ).max(float(snapshot.get("window_bad_max", 0.0)))
-    registry.gauge(
+    metrics.gauge(
         f"{prefix}_indicator_sum_max",
         "worst Lemma 6.4 indicator sum (bound is 2*sqrt(tau_max*n))",
     ).max(float(snapshot.get("indicator_sum_max", 0.0)))
-    registry.counter(
+    metrics.counter(
         f"{prefix}_lemma_6_1_violations_total", "Lemma 6.1 order violations"
     ).inc(int(snapshot.get("lemma_6_1_violations", 0)))
-    histogram = registry.histogram(
+    histogram = metrics.histogram(
         f"{prefix}_tau_delay", buckets=TAU_BUCKETS,
         help="per-iteration delay tau_t distribution",
     )
@@ -209,38 +208,3 @@ def publish_paper_metrics(
         )
         for _ in range(count):
             histogram.observe(value)
-
-
-class PaperTracker:
-    """Streaming tracker of the paper's run-time quantities.
-
-    Feed iteration records as they materialize (whole-run or chunk by
-    chunk); :meth:`snapshot` recomputes the derived quantities over
-    everything ingested so far through the shared theory functions.
-    Cheap running counters (iterations, running delay max) are updated
-    per :meth:`ingest`; the heavy O(N log N) quantities are only
-    computed when a snapshot is asked for.
-    """
-
-    def __init__(self, num_threads: int, window_multiplier: int = 2) -> None:
-        self.num_threads = num_threads
-        self.window_multiplier = window_multiplier
-        self.records: List[IterationRecord] = []
-
-    def ingest(self, records: Sequence[IterationRecord]) -> None:
-        self.records.extend(records)
-
-    @property
-    def iterations(self) -> int:
-        return len(self.records)
-
-    def snapshot(self) -> Dict[str, object]:
-        """Recompute the full paper-metric snapshot over everything
-        ingested so far.  Publishing into a registry is the caller's
-        call (:func:`publish_paper_metrics` is one-shot per run — a
-        tracker snapshotted repeatedly would double-count counters)."""
-        return paper_metrics(
-            self.records,
-            num_threads=self.num_threads,
-            window_multiplier=self.window_multiplier,
-        )

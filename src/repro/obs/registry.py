@@ -1,5 +1,5 @@
-"""Low-overhead metrics registry: counters, gauges, fixed-bucket
-histograms, and a no-op null backend.
+"""Low-overhead metrics registry: counters, gauges and fixed-bucket
+histograms.
 
 The registry is the telemetry substrate every instrumented layer feeds
 (DESIGN.md §13).  Two properties drive the design:
@@ -7,11 +7,11 @@ The registry is the telemetry substrate every instrumented layer feeds
 * **The hot path stays elided.**  Instruments are created once
   (:meth:`MetricsRegistry.counter` and friends memoize by name) and
   updated in *bulk* at chunk/run boundaries — never per simulated step.
-  Components that accept a registry treat :data:`NULL` (the
-  :class:`NullMetricsRegistry` singleton) exactly like "no metrics":
-  ``Simulator.attach_metrics(NULL)`` leaves the ``run_fast()`` batch
-  loop untouched, so a fully wired pipeline with the null backend pays
-  nothing measurable (pinned by ``benchmarks/bench_obs_overhead.py``).
+  ``None`` is the one "no metrics" value: every component that accepts
+  a registry checks for it once at attach time, so
+  ``Simulator.attach_metrics(None)`` leaves the ``run_fast()`` batch
+  loop untouched and an uninstrumented pipeline pays nothing
+  measurable (pinned by ``benchmarks/bench_obs_overhead.py``).
 
 * **Deterministic vs wall-clock telemetry never mix.**  Every
   instrument carries a ``deterministic`` flag.  Deterministic metrics
@@ -29,7 +29,7 @@ with a ``_total`` suffix on monotonically increasing counters (e.g.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 
@@ -157,10 +157,6 @@ class MetricsRegistry:
     :class:`~repro.errors.ConfigurationError`.
     """
 
-    #: Lets callers cheaply distinguish a live registry from :data:`NULL`
-    #: (``if not registry.null: ...``).
-    null = False
-
     def __init__(self) -> None:
         self._instruments: Dict[str, Instrument] = {}
 
@@ -232,84 +228,3 @@ class MetricsRegistry:
             else:
                 lines.append(f"{instrument.name} {instrument.sample()}")
         return "\n".join(lines) + "\n"
-
-
-class _NullInstrument:
-    """Shared do-nothing instrument the null backend hands out."""
-
-    __slots__ = ()
-    name = "null"
-    help = ""
-    deterministic = True
-    kind = "null"
-    value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def max(self, value) -> None:
-        pass
-
-    def observe(self, value) -> None:
-        pass
-
-    def observe_many(self, values) -> None:
-        pass
-
-    def sample(self) -> int:
-        return 0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry:
-    """The no-op backend: accepts every call, records nothing.
-
-    Passing :data:`NULL` anywhere a registry is accepted is the
-    documented way to say "no telemetry" — instrumented components check
-    ``registry.null`` once at attach time and skip all bookkeeping, so
-    the elided ``run_fast()`` hot path is byte-for-byte the
-    uninstrumented one.
-    """
-
-    null = True
-
-    def counter(self, name: str, help: str = "", deterministic: bool = True):
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", deterministic: bool = True):
-        return _NULL_INSTRUMENT
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = TAU_BUCKETS,
-        help: str = "",
-        deterministic: bool = True,
-    ):
-        return _NULL_INSTRUMENT
-
-    def instruments(self) -> List[Instrument]:
-        return []
-
-    def snapshot(self, deterministic_only: bool = True) -> Dict[str, object]:
-        return {}
-
-    def render_prometheus(self) -> str:
-        return ""
-
-
-#: The process-wide null backend (stateless; safe to share).
-NULL = NullMetricsRegistry()
-
-
-def live_registry(metrics: Optional[object]) -> Optional[MetricsRegistry]:
-    """Normalize an optional ``metrics=`` argument: ``None`` and the
-    null backend both mean "not instrumented" (returns ``None``)."""
-    if metrics is None or getattr(metrics, "null", False):
-        return None
-    return metrics  # type: ignore[return-value]

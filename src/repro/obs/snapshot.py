@@ -6,7 +6,7 @@ via :func:`repro.durable.atomic_io.atomic_write` with sorted keys so
 reruns with the same seeds produce byte-identical files (the property
 the CI obs job pins with ``cmp``).  Wall-clock quantities never enter a
 snapshot (lint rule ``RPD204``); span durations go to the separate
-Chrome-trace dump (:mod:`repro.obs.spans`).
+causal span spill and its stitched Chrome trace (:mod:`repro.obs.causal`).
 
 Line kinds the CLI writes:
 

@@ -117,34 +117,31 @@ class Simulator:
     def attach_metrics(self, metrics: Any) -> None:
         """Wire a :class:`repro.obs.registry.MetricsRegistry` in.
 
-        ``None`` and the null backend detach cleanly; a live registry
-        gets ``repro_sim_*`` counters that are incremented in bulk at
-        :meth:`run`/:meth:`run_fast` exit and per event for the rare
-        spawn/crash transitions — never inside the step loop.  Threads
+        ``None`` detaches cleanly; a registry gets ``repro_sim_*``
+        counters that are incremented in bulk at :meth:`run`/
+        :meth:`run_fast` exit and per event for the rare spawn/crash
+        transitions — never inside the step loop.  Threads
         spawned or crashed before the attach are counted at once, so a
         registry attached to an already built simulation counts them
         too.  Also forwards to :meth:`SharedMemory.attach_metrics` for
         per-opcode operation counters.
         """
-        from repro.obs.registry import live_registry
-
-        registry = live_registry(metrics)
-        self.metrics = registry
-        if registry is None:
+        self.metrics = metrics
+        if metrics is None:
             self._m_steps = self._m_spawned = self._m_crashed = None
         else:
-            self._m_steps = registry.counter(
+            self._m_steps = metrics.counter(
                 "repro_sim_steps_total", "shared-memory steps executed"
             )
-            self._m_spawned = registry.counter(
+            self._m_spawned = metrics.counter(
                 "repro_sim_threads_spawned_total", "threads spawned"
             )
-            self._m_crashed = registry.counter(
+            self._m_crashed = metrics.counter(
                 "repro_sim_threads_crashed_total", "threads crashed by the adversary"
             )
             self._m_spawned.inc(len(self.threads))
             self._m_crashed.inc(self._crashed_count)
-        self.memory.attach_metrics(registry)
+        self.memory.attach_metrics(metrics)
 
     # ------------------------------------------------------------------
     # Thread management

@@ -101,17 +101,14 @@ class JobServer:
         self.port = port
         self.clock = clock if clock is not None else supervisor.clock
         self._server: Optional[asyncio.AbstractServer] = None
-        from repro.obs.registry import live_registry
-
-        registry = live_registry(metrics)
-        self._registry = registry
-        if registry is not None:
-            self._m_requests = registry.counter(
+        self._registry = metrics
+        if metrics is not None:
+            self._m_requests = metrics.counter(
                 "repro_serve_http_requests_total",
                 "HTTP requests handled",
                 deterministic=False,
             )
-            self._m_latency = registry.histogram(
+            self._m_latency = metrics.histogram(
                 "repro_serve_http_latency_seconds",
                 buckets=(0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0),
                 help="request handling latency",

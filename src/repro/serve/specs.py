@@ -217,7 +217,7 @@ def execute_spec(
     ``progress`` fires with a running completed-cell count — the
     supervisor's heartbeat and the ``/jobs/<id>/progress`` feed.
     """
-    from repro.obs.spans import trace_span
+    from repro.obs.causal import trace_span
 
     spec = parse_job_spec(dict(payload))
     cells = [0]

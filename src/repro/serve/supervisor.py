@@ -425,44 +425,41 @@ class JobSupervisor:
         self._draining = False
         self._respawns_left = self.policy.respawn_budget
         self._threads: List[threading.Thread] = []
-        from repro.obs.registry import live_registry
-
-        registry = live_registry(metrics)
-        self._metrics = registry
-        if registry is not None:
+        self._metrics = metrics
+        if metrics is not None:
             kwargs = {"deterministic": False}
             self._m = {
-                "submitted": registry.counter(
+                "submitted": metrics.counter(
                     "repro_serve_jobs_submitted_total",
                     "job submissions admitted", **kwargs),
-                "rejected": registry.counter(
+                "rejected": metrics.counter(
                     "repro_serve_jobs_rejected_total",
                     "submissions shed with 429", **kwargs),
-                "completed": registry.counter(
+                "completed": metrics.counter(
                     "repro_serve_jobs_completed_total",
                     "jobs finished ok", **kwargs),
-                "failed": registry.counter(
+                "failed": metrics.counter(
                     "repro_serve_jobs_failed_total",
                     "jobs failed terminally", **kwargs),
-                "cancelled": registry.counter(
+                "cancelled": metrics.counter(
                     "repro_serve_jobs_cancelled_total",
                     "queued jobs cancelled by drain", **kwargs),
-                "retries": registry.counter(
+                "retries": metrics.counter(
                     "repro_serve_job_retries_total",
                     "crash/stall respawns", **kwargs),
-                "worker_starts": registry.counter(
+                "worker_starts": metrics.counter(
                     "repro_serve_worker_starts_total",
                     "worker processes forked", **kwargs),
-                "cache_hits": registry.counter(
+                "cache_hits": metrics.counter(
                     "repro_serve_cache_hits_total",
                     "submissions served from the certified cache", **kwargs),
-                "cache_mismatches": registry.gauge(
+                "cache_mismatches": metrics.gauge(
                     "repro_serve_cache_mismatches",
                     "write-once digest collisions (determinism alarms)",
                     **kwargs),
-                "queued": registry.gauge(
+                "queued": metrics.gauge(
                     "repro_serve_queue_depth", "jobs waiting", **kwargs),
-                "running": registry.gauge(
+                "running": metrics.gauge(
                     "repro_serve_jobs_running", "jobs executing", **kwargs),
             }
         else:

@@ -144,20 +144,17 @@ class SharedMemory:
     def attach_metrics(self, metrics: Any) -> None:
         """Wire per-opcode operation counters into :meth:`execute`.
 
-        ``None``/null registry detaches.  Note the scope: the
+        ``None`` detaches.  Note the scope: the
         ``run_fast()`` elided path dispatches straight off the opcode
         table and bypasses :meth:`execute`, so opcode counters are only
         populated on the standard (logged) path — by design, the hot
         loop is never instrumented per step.
         """
-        from repro.obs.registry import live_registry
-
-        registry = live_registry(metrics)
-        if registry is None:
+        if metrics is None:
             self._op_counters = None
             return
         self._op_counters = [
-            registry.counter(
+            metrics.counter(
                 f"repro_shm_op_{name}_total", f"{name} operations applied"
             )
             for name in self._OP_NAMES

@@ -407,7 +407,7 @@ class VerifyCampaign(Campaign):
             )
 
     def cell_span(self, config, cell):
-        from repro.obs.spans import trace_span
+        from repro.obs.causal import trace_span
 
         (variant,) = cell.key
         return trace_span("verify.cell", variant=variant, seeds=len(config.seeds))

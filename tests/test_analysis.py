@@ -408,7 +408,7 @@ def tick():
 '''
 
 SPAN_NAME_FIXTURE = '''
-from repro.obs.spans import trace_span
+from repro.obs.causal import trace_span
 
 def instrumented(recorder, causal, spec):
     with trace_span("campaign.spec", spec=spec.name):

@@ -3,7 +3,8 @@ declares an outcome dataclass and a report, and gets the journal codec,
 the rendered and JSON report, a CLI subcommand, a serve kind, a
 journaled ``--resume`` and a partial report with no edit to ``cli.py``
 or ``serve/specs.py``; the registry's order and lookups; and the
-``chaos --trace`` recorder is never left installed by an early exit."""
+``chaos --trace`` recorder: never left installed by an early exit, and
+its spill's logical stitch the same under any ``--jobs``."""
 
 import functools
 import json
@@ -29,7 +30,7 @@ from repro.experiments.grid import (
     register_campaign,
     str_list,
 )
-from repro.obs.spans import get_span_recorder, trace_span
+from repro.obs.causal import get_causal_recorder, stitch_spills, trace_span
 from repro.serve.specs import execute_spec, job_kinds, parse_job_spec
 
 
@@ -212,7 +213,7 @@ class TestChaosTraceRecorder:
             ]
         )
         assert code == 2
-        assert get_span_recorder() is None
+        assert get_causal_recorder() is None
 
     def test_trace_written_on_success(self, tmp_path):
         trace = tmp_path / "trace.json"
@@ -223,6 +224,33 @@ class TestChaosTraceRecorder:
             ]
         )
         assert code == 0
-        assert get_span_recorder() is None
+        assert get_causal_recorder() is None
         events = json.loads(trace.read_text())["traceEvents"]
-        assert [event["name"] for event in events] == ["campaign.spec"]
+        spans = sorted(event["name"] for event in events if event["ph"] == "X")
+        assert spans == ["campaign.spec", "ensemble.chunk", "ensemble.seed"]
+
+    def test_spill_stitches_the_same_under_any_jobs(self, tmp_path):
+        argv = [
+            "chaos", "--specs", "none,prob-crash", "--seeds", "2",
+            "--iterations", "100",
+        ]
+        plain = tmp_path / "plain"
+        assert main([*argv, "--out", str(plain)]) == 0
+        logical = []
+        for jobs in ("1", "2"):
+            trace, out = tmp_path / f"trace-{jobs}.json", tmp_path / f"out-{jobs}"
+            code = main(
+                [*argv, "--jobs", jobs, "--trace", str(trace), "--out", str(out)]
+            )
+            assert code == 0
+            assert get_causal_recorder() is None
+            spill = tmp_path / f"trace-{jobs}.spans.jsonl"
+            stitched = stitch_spills([spill], mode="logical")
+            logical.append(json.dumps(stitched, sort_keys=True))
+            events = json.loads(trace.read_text())["traceEvents"]
+            specs = [e["args"]["spec"] for e in events if e["name"] == "campaign.spec"]
+            assert specs == ["none", "prob-crash"]
+            for name in ("chaos_report.json", "chaos_report.txt"):
+                assert (out / name).read_bytes() == (plain / name).read_bytes()
+        assert json.loads(logical[0])["traceEvents"]
+        assert logical[0] == logical[1]

@@ -10,8 +10,8 @@ over what the run produced:
   fields;
 * the sanitizer findings and the published metrics snapshot, where the
   case attaches them;
-* every span a :class:`~repro.obs.spans.SpanRecorder` on a fake clock
-  records: name, args, parent and fake start/end times.
+* every span a :class:`~repro.obs.causal.CausalRecorder` on a fake
+  clock records: name, args, parent and fake start/end times.
 
 The drivers are ``run_lock_free_sgd``, ``run_algorithm`` for each
 registered algorithm, ``run_snapshot_sgd`` and ``FullSGD.run``; the
@@ -40,7 +40,7 @@ from repro.core.snapshot_sgd import run_snapshot_sgd
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import SpanRecorder, set_span_recorder
+from repro.obs.causal import CausalRecorder, install_causal_recorder, read_spill
 from repro.sched.crash import CrashPlan, CrashScheduler
 from repro.sched.random_sched import RandomScheduler
 from repro.shm.register import AtomicRegister
@@ -76,20 +76,36 @@ def _sha(payload) -> str:
 
 
 @pytest.fixture
-def spans():
-    """A span recorder on a fake clock (one tick per reading)."""
-    recorder = SpanRecorder(clock=itertools.count().__next__)
-    set_span_recorder(recorder)
+def spans(tmp_path):
+    """A causal recorder on a fake clock (one tick per reading)."""
+    recorder = CausalRecorder(
+        tmp_path / "driver.spans.jsonl",
+        role="test",
+        trace_id="driver",
+        clock=itertools.count().__next__,
+    )
+    install_causal_recorder(recorder)
     try:
         yield recorder
     finally:
-        set_span_recorder(None)
+        install_causal_recorder(None)
+        recorder.close()
 
 
 def _span_fields(recorder):
+    """``(name, parent ordinal, start, end, args)`` per span, in start
+    order; ordinals count spans from 1 in that order."""
+    records = sorted(read_spill(recorder.path), key=lambda r: r["t0"])
+    ordinal = {r["span"]: index for index, r in enumerate(records, 1)}
     return [
-        (span.name, span.parent_id, span.start, span.end, span.args)
-        for span in recorder.spans
+        (
+            r["name"],
+            ordinal.get(r.get("parent")),
+            int(r["t0"]),
+            int(r["t1"]),
+            r.get("args", {}),
+        )
+        for r in records
     ]
 
 

@@ -123,7 +123,7 @@ class TestEscalationLadder:
         assert watchdog.findings[1].severity == "error"
 
     def test_zero_reroute_budget_is_single_strike(self):
-        # The legacy ``chunk_timeout`` contract: first stall abandons.
+        # No reroute budget: the first stall abandons.
         clock = FakeClock()
         watchdog = EnsembleWatchdog(
             WatchdogPolicy(heartbeat_timeout=0.5, max_reroutes=0), clock=clock
@@ -250,15 +250,18 @@ class TestPooledIntegration:
         assert result == [s * s for s in seeds]
         assert [f.rule for f in watchdog.findings] == ["WD003"]
 
-    def test_legacy_chunk_timeout_still_degrades_to_serial(self, monkeypatch):
-        # chunk_timeout with no explicit watchdog builds the single-strike
-        # one internally; a wedged pool must still degrade to serial.
+    def test_single_strike_watchdog_degrades_to_serial(self, monkeypatch):
+        # A zero-reroute watchdog abandons a wedged pool at its first
+        # stall; the run must still degrade to serial.
         def no_progress(futures, timeout=None, return_when=None):
             return set(), set(futures)
 
         self._patch(monkeypatch, _InProcessPool(), no_progress)
         seeds = list(range(6))
-        result = run_ensemble(_square, seeds, jobs=3, chunk_timeout=0.01)
+        watchdog = EnsembleWatchdog(
+            WatchdogPolicy(heartbeat_timeout=0.01, max_reroutes=0)
+        )
+        result = run_ensemble(_square, seeds, jobs=3, watchdog=watchdog)
         assert result == [s * s for s in seeds]
 
     def test_shutdown_request_cancels_pending(self, monkeypatch):
@@ -313,7 +316,6 @@ class TestRunChunksPooledDirect:
             chunks,
             pool=ensemble.EnsemblePool(3, 6),
             chunk_retries=1,
-            chunk_timeout=None,
             backoff_base=0.0,
             watchdog=watchdog,
             on_chunk=lambda index, part: delivered.append((index, part)),
@@ -344,7 +346,6 @@ class TestRunChunksPooledDirect:
             chunks,
             pool=ensemble.EnsemblePool(2, 2),
             chunk_retries=0,
-            chunk_timeout=None,
             backoff_base=0.0,
             watchdog=watchdog,
         )

@@ -8,6 +8,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.durable.watchdog import EnsembleWatchdog, WatchdogPolicy
 from repro.errors import ConfigurationError
 from repro.experiments import e1_sequential, ensemble
 from repro.experiments.ensemble import (
@@ -223,7 +224,10 @@ class TestPartialChunkRerun:
         monkeypatch.setattr(ensemble, "ProcessPoolExecutor", _ScriptedPool())
         monkeypatch.setattr(ensemble, "wait", no_progress)
         seeds = list(range(6))
-        result = run_ensemble(_square, seeds, jobs=3, chunk_timeout=0.01)
+        watchdog = EnsembleWatchdog(
+            WatchdogPolicy(heartbeat_timeout=0.01, max_reroutes=0)
+        )
+        result = run_ensemble(_square, seeds, jobs=3, watchdog=watchdog)
         assert result == [s * s for s in seeds]
 
     def test_worker_error_under_pooling_still_propagates(self, monkeypatch):

@@ -30,9 +30,9 @@ from repro.obs.causal import (
     span_id,
     stitch_records,
     stitch_spills,
+    trace_span,
     write_stitched_trace,
 )
-from repro.obs.spans import trace_span
 
 
 def _square(seed: int) -> int:

@@ -63,10 +63,9 @@ class TestChaosMetrics:
     def test_chrome_trace_artifact(self, chaos_snapshot):
         _out, trace = chaos_snapshot
         payload = json.loads(trace.read_text())
-        events = payload["traceEvents"]
-        assert {event["name"] for event in events} == {"campaign.spec"}
-        assert len(events) == 2  # one span per spec
-        assert {event["args"]["spec"] for event in events} == {
+        specs = [e for e in payload["traceEvents"] if e["name"] == "campaign.spec"]
+        assert len(specs) == 2  # one span per spec
+        assert {event["args"]["spec"] for event in specs} == {
             "prob-crash",
             "torn-update",
         }

@@ -3,16 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import (
-    NULL,
-    TAU_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    live_registry,
-)
+from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -94,27 +85,3 @@ class TestRegistry:
         assert "repro_steps_total 9" in text
         assert 'repro_tau_delay_bucket{le="1"} 1' in text
         assert "repro_tau_delay_count 1" in text
-
-
-class TestNullBackend:
-    def test_null_accepts_everything_records_nothing(self):
-        NULL.counter("a").inc(5)
-        NULL.gauge("b").max(3)
-        NULL.histogram("c", buckets=TAU_BUCKETS).observe(1)
-        assert NULL.instruments() == []
-        assert NULL.snapshot() == {}
-        assert NULL.render_prometheus() == ""
-
-    def test_null_is_flagged(self):
-        assert NullMetricsRegistry.null is True
-        assert MetricsRegistry.null is False
-
-
-class TestLiveRegistry:
-    def test_none_and_null_normalize_to_none(self):
-        assert live_registry(None) is None
-        assert live_registry(NULL) is None
-
-    def test_live_passes_through(self):
-        registry = MetricsRegistry()
-        assert live_registry(registry) is registry

@@ -1,16 +1,16 @@
-"""Tests for span tracing (repro.obs.spans) and the text views
-(repro.obs.top)."""
+"""Tests for span tracing (``trace_span`` in repro.obs.causal) and the
+text views (repro.obs.top)."""
 
 import io
-import json
 
-from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import (
-    SpanRecorder,
-    get_span_recorder,
-    set_span_recorder,
+from repro.obs.causal import (
+    CausalRecorder,
+    get_causal_recorder,
+    install_causal_recorder,
+    read_spill,
     trace_span,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.obs.top import (
     TopView,
     ascii_bar,
@@ -29,63 +29,28 @@ class FakeClock:
         return self.now
 
 
-class TestSpanRecorder:
-    def test_nesting_assigns_parent_ids(self):
-        recorder = SpanRecorder(clock=FakeClock())
-        with recorder.span("outer", spec="mixed"):
-            with recorder.span("inner"):
-                pass
-        outer, inner = recorder.spans
-        assert outer.parent_id is None
-        assert inner.parent_id == outer.span_id
-        assert outer.args == {"spec": "mixed"}
-        assert inner.duration == 0.5
-        assert outer.duration == 1.5
-
-    def test_chrome_trace_format(self):
-        recorder = SpanRecorder(clock=FakeClock())
-        with recorder.span("outer"):
-            with recorder.span("inner"):
-                pass
-        trace = recorder.chrome_trace()
-        events = trace["traceEvents"]
-        assert [e["name"] for e in events] == ["outer", "inner"]
-        assert all(e["ph"] == "X" for e in events)
-        assert events[0]["ts"] == 0.0  # relative to first span
-        assert events[0]["dur"] == 1.5e6  # microseconds
-        assert events[1]["args"]["parent_id"] == events[0]["args"]["span_id"]
-
-    def test_write_chrome_trace(self, tmp_path):
-        recorder = SpanRecorder(clock=FakeClock())
-        with recorder.span("only"):
-            pass
-        out = tmp_path / "trace.json"
-        recorder.write_chrome_trace(out)
-        payload = json.loads(out.read_text())
-        assert len(payload["traceEvents"]) == 1
-        assert payload["displayTimeUnit"] == "ms"
-
-    def test_empty_recorder_trace(self):
-        assert SpanRecorder().chrome_trace()["traceEvents"] == []
-
-
 class TestTraceSpan:
     def test_noop_without_recorder(self):
-        assert get_span_recorder() is None
+        assert get_causal_recorder() is None
         with trace_span("anything", key=1) as span:
             assert span is None
 
-    def test_records_on_active_recorder(self):
-        recorder = SpanRecorder(clock=FakeClock())
-        set_span_recorder(recorder)
+    def test_records_on_active_recorder(self, tmp_path):
+        recorder = CausalRecorder(
+            tmp_path / "cli.spans.jsonl", role="cli", trace_id="t", clock=FakeClock()
+        )
+        install_causal_recorder(recorder)
         try:
             with trace_span("epoch_sgd.run", threads=4) as span:
                 assert span is not None
         finally:
-            set_span_recorder(None)
-        assert [s.name for s in recorder.spans] == ["epoch_sgd.run"]
-        assert recorder.spans[0].args == {"threads": 4}
-        assert get_span_recorder() is None
+            install_causal_recorder(None)
+            recorder.close()
+        (record,) = read_spill(recorder.path)
+        assert record["span"] == span
+        assert (record["name"], record["args"]) == ("epoch_sgd.run", {"threads": 4})
+        assert record["t1"] - record["t0"] == 0.5
+        assert get_causal_recorder() is None
 
 
 class TestAsciiRendering:
