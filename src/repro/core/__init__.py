@@ -3,6 +3,9 @@
 * :func:`~repro.core.sequential.run_sequential_sgd` — the classic serial
   iteration x_{t+1} = x_t − α·g̃(x_t) (Eq. 1), the yardstick every
   slowdown is measured against.
+* :class:`~repro.core.epoch_sgd.SGDProgram` — the one iteration loop
+  every lock-free program runs (Algorithm 1, lines 3–8); each variant
+  below subclasses it and overrides only the steps it changes.
 * :class:`~repro.core.epoch_sgd.EpochSGDProgram` — **Algorithm 1**:
   lock-free SGD over a shared model with per-entry read/fetch&add, plus
   the convenience driver :func:`~repro.core.epoch_sgd.run_lock_free_sgd`.
@@ -13,6 +16,12 @@
   lock-free), :class:`~repro.core.locked.LockedSGDProgram`
   (coarse-grained lock, Langford et al.) and
   :func:`~repro.core.minibatch.run_minibatch_sgd` (synchronous parallel).
+* Mitigations and the consistency ablation:
+  :class:`~repro.core.momentum.MomentumSGDProgram`,
+  :class:`~repro.core.staleness_aware.StalenessAwareSGDProgram`,
+  :class:`~repro.core.leashed.LeashedSGDProgram` (CAS-validated
+  updates) and :class:`~repro.core.snapshot_sgd.SnapshotSGDProgram`
+  (consistent scans).
 
 Every simulated run is built by
 :func:`~repro.core.algorithm.build_zoo_simulation` and run by
@@ -37,6 +46,7 @@ from repro.core.algorithm import (
 from repro.core.epoch_sgd import (
     EpochSGDAlgorithm,
     EpochSGDProgram,
+    SGDProgram,
     run_lock_free_sgd,
 )
 from repro.core.full_sgd import (
@@ -90,6 +100,7 @@ __all__ = [
     "SequentialRunResult",
     "LockFreeRunResult",
     "run_sequential_sgd",
+    "SGDProgram",
     "EpochSGDProgram",
     "run_lock_free_sgd",
     "FullSGD",

@@ -1,4 +1,5 @@
-"""Algorithm 1 — lock-free SGD in shared memory.
+"""Algorithm 1 — lock-free SGD in shared memory — and the one loop every
+lock-free variant runs.
 
 Each thread repeatedly: (1) claims an iteration with ``C.fetch&add(1)``
 and stops once the count reaches T; (2) reads the shared model X entry by
@@ -9,19 +10,20 @@ write) is what prevents a delayed thread from obliterating everyone
 else's progress; the ``use_write`` flag exists purely to demonstrate that
 failure mode in the ablation benchmark.
 
-The iteration body is exposed as the sub-generator
-:func:`sgd_iteration_body` so Algorithm 2 (:mod:`repro.core.full_sgd`)
-can run the identical iteration with per-epoch step sizes and epoch
-guards.  Programs publish their phase, drawn sample and pending gradient
-via annotations (the adaptive-adversary window, see
-:mod:`repro.sched.adaptive`) and emit one
-:class:`~repro.runtime.events.IterationRecord` per completed iteration —
-the raw material of the contention and convergence analyses.
+:class:`SGDProgram` is that iteration, written once.  Every variant in
+:mod:`repro.core` (and the verify mutants) subclasses it and overrides
+only the steps it changes — the claim, the scan, the update direction,
+a staleness observation, the per-component update, a lock around the
+iteration — while the loop keeps the budget check, the annotations
+adaptive adversaries read (see :mod:`repro.sched.adaptive`), the update
+bookkeeping and the one :class:`~repro.runtime.events.IterationRecord`
+per completed iteration — the raw material of the contention and
+convergence analyses.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,131 +44,208 @@ from repro.shm.ops import DoubleCompareSingleSwap
 from repro.shm.register import AtomicRegister
 
 
-def sgd_iteration_body(
-    ctx: ThreadContext,
-    model: AtomicArray,
-    objective: Objective,
-    step_size: float,
-    claimed_index: int,
-    epoch: int,
-    start_time: int,
-    guard: Optional[AtomicRegister] = None,
-    guard_value: float = 0.0,
-    use_write: bool = False,
-    use_dcas_loop: bool = False,
-):
-    """One SGD iteration (lines 4–8 of Algorithm 1), as a sub-generator.
+class SGDProgram(Program):
+    """One thread's SGD loop: Algorithm 1's iteration until C reaches T.
 
-    Drive with ``record = yield from sgd_iteration_body(...)``; the
-    returned :class:`IterationRecord` describes the completed iteration.
-    The caller has already claimed the iteration via the counter (line 3)
-    and passes the claimed index and the time of that fetch&add.
+    Args:
+        model: The shared parameter array X[d].
+        counter: The shared iteration counter C.
+        objective: Function/oracle being minimized.
+        step_size: The learning rate α.
+        max_iterations: T — the counter value at which threads return.
+        record_iterations: Emit an IterationRecord per iteration
+            (disable only for throughput micro-benchmarks).
 
-    Guarded updates come in two implementations with identical semantics:
+    A variant overrides the hooks below, each ``None`` here; where a
+    class leaves one ``None`` the loop runs Algorithm 1's own step
+    inline, so plain Algorithm 1 pays for no hook.  Hooks that take
+    steps are sub-generators.  Every hook but ``plan`` gets the thread's
+    context and the run's ``state`` dict, which starts with each name in
+    :attr:`counters` at 0 and may hold the variant's other per-run
+    values: per-run state never lives on the program, because one
+    program object can back several threads (a crash respawn reruns it).
 
-    * ``use_dcas_loop=False`` (default) — the atomic
-      :class:`~repro.shm.ops.GuardedFetchAdd` primitive (one step per
-      component);
-    * ``use_dcas_loop=True`` — the paper's literal construction: a
-      read-then-DCAS retry loop per component ("maintaining an epoch
-      counter, on which threads condition their update via
-      double-compare-single-swap").  Costs extra steps under contention
-      (every retry is a scheduled step), which is exactly the fidelity
-      difference — use it when step counts must reflect the DCAS cost.
-      The loop gives up (update rejected) as soon as the guard no longer
-      matches, mirroring the guarded fetch&add's rejection.
+    * ``claim(ctx, state)`` → ``(claimed, start_time)``: take the
+      iteration index, in place of ``C.fetch&add(1)``;
+    * ``plan(claimed)`` → ``(epoch, step_size, accumulate)`` for the
+      claimed iteration (default: :attr:`epoch`, :attr:`step_size`,
+      :attr:`accumulate`);
+    * ``begin(ctx, state, epoch)``: steps after the budget check and
+      before the scan;
+    * ``scan(ctx, state)`` → view, in place of the entry-wise reads (its
+      read starts when the hook is called);
+    * ``direction(ctx, state, gradient)`` → the direction to apply in
+      place of the drawn gradient;
+    * ``observe(ctx, state, claimed)`` → the step size this iteration
+      applies, after the gradient is drawn;
+    * ``apply(ctx, state, view, j, delta, epoch)`` → whether the update
+      of X[j] by ``delta`` landed, in place of ``X[j].fetch&add(delta)``;
+      ``None`` means it was dropped before touching X, and records no
+      update time;
+    * ``end(ctx, state)``: steps after the update, before the iteration
+      counts as done;
+    * ``finish(ctx, state, sample)`` → the record's ``sample``.
+
+    The thread returns ``{"iterations", "accumulator"}`` plus each
+    counter; the accumulator sums −α·g̃ over the iterations that
+    ``accumulate``.
     """
-    dim = model.length
 
-    # Line 4: scan the model entry by entry (the inconsistent view).
-    ctx.annotate("phase", "read")
-    view = np.empty(dim)
-    read_start = -1
-    for j in range(dim):
-        view[j] = yield model.read_op(j)
-        if j == 0:
-            read_start = ctx.now - 1
-    read_end = ctx.now - 1
+    #: Per-run counters a variant keeps in ``state`` and returns.
+    counters: Tuple[str, ...] = ()
+    #: Epoch tag of every iteration, when no ``plan`` sets one.
+    epoch = 0
+    #: Whether every iteration adds −α·g̃ to the returned accumulator.
+    accumulate = False
+    claim: Optional[Callable] = None
+    plan: Optional[Callable] = None
+    begin: Optional[Callable] = None
+    scan: Optional[Callable] = None
+    direction: Optional[Callable] = None
+    observe: Optional[Callable] = None
+    apply: Optional[Callable] = None
+    end: Optional[Callable] = None
+    finish: Optional[Callable] = None
 
-    # Line 5: local computation — draw the coin, evaluate the oracle.
-    gradient, sample = objective.stochastic_gradient(view, ctx.rng)
-    ctx.annotate("pending_gradient", gradient)
-    ctx.annotate("view", view)
-    ctx.annotate("sample", sample)
-
-    # Lines 6-7: apply non-zero components via fetch&add.
-    ctx.annotate("phase", "update")
-    applied: List[bool] = [False] * dim
-    update_times: List[Optional[int]] = [None] * dim
-    first_update: Optional[int] = None
-    last_time = read_end
-    for j in range(dim):
-        component = gradient[j]
-        if component == 0.0:
-            continue
-        delta = -step_size * component
-        if use_write:
-            yield model.write_op(j, view[j] + delta)  # repro: allow(RPL101)
-            landed = True
-        elif guard is not None and use_dcas_loop:
-            # Literal read-then-DCAS retry loop: re-read the entry, then
-            # atomically swap it to current+delta iff the epoch guard
-            # still matches AND the entry is unchanged.  A CAS-failure on
-            # the entry retries; a guard mismatch aborts (stale update
-            # discarded, as Algorithm 2 requires).
-            landed = False
-            # Terminates under every schedule: a DCSS failure means the
-            # entry or the guard changed, and the guard path breaks out.
-            while True:  # repro: allow(RPL105)
-                guard_now = yield guard.read_op()
-                if guard_now != guard_value:
-                    break
-                current = yield model.read_op(j)
-                swapped = yield DoubleCompareSingleSwap(
-                    address=model.address_of(j),
-                    expected=current,
-                    new=current + delta,
-                    guard_address=guard.address,
-                    guard_expected=guard_value,
-                )
-                if swapped:
-                    landed = True
-                    break
-        elif guard is not None:
-            landed, _ = yield model.guarded_fetch_add_op(
-                j, delta, guard, guard_value
+    def __init__(
+        self,
+        model: AtomicArray,
+        counter: AtomicCounter,
+        objective: Objective,
+        step_size: float,
+        max_iterations: int,
+        record_iterations: bool = True,
+    ) -> None:
+        if step_size <= 0:
+            raise ConfigurationError(f"step_size must be > 0, got {step_size}")
+        if max_iterations < 0:
+            raise ConfigurationError(
+                f"max_iterations must be >= 0, got {max_iterations}"
             )
-        else:
-            yield model.fetch_add_op(j, delta)
-            landed = True
-        op_time = ctx.now - 1
-        if first_update is None:
-            first_update = op_time
-        last_time = op_time
-        applied[j] = landed
-        update_times[j] = op_time
+        if model.length != objective.dim:
+            raise ConfigurationError(
+                f"model has {model.length} entries but objective.dim is "
+                f"{objective.dim}"
+            )
+        self.model = model
+        self.counter = counter
+        self.objective = objective
+        self.step_size = step_size
+        self.max_iterations = max_iterations
+        self.record_iterations = record_iterations
 
-    ctx.annotate("pending_gradient", None)
-    return IterationRecord(
-        time=last_time,
-        thread_id=ctx.thread_id,
-        index=claimed_index,
-        epoch=epoch,
-        start_time=start_time,
-        read_start_time=read_start,
-        read_end_time=read_end,
-        first_update_time=first_update,
-        end_time=last_time,
-        view=view,
-        gradient=gradient,
-        applied=applied,
-        update_times=update_times,
-        step_size=step_size,
-        sample=sample,
-    )
+    def run(self, ctx: ThreadContext):
+        model, objective, annotate = self.model, self.objective, ctx.annotate
+        dim = model.length
+        claim, plan, begin, scan = self.claim, self.plan, self.begin, self.scan
+        direction, observe, apply = self.direction, self.observe, self.apply
+        end, finish = self.end, self.finish
+        epoch, step_size, accumulate = self.epoch, self.step_size, self.accumulate
+        state = dict.fromkeys(self.counters, 0)
+        accumulator = np.zeros(dim)
+        iterations_done = 0
+        annotate("iterations_done", 0)
+
+        while True:
+            # Line 3: claim an iteration; return once T are claimed.
+            annotate("phase", "start")
+            if claim is None:
+                claimed = yield self.counter.increment_op()
+                start_time = ctx.now - 1
+            else:
+                claimed, start_time = yield from claim(ctx, state)
+            if claimed >= self.max_iterations:
+                break
+            if plan is not None:
+                epoch, step_size, accumulate = plan(claimed)
+            if begin is not None:
+                yield from begin(ctx, state, epoch)
+
+            # Line 4: scan the model entry by entry (the inconsistent view).
+            annotate("phase", "read")
+            if scan is None:
+                view = np.empty(dim)
+                read_start = -1
+                for j in range(dim):
+                    view[j] = yield model.read_op(j)
+                    if j == 0:
+                        read_start = ctx.now - 1
+            else:
+                read_start = ctx.now
+                view = yield from scan(ctx, state)
+            read_end = ctx.now - 1
+
+            # Line 5: local computation — draw the coin, evaluate the oracle.
+            gradient, sample = objective.stochastic_gradient(view, ctx.rng)
+            if direction is not None:
+                gradient = direction(ctx, state, gradient)
+            annotate("pending_gradient", gradient)
+            annotate("view", view)
+            annotate("sample", sample)
+            if observe is not None:
+                step_size = yield from observe(ctx, state, claimed)
+
+            # Lines 6-7: apply the non-zero components.
+            annotate("phase", "update")
+            applied = [False] * dim
+            update_times: list = [None] * dim
+            first_update: Optional[int] = None
+            last_time = read_end
+            for j in range(dim):
+                component = gradient[j]
+                if component == 0.0:
+                    continue
+                delta = -step_size * component
+                if apply is None:
+                    yield model.fetch_add_op(j, delta)
+                    landed = True
+                else:
+                    landed = yield from apply(ctx, state, view, j, delta, epoch)
+                last_time = ctx.now - 1
+                if landed is not None:
+                    if first_update is None:
+                        first_update = last_time
+                    applied[j] = landed
+                    update_times[j] = last_time
+            annotate("pending_gradient", None)
+            if end is not None:
+                yield from end(ctx, state)
+
+            if accumulate:
+                accumulator -= step_size * gradient
+            iterations_done += 1
+            annotate("iterations_done", iterations_done)
+            if finish is not None:
+                sample = finish(ctx, state, sample)
+            if self.record_iterations:
+                ctx.emit(
+                    IterationRecord(
+                        time=last_time,
+                        thread_id=ctx.thread_id,
+                        index=int(claimed),
+                        epoch=epoch,
+                        start_time=start_time,
+                        read_start_time=read_start,
+                        read_end_time=read_end,
+                        first_update_time=first_update,
+                        end_time=last_time,
+                        view=view,
+                        gradient=gradient,
+                        applied=applied,
+                        update_times=update_times,
+                        step_size=step_size,
+                        sample=sample,
+                    )
+                )
+
+        annotate("phase", "done")
+        result = {"iterations": iterations_done, "accumulator": accumulator}
+        for name in self.counters:
+            result[name] = state[name]
+        return result
 
 
-class EpochSGDProgram(Program):
+class EpochSGDProgram(SGDProgram):
     """One thread's Algorithm-1 loop (procedure ``EpochSGD(T, α)``).
 
     Args:
@@ -188,9 +267,14 @@ class EpochSGDProgram(Program):
         use_write: ABLATION ONLY — apply updates with plain ``write`` of
             ``view[j] − α·g̃[j]`` instead of fetch&add, reproducing the
             lost-update catastrophe the paper warns about.
-
-    All per-run state lives inside :meth:`run`, so one program object
-    can back a respawned thread (crash recovery reuses it).
+        use_dcas_loop: Guarded updates as the paper's literal
+            construction, a read-then-DCAS retry loop per component
+            ("maintaining an epoch counter, on which threads condition
+            their update via double-compare-single-swap"), instead of
+            the atomic
+            :class:`~repro.shm.ops.GuardedFetchAdd` (one step per
+            component).  Same semantics; every retry is a scheduled
+            step, so use it when step counts must reflect the DCAS cost.
     """
 
     def __init__(
@@ -207,61 +291,58 @@ class EpochSGDProgram(Program):
         use_write: bool = False,
         use_dcas_loop: bool = False,
     ) -> None:
-        if step_size <= 0:
-            raise ConfigurationError(f"step_size must be > 0, got {step_size}")
-        if max_iterations < 0:
-            raise ConfigurationError(
-                f"max_iterations must be >= 0, got {max_iterations}"
-            )
-        if model.length != objective.dim:
-            raise ConfigurationError(
-                f"model has {model.length} entries but objective.dim is "
-                f"{objective.dim}"
-            )
-        self.model = model
-        self.counter = counter
-        self.objective = objective
-        self.step_size = step_size
-        self.max_iterations = max_iterations
+        super().__init__(
+            model, counter, objective, step_size, max_iterations,
+            record_iterations,
+        )
         self.epoch = epoch
         self.guard = guard
         self.accumulate = accumulate
-        self.record_iterations = record_iterations
         self.use_write = use_write
         self.use_dcas_loop = use_dcas_loop
 
-    def run(self, ctx: ThreadContext):
-        accumulator = np.zeros(self.model.length)
-        iterations_done = 0
-        ctx.annotate("iterations_done", 0)
+    @property
+    def apply(self):
+        """The per-component update: the write ablation, a guarded add
+        or DCAS loop under a guard, else ``None`` (fetch&add inline)."""
+        if self.use_write:
+            return self._write
+        if self.guard is None:
+            return None
+        return self._dcas_loop if self.use_dcas_loop else self._guarded_add
 
-        while True:
-            ctx.annotate("phase", "start")
-            claimed = yield self.counter.increment_op()
-            if claimed >= self.max_iterations:
-                break
-            record = yield from sgd_iteration_body(
-                ctx,
-                self.model,
-                self.objective,
-                self.step_size,
-                int(claimed),
-                self.epoch,
-                start_time=ctx.now - 1,
-                guard=self.guard,
-                guard_value=float(self.epoch),
-                use_write=self.use_write,
-                use_dcas_loop=self.use_dcas_loop,
+    def _write(self, ctx, state, view, j, delta, epoch):
+        # The lost-update hazard on purpose: X[j] := view[j] + delta.
+        yield self.model.write_op(j, view[j] + delta)
+        return True
+
+    def _guarded_add(self, ctx, state, view, j, delta, epoch):
+        landed, _ = yield self.model.guarded_fetch_add_op(
+            j, delta, self.guard, float(epoch)
+        )
+        return landed
+
+    def _dcas_loop(self, ctx, state, view, j, delta, epoch):
+        # Re-read the entry, then atomically swap it to current+delta iff
+        # the epoch guard still matches AND the entry is unchanged.  A
+        # CAS failure on the entry retries; a guard mismatch rejects the
+        # update (stale update discarded, as Algorithm 2 requires), so
+        # the loop terminates under every schedule.
+        model, guard, guard_value = self.model, self.guard, float(epoch)
+        while True:  # repro: allow(RPL105)
+            guard_now = yield guard.read_op()
+            if guard_now != guard_value:
+                return False
+            current = yield model.read_op(j)
+            swapped = yield DoubleCompareSingleSwap(
+                address=model.address_of(j),
+                expected=current,
+                new=current + delta,
+                guard_address=guard.address,
+                guard_expected=guard_value,
             )
-            if self.accumulate:
-                accumulator -= self.step_size * record.gradient
-            iterations_done += 1
-            ctx.annotate("iterations_done", iterations_done)
-            if self.record_iterations:
-                ctx.emit(record)
-
-        ctx.annotate("phase", "done")
-        return {"iterations": iterations_done, "accumulator": accumulator}
+            if swapped:
+                return True
 
 
 @register_algorithm
@@ -353,8 +434,9 @@ def run_lock_free_sgd(
         program_factory: Override the per-thread program — receives the
             keyword arguments ``model``, ``counter``, and the thread index
             as ``thread_index`` and must return a
-            :class:`~repro.runtime.program.Program` (how the Hogwild and
-            locked baselines plug in).
+            :class:`~repro.runtime.program.Program` (how E9, E10 and A1
+            run a variant with settings its registered algorithm does
+            not take).
         stop_epsilon: Optional early-stop radius²: end the simulation as
             soon as the *shared model snapshot* enters that region
             (hitting-time experiments that don't need the post-hit tail).

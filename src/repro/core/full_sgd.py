@@ -11,8 +11,9 @@ guarded fetch&add.  A stale cross-epoch gradient finds the counter moved
 on and is discarded.
 
 Epoch accounting is lock-free too: the global iteration counter C keeps
-counting across epochs, iteration ``c`` belongs to epoch ``c // T``, and
-threads ratchet the epoch register forward with CAS when they claim an
+counting across epochs, iteration ``c`` belongs to epoch ``c // T``
+(when the budget does not divide evenly, the first epochs take one
+iteration more), and threads ratchet the epoch register forward with CAS when they claim an
 iteration of a later epoch.  Threads never block; a thread holding an
 iteration of an already-passed epoch simply has its updates rejected by
 the guard.
@@ -25,6 +26,8 @@ model at quiescence, and the accumulators are returned for inspection
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
@@ -37,12 +40,11 @@ from repro.core.algorithm import (
     register_algorithm,
     simulate,
 )
-from repro.core.epoch_sgd import sgd_iteration_body
+from repro.core.epoch_sgd import EpochSGDProgram
 from repro.core.schedules import EpochHalvingRate, LearningRateSchedule
 from repro.errors import ConfigurationError
 from repro.objectives.base import Objective
 from repro.runtime.events import EpochEvent, IterationRecord
-from repro.runtime.program import Program, ThreadContext
 from repro.shm.array import AtomicArray
 from repro.shm.counter import AtomicCounter
 from repro.shm.register import AtomicRegister
@@ -67,8 +69,10 @@ def recommended_num_epochs(
     return halvings + 1
 
 
-class FullSGDThreadProgram(Program):
-    """One thread's Algorithm-2 loop.
+class FullSGDThreadProgram(EpochSGDProgram):
+    """One thread's Algorithm-2 loop: Algorithm 1's iteration, where the
+    claimed index's epoch sets the step size, the update guard and
+    whether the iteration accumulates (final epoch only).
 
     Args:
         model: Shared model X.
@@ -76,13 +80,19 @@ class FullSGDThreadProgram(Program):
         epoch_register: Shared epoch counter guarding every update.
         objective: Function/oracle to minimize.
         schedule: Epoch -> α map (Algorithm 2 uses halving).
-        iterations_per_epoch: T.
+        iterations_per_epoch: T, each epoch's length unless
+            ``max_iterations`` gives another budget.
         num_epochs: Total epochs including the final accumulation epoch.
         record_iterations: Emit IterationRecords.
         use_guard: ABLATION ONLY — when False, updates are plain
             fetch&adds with no epoch isolation, so stale cross-epoch
             gradients (generated under a larger α) land in later epochs;
             the paper's design forbids exactly this.
+        use_dcas_loop: Guard updates with the literal read-then-DCAS
+            loop (see :class:`~repro.core.epoch_sgd.EpochSGDProgram`).
+        max_iterations: The global budget, split over the epochs with
+            the first ``max_iterations mod num_epochs`` one iteration
+            longer; default ``iterations_per_epoch * num_epochs``.
     """
 
     def __init__(
@@ -97,6 +107,7 @@ class FullSGDThreadProgram(Program):
         record_iterations: bool = True,
         use_guard: bool = True,
         use_dcas_loop: bool = False,
+        max_iterations: Optional[int] = None,
     ) -> None:
         if iterations_per_epoch < 1:
             raise ConfigurationError(
@@ -104,84 +115,63 @@ class FullSGDThreadProgram(Program):
             )
         if num_epochs < 1:
             raise ConfigurationError(f"num_epochs must be >= 1, got {num_epochs}")
-        self.model = model
-        self.counter = counter
+        if max_iterations is None:
+            max_iterations = iterations_per_epoch * num_epochs
+        super().__init__(
+            model, counter, objective, schedule.rate(0), max_iterations,
+            guard=epoch_register if use_guard else None,
+            record_iterations=record_iterations,
+            use_dcas_loop=use_dcas_loop,
+        )
         self.epoch_register = epoch_register
-        self.objective = objective
         self.schedule = schedule
         self.iterations_per_epoch = iterations_per_epoch
         self.num_epochs = num_epochs
-        self.record_iterations = record_iterations
         self.use_guard = use_guard
-        self.use_dcas_loop = use_dcas_loop
-
-    def run(self, ctx: ThreadContext):
-        accumulator = np.zeros(self.model.length)
-        iterations_done = 0
-        ctx.annotate("iterations_done", 0)
-        final_epoch = self.num_epochs - 1
-
-        while True:
-            ctx.annotate("phase", "start")
-            claimed = yield self.counter.increment_op()
-            epoch = int(claimed) // self.iterations_per_epoch
-            if epoch >= self.num_epochs:
-                break
-            start_time = ctx.now - 1
-
-            # Ratchet the shared epoch register up to this iteration's
-            # epoch (lock-free: CAS k -> k+1 until it catches up).  The
-            # register is monotone, so every retry round some thread has
-            # advanced it — the loop runs at most ``epoch`` rounds.
-            while True:  # repro: allow(RPL105)
-                current = yield self.epoch_register.read_op()
-                if current >= epoch:
-                    break
-                advanced = yield self.epoch_register.cas_op(
-                    float(current), float(current + 1)
-                )
-                if advanced:
-                    ctx.emit(
-                        EpochEvent(
-                            time=ctx.now - 1,
-                            thread_id=ctx.thread_id,
-                            epoch=int(current + 1),
-                            learning_rate=self.schedule.rate(int(current + 1)),
-                            kind="start",
-                        )
-                    )
-
-            alpha = self.schedule.rate(epoch)
-            record = yield from sgd_iteration_body(
-                ctx,
-                self.model,
-                self.objective,
-                alpha,
-                int(claimed),
-                epoch,
-                start_time=start_time,
-                guard=self.epoch_register if self.use_guard else None,
-                guard_value=float(epoch),
-                use_dcas_loop=self.use_dcas_loop,
+        shortest, longer = divmod(max_iterations, num_epochs)
+        #: Claimed count at which each epoch ends.
+        self.epoch_ends = tuple(
+            itertools.accumulate(
+                shortest + (epoch < longer) for epoch in range(num_epochs)
             )
-            if epoch == final_epoch:
-                accumulator -= alpha * record.gradient
-            iterations_done += 1
-            ctx.annotate("iterations_done", iterations_done)
-            if self.record_iterations:
-                ctx.emit(record)
+        )
 
-        ctx.annotate("phase", "done")
-        return {"iterations": iterations_done, "accumulator": accumulator}
+    def plan(self, claimed):
+        epoch = bisect.bisect_right(self.epoch_ends, claimed)
+        return epoch, self.schedule.rate(epoch), epoch == self.num_epochs - 1
+
+    def begin(self, ctx, state, epoch):
+        # Ratchet the shared epoch register up to this iteration's epoch
+        # (lock-free: CAS k -> k+1 until it catches up).  The register is
+        # monotone, so every retry round some thread has advanced it —
+        # the loop runs at most ``epoch`` rounds.
+        while True:  # repro: allow(RPL105)
+            current = yield self.epoch_register.read_op()
+            if current >= epoch:
+                break
+            advanced = yield self.epoch_register.cas_op(
+                float(current), float(current + 1)
+            )
+            if advanced:
+                ctx.emit(
+                    EpochEvent(
+                        time=ctx.now - 1,
+                        thread_id=ctx.thread_id,
+                        epoch=int(current + 1),
+                        learning_rate=self.schedule.rate(int(current + 1)),
+                        kind="start",
+                    )
+                )
 
 
 @register_algorithm
 class FullSGDAlgorithm(Algorithm):
-    """Algorithm 2 on the zoo seam: the global budget is split into
-    ``num_epochs`` halving-rate epochs, updates epoch-guarded through
-    the shared epoch register the adapter allocates.  Guarded fetch&adds
-    keep iteration length bounded, so all three lemma certificates
-    apply (rejected stale updates still order by their first attempt)."""
+    """Algorithm 2 on the zoo seam: the global budget T is split into
+    ``num_epochs`` halving-rate epochs (the first ``T mod num_epochs``
+    one iteration longer), updates epoch-guarded through the shared
+    epoch register the adapter allocates.  Guarded fetch&adds keep
+    iteration length bounded, so all three lemma certificates apply
+    (rejected stale updates still order by their first attempt)."""
 
     name = "full-sgd"
     title = "Algorithm 2: epoch-halving SGD with epoch-guarded updates"
@@ -201,7 +191,6 @@ class FullSGDAlgorithm(Algorithm):
         epoch_slot = setup.memory.allocate(1, name=self.segment, initial=0.0)
         epoch_register = AtomicRegister(setup.memory, epoch_slot)
         schedule = EpochHalvingRate(setup.step_size)
-        iterations_per_epoch = max(1, setup.iterations // self.num_epochs)
         return [
             FullSGDThreadProgram(
                 model=setup.model,
@@ -209,11 +198,12 @@ class FullSGDAlgorithm(Algorithm):
                 epoch_register=epoch_register,
                 objective=setup.objective,
                 schedule=schedule,
-                iterations_per_epoch=iterations_per_epoch,
+                iterations_per_epoch=max(1, setup.iterations // self.num_epochs),
                 num_epochs=self.num_epochs,
                 record_iterations=setup.record_iterations,
                 use_guard=self.use_guard,
                 use_dcas_loop=self.use_dcas_loop,
+                max_iterations=setup.iterations,
             )
             for _ in range(setup.num_threads)
         ]

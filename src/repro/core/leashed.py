@@ -23,20 +23,14 @@ claimed from the same counter and ordered by first landed CAS).
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
-
 from repro.core.algorithm import Algorithm, AlgorithmSetup, register_algorithm
-from repro.errors import ConfigurationError
+from repro.core.epoch_sgd import SGDProgram
 from repro.objectives.base import Objective
-from repro.runtime.events import IterationRecord
-from repro.runtime.program import Program, ThreadContext
 from repro.shm.array import AtomicArray
 from repro.shm.counter import AtomicCounter
 
 
-class LeashedSGDProgram(Program):
+class LeashedSGDProgram(SGDProgram):
     """One thread's CAS-consistent SGD loop.
 
     One iteration: claim index c via ``C.fetch&add(1)``; read the view
@@ -45,8 +39,8 @@ class LeashedSGDProgram(Program):
     ``CAS(X[j], current, current − α·g̃[j])``; retry while the CAS fails
     (each failure costs two further steps: the re-read and the re-CAS).
     ``max_cas_retries`` bounds the loop; on exhaustion the component is
-    dropped (recorded as not applied), mirroring Leashed-SGD's bounded
-    persistence rather than unbounded obstruction.
+    dropped (recorded as not applied, with no update time), mirroring
+    Leashed-SGD's bounded persistence rather than unbounded obstruction.
 
     Args:
         model: Shared model X.
@@ -61,6 +55,8 @@ class LeashedSGDProgram(Program):
             carries ``(oracle_sample, cas_failures_this_iteration)``).
     """
 
+    counters = ("cas_failures", "dropped_components")
+
     def __init__(
         self,
         model: AtomicArray,
@@ -71,120 +67,33 @@ class LeashedSGDProgram(Program):
         max_cas_retries: int = 16,
         record_iterations: bool = True,
     ) -> None:
-        if step_size <= 0:
-            raise ConfigurationError(f"step_size must be > 0, got {step_size}")
-        if max_iterations < 0:
-            raise ConfigurationError(
-                f"max_iterations must be >= 0, got {max_iterations}"
-            )
-        if model.length != objective.dim:
-            raise ConfigurationError(
-                f"model has {model.length} entries but objective.dim is "
-                f"{objective.dim}"
-            )
-        self.model = model
-        self.counter = counter
-        self.objective = objective
-        self.step_size = step_size
-        self.max_iterations = max_iterations
+        super().__init__(
+            model, counter, objective, step_size, max_iterations,
+            record_iterations,
+        )
         self.max_cas_retries = max_cas_retries
-        self.record_iterations = record_iterations
 
-    def run(self, ctx: ThreadContext):
-        dim = self.model.length
-        iterations_done = 0
-        total_cas_failures = 0
-        dropped_components = 0
-        ctx.annotate("iterations_done", 0)
-
+    def apply(self, ctx, state, view, j, delta, epoch):
+        failures = 0
+        landed = None
         while True:
-            ctx.annotate("phase", "start")
-            claimed = yield self.counter.increment_op()
-            if claimed >= self.max_iterations:
+            current = yield self.model.read_op(j)
+            swapped = yield self.model.register(j).cas_op(current, current + delta)
+            if swapped:
+                landed = True
                 break
-            start_time = ctx.now - 1
+            failures += 1
+            if 0 <= self.max_cas_retries <= failures:
+                state["dropped_components"] += 1
+                break
+        state["failures"] = state.get("failures", 0) + failures
+        return landed
 
-            ctx.annotate("phase", "read")
-            view = np.empty(dim)
-            read_start = -1
-            for j in range(dim):
-                view[j] = yield self.model.read_op(j)
-                if j == 0:
-                    read_start = ctx.now - 1
-            read_end = ctx.now - 1
-
-            gradient, sample = self.objective.stochastic_gradient(view, ctx.rng)
-            ctx.annotate("pending_gradient", gradient)
-            ctx.annotate("view", view)
-            ctx.annotate("sample", sample)
-
-            ctx.annotate("phase", "update")
-            applied: List[bool] = [False] * dim
-            update_times: List[Optional[int]] = [None] * dim
-            first_update: Optional[int] = None
-            last_time = read_end
-            cas_failures = 0
-            for j in range(dim):
-                component = gradient[j]
-                if component == 0.0:
-                    continue
-                delta = -self.step_size * component
-                landed = False
-                failures = 0
-                while True:
-                    current = yield self.model.read_op(j)
-                    swapped = yield self.model.register(j).cas_op(
-                        current, current + delta
-                    )
-                    if swapped:
-                        landed = True
-                        break
-                    failures += 1
-                    if 0 <= self.max_cas_retries <= failures:
-                        break
-                cas_failures += failures
-                op_time = ctx.now - 1
-                if landed:
-                    if first_update is None:
-                        first_update = op_time
-                    applied[j] = True
-                    update_times[j] = op_time
-                else:
-                    dropped_components += 1
-                last_time = op_time
-
-            total_cas_failures += cas_failures
-            iterations_done += 1
-            ctx.annotate("iterations_done", iterations_done)
-            ctx.annotate("cas_failures", total_cas_failures)
-            ctx.annotate("pending_gradient", None)
-            if self.record_iterations:
-                ctx.emit(
-                    IterationRecord(
-                        time=last_time,
-                        thread_id=ctx.thread_id,
-                        index=int(claimed),
-                        start_time=start_time,
-                        read_start_time=read_start,
-                        read_end_time=read_end,
-                        first_update_time=first_update,
-                        end_time=last_time,
-                        view=view,
-                        gradient=gradient,
-                        applied=applied,
-                        update_times=update_times,
-                        step_size=self.step_size,
-                        sample=(sample, cas_failures),
-                    )
-                )
-
-        ctx.annotate("phase", "done")
-        return {
-            "iterations": iterations_done,
-            "accumulator": np.zeros(dim),
-            "cas_failures": total_cas_failures,
-            "dropped_components": dropped_components,
-        }
+    def finish(self, ctx, state, sample):
+        failures = state.pop("failures", 0)
+        state["cas_failures"] += failures
+        ctx.annotate("cas_failures", state["cas_failures"])
+        return sample, failures
 
 
 @register_algorithm

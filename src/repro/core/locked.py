@@ -16,20 +16,17 @@ sequential run's distribution.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.algorithm import Algorithm, AlgorithmSetup, register_algorithm
-from repro.core.epoch_sgd import sgd_iteration_body
-from repro.errors import ConfigurationError
+from repro.core.epoch_sgd import SGDProgram
 from repro.objectives.base import Objective
-from repro.runtime.program import Program, ThreadContext
 from repro.shm.array import AtomicArray
 from repro.shm.counter import AtomicCounter
 from repro.shm.register import AtomicRegister
 
 
-class LockedSGDProgram(Program):
-    """One thread's lock-protected SGD loop.
+class LockedSGDProgram(SGDProgram):
+    """One thread's lock-protected SGD loop: each claimed iteration runs
+    under the global lock, released once its update is applied.
 
     Args:
         model: Shared model X.
@@ -42,6 +39,8 @@ class LockedSGDProgram(Program):
         record_iterations: Emit per-iteration records.
     """
 
+    counters = ("spin_steps",)
+
     def __init__(
         self,
         model: AtomicArray,
@@ -52,69 +51,32 @@ class LockedSGDProgram(Program):
         max_iterations: int,
         record_iterations: bool = True,
     ) -> None:
-        if step_size <= 0:
-            raise ConfigurationError(f"step_size must be > 0, got {step_size}")
-        self.model = model
-        self.counter = counter
+        super().__init__(
+            model, counter, objective, step_size, max_iterations,
+            record_iterations,
+        )
         self.lock = lock
-        self.objective = objective
-        self.step_size = step_size
-        self.max_iterations = max_iterations
-        self.record_iterations = record_iterations
 
-    def run(self, ctx: ThreadContext):
-        iterations_done = 0
-        spin_steps = 0
-        ctx.annotate("iterations_done", 0)
-
-        while True:
-            ctx.annotate("phase", "start")
-            claimed = yield self.counter.increment_op()
-            if claimed >= self.max_iterations:
+    def begin(self, ctx, state, epoch):
+        # Acquire the global lock (CAS spinlock).  A thread that lost the
+        # race publishes ``blocked`` so phase-parking adversaries
+        # (contention-max, stale-attack) know scheduling it cannot make
+        # progress — without this they would spin the waiters forever
+        # while starving the parked lock holder.
+        ctx.annotate("phase", "lock")
+        # Intentional unbounded spin: a lock-based baseline waits as long
+        # as the adversary starves the holder (the point of the variant).
+        # Not enumerable by `repro verify` at any scope.
+        while True:  # repro: allow(RPL105)
+            acquired = yield self.lock.cas_op(0.0, 1.0)
+            if acquired:
                 break
-            start_time = ctx.now - 1
+            state["spin_steps"] += 1
+            ctx.annotate("blocked", True)
+        ctx.annotate("blocked", False)
 
-            # Acquire the global lock (CAS spinlock).  A thread that lost
-            # the race publishes ``blocked`` so phase-parking adversaries
-            # (contention-max, stale-attack) know scheduling it cannot
-            # make progress — without this they would spin the waiters
-            # forever while starving the parked lock holder.
-            ctx.annotate("phase", "lock")
-            # Intentional unbounded spin: a lock-based baseline waits as
-            # long as the adversary starves the holder (the point of the
-            # variant).  Not enumerable by `repro verify` at any scope.
-            while True:  # repro: allow(RPL105)
-                acquired = yield self.lock.cas_op(0.0, 1.0)
-                if acquired:
-                    break
-                spin_steps += 1
-                ctx.annotate("blocked", True)
-            ctx.annotate("blocked", False)
-
-            record = yield from sgd_iteration_body(
-                ctx,
-                self.model,
-                self.objective,
-                self.step_size,
-                int(claimed),
-                epoch=0,
-                start_time=start_time,
-            )
-
-            # Release.
-            yield self.lock.write_op(0.0)
-
-            iterations_done += 1
-            ctx.annotate("iterations_done", iterations_done)
-            if self.record_iterations:
-                ctx.emit(record)
-
-        ctx.annotate("phase", "done")
-        return {
-            "iterations": iterations_done,
-            "accumulator": np.zeros(self.model.length),
-            "spin_steps": spin_steps,
-        }
+    def end(self, ctx, state):
+        yield self.lock.write_op(0.0)
 
 
 @register_algorithm

@@ -26,11 +26,10 @@ from typing import Optional
 import numpy as np
 
 from repro.core.algorithm import Algorithm, AlgorithmSetup, register_algorithm
+from repro.core.epoch_sgd import SGDProgram
 from repro.core.results import SequentialRunResult
 from repro.errors import ConfigurationError
 from repro.objectives.base import Objective
-from repro.runtime.events import IterationRecord
-from repro.runtime.program import Program, ThreadContext
 from repro.runtime.rng import RngStream
 from repro.shm.array import AtomicArray
 from repro.shm.counter import AtomicCounter
@@ -95,7 +94,7 @@ def run_momentum_sgd(
     )
 
 
-class MomentumSGDProgram(Program):
+class MomentumSGDProgram(SGDProgram):
     """Lock-free SGD with a thread-local momentum (velocity) buffer.
 
     Each thread maintains v ← β·v + g̃(view) over *its own* iterations and
@@ -123,85 +122,19 @@ class MomentumSGDProgram(Program):
         max_iterations: int,
         record_iterations: bool = True,
     ) -> None:
-        if step_size <= 0:
-            raise ConfigurationError(f"step_size must be > 0, got {step_size}")
+        super().__init__(
+            model, counter, objective, step_size, max_iterations,
+            record_iterations,
+        )
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        self.model = model
-        self.counter = counter
-        self.objective = objective
-        self.step_size = step_size
         self.momentum = momentum
-        self.max_iterations = max_iterations
-        self.record_iterations = record_iterations
 
-    def run(self, ctx: ThreadContext):
-        dim = self.model.length
-        velocity = np.zeros(dim)
-        iterations_done = 0
-        ctx.annotate("iterations_done", 0)
-
-        while True:
-            ctx.annotate("phase", "start")
-            claimed = yield self.counter.increment_op()
-            if claimed >= self.max_iterations:
-                break
-            start_time = ctx.now - 1
-
-            ctx.annotate("phase", "read")
-            view = np.empty(dim)
-            read_start = -1
-            for j in range(dim):
-                view[j] = yield self.model.read_op(j)
-                if j == 0:
-                    read_start = ctx.now - 1
-            read_end = ctx.now - 1
-
-            gradient, sample = self.objective.stochastic_gradient(view, ctx.rng)
-            velocity = self.momentum * velocity + gradient
-            ctx.annotate("pending_gradient", velocity)
-
-            ctx.annotate("phase", "update")
-            applied = [False] * dim
-            update_times: list = [None] * dim
-            first_update = None
-            last_time = read_end
-            for j in range(dim):
-                if velocity[j] == 0.0:
-                    continue
-                yield self.model.fetch_add_op(j, -self.step_size * velocity[j])
-                op_time = ctx.now - 1
-                if first_update is None:
-                    first_update = op_time
-                last_time = op_time
-                applied[j] = True
-                update_times[j] = op_time
-
-            iterations_done += 1
-            ctx.annotate("iterations_done", iterations_done)
-            ctx.annotate("pending_gradient", None)
-            if self.record_iterations:
-                ctx.emit(
-                    IterationRecord(
-                        time=last_time,
-                        thread_id=ctx.thread_id,
-                        index=int(claimed),
-                        start_time=start_time,
-                        read_start_time=read_start,
-                        read_end_time=read_end,
-                        first_update_time=first_update,
-                        end_time=last_time,
-                        view=view,
-                        gradient=velocity.copy(),
-                        applied=applied,
-                        update_times=update_times,
-                        step_size=self.step_size,
-                        sample=sample,
-                    )
-                )
-
-        ctx.annotate("phase", "done")
-        return {"iterations": iterations_done, "accumulator": np.zeros(dim)}
+    def direction(self, ctx, state, gradient):
+        # The velocity starts at 0 with each run.
+        velocity = self.momentum * state.get("velocity", 0.0) + gradient
+        state["velocity"] = velocity
+        return velocity
 
 
 @register_algorithm

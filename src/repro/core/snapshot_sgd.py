@@ -26,16 +26,15 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.algorithm import Algorithm, AlgorithmSetup, simulate
+from repro.core.epoch_sgd import SGDProgram
 from repro.core.results import LockFreeRunResult
-from repro.errors import ConfigurationError
 from repro.objectives.base import Objective
-from repro.runtime.events import IterationRecord
-from repro.runtime.program import Program, ThreadContext
+from repro.runtime.program import Program
 from repro.shm.counter import AtomicCounter
 from repro.shm.versioned import VersionedArray
 
 
-class SnapshotSGDProgram(Program):
+class SnapshotSGDProgram(SGDProgram):
     """One thread's consistent-snapshot SGD loop.
 
     Args:
@@ -52,6 +51,8 @@ class SnapshotSGDProgram(Program):
             carries ``(oracle_sample, scan_consistent, scan_retries)``).
     """
 
+    counters = ("scan_retries", "inconsistent_fallbacks")
+
     def __init__(
         self,
         model: VersionedArray,
@@ -62,97 +63,29 @@ class SnapshotSGDProgram(Program):
         max_scan_retries: int = 8,
         record_iterations: bool = True,
     ) -> None:
-        if step_size <= 0:
-            raise ConfigurationError(f"step_size must be > 0, got {step_size}")
-        if model.length != objective.dim:
-            raise ConfigurationError(
-                f"model has {model.length} entries but objective.dim is "
-                f"{objective.dim}"
-            )
-        self.model = model
-        self.counter = counter
-        self.objective = objective
-        self.step_size = step_size
-        self.max_iterations = max_iterations
+        super().__init__(
+            model, counter, objective, step_size, max_iterations,
+            record_iterations,
+        )
         self.max_scan_retries = max_scan_retries
-        self.record_iterations = record_iterations
 
-    def run(self, ctx: ThreadContext):
-        dim = self.model.length
-        iterations_done = 0
-        total_retries = 0
-        inconsistent_fallbacks = 0
-        ctx.annotate("iterations_done", 0)
+    def scan(self, ctx, state):
+        view, consistent, retries = yield from self.model.scan_ops(
+            self.max_scan_retries
+        )
+        state["scan_retries"] += retries
+        if not consistent:
+            state["inconsistent_fallbacks"] += 1
+        state["scan"] = (consistent, retries)
+        return view
 
-        while True:
-            ctx.annotate("phase", "start")
-            claimed = yield self.counter.increment_op()
-            if claimed >= self.max_iterations:
-                break
-            start_time = ctx.now - 1
+    def apply(self, ctx, state, view, j, delta, epoch):
+        # The update's time is that of its closing version bump.
+        yield from self.model.update_ops(j, delta)
+        return True
 
-            ctx.annotate("phase", "read")
-            read_start = ctx.now
-            view, consistent, retries = yield from self.model.scan_ops(
-                self.max_scan_retries
-            )
-            read_end = ctx.now - 1
-            total_retries += retries
-            if not consistent:
-                inconsistent_fallbacks += 1
-
-            gradient, sample = self.objective.stochastic_gradient(view, ctx.rng)
-            ctx.annotate("pending_gradient", gradient)
-            ctx.annotate("view", view)
-
-            ctx.annotate("phase", "update")
-            applied: List[bool] = [False] * dim
-            update_times: List[Optional[int]] = [None] * dim
-            first_update: Optional[int] = None
-            last_time = read_end
-            for j in range(dim):
-                if gradient[j] == 0.0:
-                    continue
-                yield from self.model.update_ops(
-                    j, -self.step_size * gradient[j]
-                )
-                op_time = ctx.now - 1  # time of the version bump
-                if first_update is None:
-                    first_update = op_time
-                last_time = op_time
-                applied[j] = True
-                update_times[j] = op_time
-
-            iterations_done += 1
-            ctx.annotate("iterations_done", iterations_done)
-            ctx.annotate("pending_gradient", None)
-            if self.record_iterations:
-                ctx.emit(
-                    IterationRecord(
-                        time=last_time,
-                        thread_id=ctx.thread_id,
-                        index=int(claimed),
-                        start_time=start_time,
-                        read_start_time=read_start,
-                        read_end_time=read_end,
-                        first_update_time=first_update,
-                        end_time=last_time,
-                        view=view,
-                        gradient=gradient,
-                        applied=applied,
-                        update_times=update_times,
-                        step_size=self.step_size,
-                        sample=(sample, consistent, retries),
-                    )
-                )
-
-        ctx.annotate("phase", "done")
-        return {
-            "iterations": iterations_done,
-            "accumulator": np.zeros(dim),
-            "scan_retries": total_retries,
-            "inconsistent_fallbacks": inconsistent_fallbacks,
-        }
+    def finish(self, ctx, state, sample):
+        return (sample, *state["scan"])
 
 
 class SnapshotSGDAlgorithm(Algorithm):

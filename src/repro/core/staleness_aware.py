@@ -21,20 +21,15 @@ staleness.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
-
 from repro.core.algorithm import Algorithm, AlgorithmSetup, register_algorithm
+from repro.core.epoch_sgd import SGDProgram
 from repro.errors import ConfigurationError
 from repro.objectives.base import Objective
-from repro.runtime.events import IterationRecord
-from repro.runtime.program import Program, ThreadContext
 from repro.shm.array import AtomicArray
 from repro.shm.counter import AtomicCounter
 
 
-class StalenessAwareSGDProgram(Program):
+class StalenessAwareSGDProgram(SGDProgram):
     """Lock-free SGD that damps updates by their observed staleness.
 
     One iteration: claim index c via ``C.fetch&add(1)``; read the view;
@@ -53,7 +48,8 @@ class StalenessAwareSGDProgram(Program):
             α/staleness rule).
         record_iterations: Emit IterationRecords (their ``step_size`` is
             the *effective*, damped step size, so accumulator trajectories
-            remain exact).
+            remain exact; their ``sample`` is ``(oracle_sample,
+            staleness)``).
     """
 
     def __init__(
@@ -66,101 +62,30 @@ class StalenessAwareSGDProgram(Program):
         damping: float = 1.0,
         record_iterations: bool = True,
     ) -> None:
-        if step_size <= 0:
-            raise ConfigurationError(f"step_size must be > 0, got {step_size}")
+        super().__init__(
+            model, counter, objective, step_size, max_iterations,
+            record_iterations,
+        )
         if damping < 0:
             raise ConfigurationError(f"damping must be >= 0, got {damping}")
-        if model.length != objective.dim:
-            raise ConfigurationError(
-                f"model has {model.length} entries but objective.dim is "
-                f"{objective.dim}"
-            )
-        self.model = model
-        self.counter = counter
-        self.objective = objective
-        self.step_size = step_size
-        self.max_iterations = max_iterations
         self.damping = damping
-        self.record_iterations = record_iterations
 
-    def run(self, ctx: ThreadContext):
-        dim = self.model.length
-        iterations_done = 0
-        ctx.annotate("iterations_done", 0)
+    def observe(self, ctx, state, claimed):
+        # The staleness observation: how far has the global iteration
+        # counter moved since we claimed ours?  (One genuine step —
+        # published as its own phase, because WHEN the adversary lets
+        # this step run decides whether the mitigation works: freezing
+        # the thread *after* the observation makes the estimate stale
+        # itself, which is how the paper's lower bound still applies.)
+        ctx.annotate("phase", "observe")
+        counter_now = yield self.counter.read_count_op()
+        staleness = max(0.0, float(counter_now) - float(claimed) - 1.0)
+        ctx.annotate("staleness", staleness)
+        state["staleness"] = staleness
+        return self.step_size / (1.0 + self.damping * staleness)
 
-        while True:
-            ctx.annotate("phase", "start")
-            claimed = yield self.counter.increment_op()
-            if claimed >= self.max_iterations:
-                break
-            start_time = ctx.now - 1
-
-            ctx.annotate("phase", "read")
-            view = np.empty(dim)
-            read_start = -1
-            for j in range(dim):
-                view[j] = yield self.model.read_op(j)
-                if j == 0:
-                    read_start = ctx.now - 1
-            read_end = ctx.now - 1
-
-            gradient, sample = self.objective.stochastic_gradient(view, ctx.rng)
-            ctx.annotate("pending_gradient", gradient)
-            ctx.annotate("view", view)
-
-            # The staleness observation: how far has the global iteration
-            # counter moved since we claimed ours?  (One genuine step —
-            # published as its own phase, because WHEN the adversary lets
-            # this step run decides whether the mitigation works: freezing
-            # the thread *after* the observation makes the estimate stale
-            # itself, which is how the paper's lower bound still applies.)
-            ctx.annotate("phase", "observe")
-            counter_now = yield self.counter.read_count_op()
-            staleness = max(0.0, float(counter_now) - float(claimed) - 1.0)
-            effective_alpha = self.step_size / (1.0 + self.damping * staleness)
-            ctx.annotate("staleness", staleness)
-            ctx.annotate("phase", "update")
-
-            applied: List[bool] = [False] * dim
-            update_times: List[Optional[int]] = [None] * dim
-            first_update: Optional[int] = None
-            last_time = read_end
-            for j in range(dim):
-                if gradient[j] == 0.0:
-                    continue
-                yield self.model.fetch_add_op(j, -effective_alpha * gradient[j])
-                op_time = ctx.now - 1
-                if first_update is None:
-                    first_update = op_time
-                last_time = op_time
-                applied[j] = True
-                update_times[j] = op_time
-
-            iterations_done += 1
-            ctx.annotate("iterations_done", iterations_done)
-            ctx.annotate("pending_gradient", None)
-            if self.record_iterations:
-                ctx.emit(
-                    IterationRecord(
-                        time=last_time,
-                        thread_id=ctx.thread_id,
-                        index=int(claimed),
-                        start_time=start_time,
-                        read_start_time=read_start,
-                        read_end_time=read_end,
-                        first_update_time=first_update,
-                        end_time=last_time,
-                        view=view,
-                        gradient=gradient,
-                        applied=applied,
-                        update_times=update_times,
-                        step_size=effective_alpha,
-                        sample=(sample, staleness),
-                    )
-                )
-
-        ctx.annotate("phase", "done")
-        return {"iterations": iterations_done, "accumulator": np.zeros(dim)}
+    def finish(self, ctx, state, sample):
+        return sample, state["staleness"]
 
 
 @register_algorithm

@@ -7,17 +7,23 @@ gradients, current phase — through ``ctx.annotate``, and adaptive
 adversaries read those annotations plus the shared memory itself before
 every scheduling decision.
 
-Annotation contract of the SGD programs (:mod:`repro.core`):
+Annotation contract of the SGD programs (:mod:`repro.core`), all
+published by the one iteration loop,
+:class:`~repro.core.epoch_sgd.SGDProgram`, or by a variant's hook:
 
 ``phase``
     ``"start"`` — about to fetch&add the iteration counter;
+    ``"lock"`` — acquiring the global lock (locked SGD only);
     ``"read"`` — scanning the model entries into its view;
+    ``"observe"`` — re-reading the counter to measure staleness
+    (staleness-aware SGD only);
     ``"update"`` — gradient computed, applying per-entry fetch&adds;
     ``"done"`` — program finished.
 ``iterations_done``
     Number of iterations this thread has completed.
 ``pending_gradient``
-    The stochastic gradient about to be applied (the revealed coins).
+    The stochastic gradient (momentum: the velocity) about to be
+    applied — the revealed coins; ``None`` between updates.
 ``view``
     The inconsistent view the gradient was computed at.
 ``sample``
@@ -26,6 +32,17 @@ Annotation contract of the SGD programs (:mod:`repro.core`):
     ``True`` while the thread's next step cannot make progress (e.g. a
     spinlock waiter whose CAS just failed).  Phase-parking adversaries
     use it to avoid livelocking lock-based programs.
+``staleness``
+    Staleness-aware SGD: iterations claimed since this one (its last
+    observation).
+``cas_failures``
+    Leashed SGD: failed CASes so far in this run.
+
+Every variant publishes ``view`` and ``sample``.  Only ``phase``,
+``iterations_done``, ``pending_gradient`` and ``blocked`` are read: by
+the adversaries of :mod:`repro.sched`, the adaptive crash injector
+(:mod:`repro.faults.injectors`) and the sanitizer's torn-update check
+(:mod:`repro.analysis.sanitizer`).
 
 :class:`GreedyAscentAdversary` is a concrete worst-case-seeking adversary:
 knowing the optimum x*, it always schedules the pending primitive that

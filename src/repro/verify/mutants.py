@@ -32,12 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.core.algorithm import Algorithm, AlgorithmSetup
-from repro.core.epoch_sgd import EpochSGDProgram, sgd_iteration_body
+from repro.core.epoch_sgd import EpochSGDProgram
 from repro.errors import ConfigurationError
-from repro.runtime.program import ThreadContext
 
 
 class TornCounterProgram(EpochSGDProgram):
@@ -49,37 +46,13 @@ class TornCounterProgram(EpochSGDProgram):
     read between the two duplicates an iteration index.
     """
 
-    def run(self, ctx: ThreadContext):
-        accumulator = np.zeros(self.model.length)
-        iterations_done = 0
-        ctx.annotate("iterations_done", 0)
-
-        while True:
-            ctx.annotate("phase", "start")
-            claimed = yield self.counter.read_count_op()
-            if claimed >= self.max_iterations:
-                break
+    def claim(self, ctx, state):
+        claimed = yield self.counter.read_count_op()
+        if claimed < self.max_iterations:
             # The torn second half of the claim: a plain write computed
             # from the stale read above.  This is the seeded bug.
             yield self.counter.write_op(float(claimed + 1))  # repro: allow(RPL101)
-            record = yield from sgd_iteration_body(
-                ctx,
-                self.model,
-                self.objective,
-                self.step_size,
-                int(claimed),
-                self.epoch,
-                start_time=ctx.now - 2,
-            )
-            if self.accumulate:
-                accumulator -= self.step_size * record.gradient
-            iterations_done += 1
-            ctx.annotate("iterations_done", iterations_done)
-            if self.record_iterations:
-                ctx.emit(record)
-
-        ctx.annotate("phase", "done")
-        return {"iterations": iterations_done, "accumulator": accumulator}
+        return claimed, ctx.now - 2
 
 
 class TornCounterAlgorithm(Algorithm):
