@@ -32,7 +32,8 @@ from repro.analysis.report import (
     finding_sort_key,
     run_analysis_from_dict,
 )
-from repro.analysis.sanitizer import Analyzer, RaceStalenessSanitizer
+from repro.analysis.sanitizer import RaceStalenessSanitizer
+from repro.runtime.simulator import Analyzer
 
 __all__ = [
     "AnalysisReport",

@@ -31,9 +31,9 @@ Mechanism (FastTrack adapted to sequentially consistent memory):
 
 Cost model: the sanitizer consumes the shared memory's operation log at
 **chunk boundaries** (:meth:`~repro.runtime.simulator.Simulator.
-run_analyzed`), exactly like the chaos monitors — the ``run_fast`` hot
-loop is untouched, and a simulation without analyzers attached pays
-nothing.
+run_analyzed`), like every :class:`~repro.runtime.simulator.Analyzer`
+(the chaos monitors among them) — the ``run_fast`` hot loop is
+untouched, and a simulation without analyzers attached pays nothing.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.analysis.lemmas import iteration_order_findings
 from repro.analysis.report import Finding
 from repro.errors import ConfigurationError
 from repro.runtime.events import IterationRecord
+from repro.runtime.simulator import Analyzer
 from repro.runtime.thread import ThreadState
 from repro.shm.ops import (
     OP_COMPARE_AND_SWAP,
@@ -61,46 +62,6 @@ RULE_TORN_UPDATE = "RS002"
 
 #: A vector clock: thread id -> last-seen operation count of that thread.
 VectorClock = Dict[int, int]
-
-
-class Analyzer:
-    """Base protocol for chunk-boundary execution analyzers.
-
-    Attach with :meth:`~repro.runtime.simulator.Simulator.
-    attach_analyzer`; the simulator calls :meth:`drain` between
-    ``run_fast`` chunks and :meth:`finish` once at quiescence.  Draining
-    is cursor-based and idempotent, so a single drain at the end of a
-    run observes exactly what incremental drains would have.
-    """
-
-    name = "analyzer"
-    #: Whether the analyzer consumes the shared-memory operation log
-    #: (the memory's ``record_log`` must be on before the run;
-    #: :func:`repro.core.algorithm.simulate` turns it on when an
-    #: attached analyzer requires it).
-    requires_log = True
-
-    def __init__(self) -> None:
-        self.findings: List[Finding] = []
-
-    @property
-    def clean(self) -> bool:
-        """Whether nothing has been flagged so far."""
-        return not self.findings
-
-    def on_attach(self, sim) -> None:
-        """Validate the simulator configuration once, at attach time."""
-        if self.requires_log and not sim.memory.record_log:
-            raise ConfigurationError(
-                f"{type(self).__name__} consumes the operation log; "
-                "construct the SharedMemory with record_log=True"
-            )
-
-    def drain(self, sim) -> None:
-        """Consume simulation state produced since the last drain."""
-
-    def finish(self, sim) -> None:
-        """Run final checks once the simulation is quiescent."""
 
 
 class _AddressState:

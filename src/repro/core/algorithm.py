@@ -378,7 +378,7 @@ def run_algorithm(
     ``result.extras`` holding variant-specific counters
     (``spin_steps``, ``cas_failures``, ...) summed over threads.
 
-    ``analyzers`` attaches :class:`repro.analysis.sanitizer.Analyzer`
+    ``analyzers`` attaches :class:`repro.runtime.simulator.Analyzer`
     instances (forces the memory log on; same schedule, analyzers drain
     at chunk boundaries).  ``metrics`` attaches a
     :class:`repro.obs.registry.MetricsRegistry` and publishes the run's

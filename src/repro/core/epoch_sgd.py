@@ -442,7 +442,7 @@ def run_lock_free_sgd(
             (hitting-time experiments that don't need the post-hit tail).
             Threads are abandoned mid-iteration; records of completed
             iterations remain valid.
-        analyzers: Optional :class:`repro.analysis.sanitizer.Analyzer`
+        analyzers: Optional :class:`repro.runtime.simulator.Analyzer`
             instances to attach.  Forces the memory log on and drives the
             run through :meth:`Simulator.run_analyzed` (same schedule;
             analyzers drain the log between chunks).  Incompatible with

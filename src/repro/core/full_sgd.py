@@ -45,6 +45,7 @@ from repro.core.schedules import EpochHalvingRate, LearningRateSchedule
 from repro.errors import ConfigurationError
 from repro.objectives.base import Objective
 from repro.runtime.events import EpochEvent, IterationRecord
+from repro.runtime.simulator import Analyzer
 from repro.shm.array import AtomicArray
 from repro.shm.counter import AtomicCounter
 from repro.shm.register import AtomicRegister
@@ -209,11 +210,9 @@ class FullSGDAlgorithm(Algorithm):
         ]
 
 
-class EpochCheckpoints:
+class EpochCheckpoints(Analyzer):
     """``FullSGD.run``'s ``checkpoint_hook`` as an analyzer that needs no
-    memory log (the :class:`~repro.analysis.sanitizer.Analyzer`
-    protocol; not a subclass, so ``import repro`` does not load
-    :mod:`repro.analysis`).
+    memory log.
 
     A chunk boundary is the only place the engine is paused, so cuts
     are consistent by construction; :meth:`drain` hands the hook a
@@ -225,6 +224,7 @@ class EpochCheckpoints:
     requires_log = False
 
     def __init__(self, hook: Callable) -> None:
+        super().__init__()
         self.hook = hook
         self.address = -1
         self.last_epoch = 0
@@ -242,9 +242,6 @@ class EpochCheckpoints:
             self.last_epoch = epoch
             with trace_span("full_sgd.checkpoint", epoch=epoch):
                 self.hook(epoch, Checkpoint.capture(sim, label=f"epoch-{epoch}"))
-
-    def finish(self, sim) -> None:
-        pass
 
 
 @dataclass
@@ -372,7 +369,7 @@ class FullSGD(FullSGDAlgorithm):
         """Execute all epochs under ``scheduler`` and return the result.
 
         ``analyzers`` optionally attaches
-        :class:`repro.analysis.sanitizer.Analyzer` instances: the memory
+        :class:`repro.runtime.simulator.Analyzer` instances: the memory
         log is switched on and the run is driven through
         :meth:`Simulator.run_analyzed` (same schedule, same result).
 

@@ -22,7 +22,8 @@ two ways:
   into a freshly built simulator.  Thread-local coroutine positions are
   *not* restored, so this is only sound for stateless programs at
   iteration boundaries — exactly the lock-free property Algorithm 1 has
-  and :func:`repro.faults.recovery.run_with_recovery` exploits.
+  and the chaos :class:`~repro.faults.recovery.Respawner` relies on when
+  a fresh thread replaces a crashed one.
 
 Checkpoints serialize to deterministic JSON and are written with
 :func:`~repro.durable.atomic_io.atomic_write`, so a crash mid-save

@@ -111,15 +111,6 @@ class ConfigurationError(ReproError):
     """Invalid parameters were supplied to an algorithm or experiment."""
 
 
-class InvariantViolationError(ReproError):
-    """A runtime invariant monitor detected a violated invariant.
-
-    Raised by :class:`repro.faults.monitors.MonitorSuite` in fail-fast
-    mode; in collecting mode violations are accumulated instead so a
-    fault campaign can report every breakage of a run at once.
-    """
-
-
 class InterruptedRunError(ReproError):
     """A long-running driver stopped early at a safe point.
 

@@ -4,9 +4,9 @@ E13 measures how every algorithm variant *converges* under adversarial
 scheduling; E14 measures whether it *survives* silent data corruption.
 The grid is algorithm × corruption plan × seed: each cell runs the
 variant under a seeded value-corruption fault plan (bit flips, NaN/Inf
-poison, duplicated/dropped writes — :func:`repro.faults.campaign.
-corruption_specs`) with the self-healing ladder of
-:func:`repro.heal.rollback.run_with_healing` switched on, and records
+poison, duplicated/dropped writes — :func:`heal_plan_specs`) with the
+self-healing ladder of :func:`repro.heal.rollback.run_with_healing`
+switched on, and records
 what the ladder did: detector firings per rule, rollbacks, retries,
 degradations taken, recovery latencies, final health and final
 ``||x − x*||``.

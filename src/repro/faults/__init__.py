@@ -11,14 +11,16 @@ systematic robustness study needs:
   stall windows and torn-update injection) that builds a seeded
   :class:`~repro.faults.injectors.FaultInjectionScheduler` around any
   inner scheduler;
-* :mod:`repro.faults.recovery` — :func:`run_with_recovery`, which
-  respawns crashed SGD threads so they re-read shared state and rejoin
-  (legal in the model: a recovered thread is simply a new thread), a
-  constructive demonstration of the lock-free progress guarantee;
+* :mod:`repro.faults.recovery` — the :class:`Respawner` analyzer,
+  which respawns crashed SGD threads so they re-read shared state and
+  rejoin (legal in the model: a recovered thread is simply a new
+  thread), a constructive demonstration of the lock-free progress
+  guarantee;
 * :mod:`repro.faults.monitors` — cheap invariant monitors (counter
   monotonicity, model-norm finiteness, crash-budget accounting,
-  Lemma 6.1 iteration-order consistency) run every ``check_interval``
-  steps so ``run_fast`` stays fast when they are off;
+  Lemma 6.1 iteration-order consistency), health detectors checked
+  every ``check_interval`` steps so ``run_fast`` stays fast when they
+  are off;
 * :mod:`repro.faults.campaign` — a campaign runner gridding fault specs
   over seeds on the process-pool ensemble and emitting a robustness
   report (survival rate, convergence vs fault intensity, recovered
@@ -43,14 +45,12 @@ from repro.faults.injectors import (
 from repro.faults.monitors import (
     CounterMonotonicityMonitor,
     CrashBudgetMonitor,
-    InvariantMonitor,
     IterationOrderMonitor,
     ModelFiniteMonitor,
-    MonitorSuite,
     Violation,
     default_monitors,
 )
-from repro.faults.recovery import RecoveryReport, run_with_recovery
+from repro.faults.recovery import Respawner
 from repro.faults.campaign import (
     CampaignConfig,
     CampaignReport,
@@ -72,16 +72,13 @@ __all__ = [
     "AdaptiveCrashInjector",
     "StallInjector",
     "TornUpdateInjector",
-    "InvariantMonitor",
-    "MonitorSuite",
     "Violation",
     "CounterMonotonicityMonitor",
     "ModelFiniteMonitor",
     "CrashBudgetMonitor",
     "IterationOrderMonitor",
     "default_monitors",
-    "run_with_recovery",
-    "RecoveryReport",
+    "Respawner",
     "ChaosWorkload",
     "CampaignConfig",
     "CampaignReport",

@@ -38,8 +38,8 @@ from repro.experiments.grid import (
     register_campaign,
     str_list,
 )
-from repro.faults.monitors import MonitorSuite, default_monitors
-from repro.faults.recovery import run_with_recovery
+from repro.faults.monitors import default_monitors
+from repro.faults.recovery import Respawner
 from repro.faults.spec import (
     AdaptiveCrashSpec,
     BitFlipSpec,
@@ -52,6 +52,7 @@ from repro.faults.spec import (
     TornUpdateSpec,
 )
 from repro.objectives.noise import GaussianNoise
+from repro.heal.detectors import DetectorSuite
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.runtime.thread import ThreadState
 from repro.sched.registry import build_scheduler
@@ -94,13 +95,14 @@ def preset_specs() -> Dict[str, FaultSpec]:
 
 
 def corruption_specs() -> Dict[str, FaultSpec]:
-    """Named silent-data-corruption plans (``repro heal --plans ...``).
+    """Named silent-data-corruption plans that fire hard in an unhealed
+    run (``repro heal --plans`` takes the gentler
+    :func:`repro.experiments.e14_resilience.heal_plan_specs`).
 
     Unlike :func:`preset_specs`, these are *not* tuned to converge on
-    their own — a NaN-poisoned run diverges by construction.  They are
-    tuned so the heal layer's detectors catch every corruption within a
-    chunk and the rollback ladder recovers, which is what E14 verifies.
-    Corruption composes with scheduling faults (``sdc-mixed``).
+    their own — a NaN-poisoned run diverges by construction; the chaos
+    monitors are what should notice.  Corruption composes with
+    scheduling faults (``sdc-mixed``).
     """
     return {
         "bit-flip": FaultSpec(
@@ -199,7 +201,7 @@ class FaultRunOutcome:
     converged: bool
     violations: Tuple[str, ...]
     #: Crashes left unrecovered because the ``max_respawns`` budget ran
-    #: out (from :class:`~repro.faults.recovery.RecoveryReport`).
+    #: out (from :class:`~repro.faults.recovery.Respawner`).
     respawn_denied: int = 0
     #: Per-lineage crash counts ``((root_thread_id, crashes), ...)``,
     #: sorted by root id — a lineage with count > 1 is a respawn that
@@ -236,23 +238,24 @@ def _chaos_worker(
         x0=np.full(workload.dim, workload.x0_scale),
         seed=seed,
     )
-    suite = MonitorSuite(default_monitors()) if config.monitors else None
+    suite = DetectorSuite(default_monitors()) if config.monitors else None
+    if suite is not None:
+        sim.attach_analyzer(suite)
     # A respawn reruns the crashed thread's program from the start.
-    factory = (lambda crashed: crashed.program) if config.recover else None
-    recovery = run_with_recovery(
-        sim,
-        program_factory=factory,
+    respawner = Respawner(
+        (lambda crashed: crashed.program) if config.recover else None,
         max_respawns=config.max_respawns,
-        check_interval=config.check_interval,
-        monitors=suite,
     )
+    if config.recover or suite is not None:
+        sim.attach_analyzer(respawner)
+    sim.run_analyzed(chunk=config.check_interval)
 
     final = model.snapshot()
     distance = float(objective.distance_to_opt(final))
     records = collect_iteration_records(sim)
     torn = sum(getattr(inj, "torn", 0) for inj in engine.injectors)
     reroutes = engine.stall_reroutes
-    violations = tuple(str(v) for v in suite.violations) if suite else ()
+    violations = tuple(str(v) for v in suite.findings) if suite else ()
     finished = sum(1 for t in sim.threads if t.state is ThreadState.FINISHED)
     obs: Optional[Dict[str, Any]] = None
     if config.collect_obs:
@@ -265,7 +268,7 @@ def _chaos_worker(
         threads=len(sim.threads),
         finished=finished,
         crashed=sim.crashed_count,
-        respawned=recovery.recovered_count,
+        respawned=len(respawner.respawned),
         torn_updates=torn,
         skipped_crashes=engine.skipped_crashes,
         stall_reroutes=reroutes,
@@ -274,8 +277,8 @@ def _chaos_worker(
         distance=distance,
         converged=distance <= workload.convergence_radius,
         violations=violations,
-        respawn_denied=recovery.respawn_denied,
-        crash_tally=tuple(sorted(recovery.crash_tally.items())),
+        respawn_denied=respawner.respawn_denied,
+        crash_tally=tuple(sorted(respawner.crash_tally.items())),
         obs=obs,
     )
 

@@ -1,69 +1,63 @@
 """Invariant monitors — cheap runtime checks for chaos runs.
 
 A fault campaign is only evidence if someone watches the invariants
-while the faults fire.  Monitors come in two granularities:
+while the faults fire.  The chaos monitors are
+:class:`~repro.heal.detectors.HealthDetector` subclasses — read-only
+observers, which lint rule ``RPL104`` enforces — that the chaos worker
+gathers into a :class:`~repro.heal.detectors.DetectorSuite` and
+attaches to its simulation as an analyzer.  They check at two
+granularities:
 
-* **periodic** (:meth:`InvariantMonitor.on_check`) — O(d) peeks at
-  shared memory, driven every ``check_interval`` steps by
-  :func:`repro.faults.recovery.run_with_recovery`.  No scheduler hook is
-  involved, so when monitors are off the engine's elided ``run_fast``
-  loop is completely untouched (the ``TraceConfig`` cost model: pay only
-  for what you asked to observe);
-* **final** (:meth:`InvariantMonitor.on_finish`) — run once at
-  quiescence over the collected trace (e.g. Lemma 6.1's total order
-  needs every iteration record).
+* **periodic** (:meth:`~repro.heal.detectors.HealthDetector.check`) —
+  O(d) peeks at shared memory at every ``run_fast`` chunk boundary of
+  :meth:`~repro.runtime.simulator.Simulator.run_analyzed`, i.e. every
+  ``check_interval`` steps.  No scheduler hook is involved, so the
+  engine's elided ``run_fast`` loop is untouched (the ``TraceConfig``
+  cost model: pay only for what you asked to observe);
+* **final** (:meth:`~repro.heal.detectors.HealthDetector.final`) — run
+  once at quiescence over the collected trace (e.g. Lemma 6.1's total
+  order needs every iteration record).
 
-A :class:`MonitorSuite` aggregates violations; in ``fail_fast`` mode the
-first violation raises :class:`~repro.errors.InvariantViolationError`,
-otherwise a campaign collects them all into its robustness report.
+Every firing is a :class:`Violation`; a campaign collects them all into
+its robustness report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.analysis.lemmas import iteration_order_findings
 from repro.analysis.report import Finding
-from repro.errors import InvariantViolationError, UnknownAddressError
+from repro.errors import UnknownAddressError
+from repro.heal.detectors import HealthDetector
 from repro.runtime.events import CrashEvent, IterationRecord
 
 
 @dataclass(frozen=True)
 class Violation(Finding):
     """One detected invariant violation — a :class:`Finding` whose
-    ``source`` is the monitor name.
+    ``source`` is the monitor name and whose ``rule`` is
+    ``monitor:<name>``.
 
     The chaos engine and the sanitizer share the report model (one
-    dataclass, one serializer); ``monitor`` is kept as an alias of
-    ``source`` for the campaign/report code that predates the merge.
+    dataclass, one serializer).
     """
 
-    @property
-    def monitor(self) -> str:
-        return self.source
+
+def _violation(monitor: HealthDetector, sim, message: str) -> Violation:
+    return Violation(
+        source=monitor.name, rule=monitor.rule, message=message, time=sim.now
+    )
 
 
-class InvariantMonitor:
-    """Base class: override either hook; return ``None`` when clean."""
-
-    name = "invariant"
-
-    def on_check(self, sim) -> Optional[str]:
-        """Periodic check; return a violation message or ``None``."""
-        return None
-
-    def on_finish(self, sim) -> Iterable[str]:
-        """Final check at quiescence; return violation messages."""
-        return ()
-
-
-class CounterMonotonicityMonitor(InvariantMonitor):
+class CounterMonotonicityMonitor(HealthDetector):
     """The shared iteration counter only moves forward, in integer
     amounts, and never faster than one claim per executed step."""
 
     name = "counter-monotonic"
+    rule = "monitor:counter-monotonic"
 
     def __init__(self, segment: str = "iteration_counter") -> None:
         self.segment = segment
@@ -80,7 +74,7 @@ class CounterMonotonicityMonitor(InvariantMonitor):
                 self._missing = True  # workload has no counter; stay quiet
         return self._address
 
-    def on_check(self, sim) -> Optional[str]:
+    def check(self, sim) -> Optional[Violation]:
         address = self._resolve(sim)
         if address is None:
             return None
@@ -88,17 +82,21 @@ class CounterMonotonicityMonitor(InvariantMonitor):
         now = sim.now
         try:
             if not math.isfinite(value) or value != int(value):
-                return f"counter holds non-integral value {value!r}"
+                return _violation(
+                    self, sim, f"counter holds non-integral value {value!r}"
+                )
             if self._last_value is not None:
                 if value < self._last_value:
-                    return (
-                        f"counter decreased: {self._last_value} -> {value}"
+                    return _violation(
+                        self, sim,
+                        f"counter decreased: {self._last_value} -> {value}",
                     )
                 if value - self._last_value > now - self._last_time:
-                    return (
+                    return _violation(
+                        self, sim,
                         f"counter advanced by {value - self._last_value} in "
                         f"{now - self._last_time} steps (more than one claim "
-                        f"per step)"
+                        f"per step)",
                     )
             return None
         finally:
@@ -106,18 +104,19 @@ class CounterMonotonicityMonitor(InvariantMonitor):
             self._last_time = now
 
 
-class ModelFiniteMonitor(InvariantMonitor):
+class ModelFiniteMonitor(HealthDetector):
     """Every model entry stays finite (no NaN/inf blow-up) — the cheap
     proxy for "the survivors are still doing SGD, not diverging"."""
 
     name = "model-finite"
+    rule = "monitor:model-finite"
 
     def __init__(self, segment: str = "model") -> None:
         self.segment = segment
         self._range: Optional[tuple] = None
         self._missing = False
 
-    def on_check(self, sim) -> Optional[str]:
+    def check(self, sim) -> Optional[Violation]:
         if self._range is None:
             if self._missing:
                 return None
@@ -130,54 +129,57 @@ class ModelFiniteMonitor(InvariantMonitor):
         base, length = self._range
         for offset, value in enumerate(sim.memory.peek_range(base, length)):
             if not math.isfinite(value):
-                return f"model[{offset}] is {value!r}"
+                return _violation(self, sim, f"model[{offset}] is {value!r}")
         return None
 
 
-class CrashBudgetMonitor(InvariantMonitor):
+class CrashBudgetMonitor(HealthDetector):
     """The adversary never exceeds ``n - 1`` crashes, and the simulator's
     O(1) crash counter agrees with the trace's CrashEvents."""
 
     name = "crash-budget"
+    rule = "monitor:crash-budget"
 
-    def on_check(self, sim) -> Optional[str]:
+    def check(self, sim) -> Optional[Violation]:
         n = len(sim.threads)
         if n and sim.crashed_count > n - 1:
-            return (
-                f"{sim.crashed_count} crashes exceed the n-1 budget "
-                f"(n={n})"
+            return _violation(
+                self, sim,
+                f"{sim.crashed_count} crashes exceed the n-1 budget (n={n})",
             )
         return None
 
-    def on_finish(self, sim) -> Iterable[str]:
+    def final(self, sim) -> Iterator[Violation]:
         events = sum(1 for e in sim.trace if isinstance(e, CrashEvent))
         if events != sim.crashed_count:
-            yield (
+            yield _violation(
+                self, sim,
                 f"crash accounting mismatch: {events} CrashEvents vs "
-                f"crashed_count={sim.crashed_count}"
+                f"crashed_count={sim.crashed_count}",
             )
 
 
-class IterationOrderMonitor(InvariantMonitor):
+class IterationOrderMonitor(HealthDetector):
     """Lemma 6.1's total order: iteration records are totally ordered by
     their first model update, claimed indices are unique, and each
     record's internal timestamps are consistent."""
 
     name = "iteration-order"
+    rule = "monitor:iteration-order"
 
-    def on_finish(self, sim) -> Iterable[str]:
+    def final(self, sim) -> Iterator[Violation]:
         # Shared with the analysis layer: the sanitizer's final pass runs
         # the same checker, so both flag identical conditions with
         # identical messages (see repro.analysis.lemmas).
         records = [e for e in sim.trace if isinstance(e, IterationRecord)]
         for finding in iteration_order_findings(records, source=self.name):
-            yield finding.message
+            yield _violation(self, sim, finding.message)
 
 
 def default_monitors(
     model_segment: str = "model",
     counter_segment: str = "iteration_counter",
-) -> List[InvariantMonitor]:
+) -> List[HealthDetector]:
     """The standard chaos-run monitor set."""
     return [
         CounterMonotonicityMonitor(counter_segment),
@@ -185,57 +187,3 @@ def default_monitors(
         CrashBudgetMonitor(),
         IterationOrderMonitor(),
     ]
-
-
-class MonitorSuite:
-    """Drives a set of monitors and aggregates their violations.
-
-    Args:
-        monitors: The monitors to run (default: :func:`default_monitors`).
-        fail_fast: Raise :class:`InvariantViolationError` on the first
-            violation instead of collecting (campaigns collect; CI-style
-            assertions fail fast).
-    """
-
-    def __init__(
-        self,
-        monitors: Optional[Sequence[InvariantMonitor]] = None,
-        fail_fast: bool = False,
-    ) -> None:
-        self.monitors = list(default_monitors() if monitors is None else monitors)
-        self.fail_fast = fail_fast
-        self.violations: List[Violation] = []
-        self.checks_run = 0
-
-    @property
-    def clean(self) -> bool:
-        """Whether no monitor has fired."""
-        return not self.violations
-
-    def _record(self, monitor: InvariantMonitor, time: int, message: str) -> None:
-        violation = Violation(
-            source=monitor.name,
-            rule=f"monitor:{monitor.name}",
-            message=message,
-            time=time,
-        )
-        self.violations.append(violation)
-        if self.fail_fast:
-            raise InvariantViolationError(str(violation))
-
-    def check(self, sim) -> None:
-        """Run every monitor's periodic check once."""
-        self.checks_run += 1
-        now = sim.now
-        for monitor in self.monitors:
-            message = monitor.on_check(sim)
-            if message is not None:
-                self._record(monitor, now, message)
-
-    def finish(self, sim) -> None:
-        """Run a last periodic check plus every final check."""
-        self.check(sim)
-        now = sim.now
-        for monitor in self.monitors:
-            for message in monitor.on_finish(sim):
-                self._record(monitor, now, message)

@@ -8,37 +8,45 @@ any other.  Algorithm 1 needs no per-thread state for correctness, which
 is exactly the lock-free property; respawning demonstrates it
 constructively instead of by survivor-counting.
 
-:func:`run_with_recovery` is the chaos-run driver: it executes the
-simulation in :meth:`~repro.runtime.simulator.Simulator.run_fast` chunks
-of ``check_interval`` steps, and between chunks (the only places the
-engine is paused) it polls the O(1) crash counter for fresh victims to
-respawn and lets an optional :class:`~repro.faults.monitors.MonitorSuite`
-run its periodic checks.  With recovery and monitors both off it
-degenerates to a plain ``run_fast()`` call — zero overhead on the
-engine's hot loop.
+:class:`Respawner` is an :class:`~repro.runtime.simulator.Analyzer`:
+attached to a simulation driven by :meth:`~repro.runtime.simulator.
+Simulator.run_analyzed`, it polls the O(1) crash counter at every
+``run_fast`` chunk boundary (the only places the engine is paused),
+tallies fresh victims per lineage and respawns them.  The chunked
+schedule is step-for-step identical to one uninterrupted run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Set
 
-from repro.errors import ConfigurationError
+from repro.runtime.simulator import Analyzer
 from repro.runtime.thread import SimThread, ThreadState
 
 #: A factory building the replacement program for one crashed thread.
 ProgramFactory = Callable[[SimThread], "object"]
 
 
-@dataclass
-class RecoveryReport:
-    """What happened across one recovered run.
+class Respawner(Analyzer):
+    """Tally crashed threads per lineage and respawn them between chunks.
+
+    Attach it after any analyzer that must see a chunk's cut before the
+    replacements join (the chaos worker attaches its monitors first).
+    A respawn after the last chunk leaves a thread runnable, so
+    :meth:`~repro.runtime.simulator.Simulator.run_analyzed` keeps going.
+
+    Args:
+        program_factory: Maps a crashed :class:`SimThread` to the
+            replacement :class:`~repro.runtime.program.Program`; ``None``
+            disables respawning (crashes are still tallied).
+        max_respawns: Cap on total respawns; ``None`` means unlimited
+            (still bounded in practice — each respawn requires a crash,
+            and crash budgets bound those).
+        name_prefix: Replacement threads are named
+            ``"<prefix>-<crashed_id>"``.
 
     Attributes:
         respawned: Crashed thread id -> replacement thread id.
-        crashes_seen: Total crashes observed (respawned or not).
-        steps: Shared-memory steps executed by this driver.
-        checks: Monitor check rounds performed.
         respawn_denied: Crashes left unrecovered because the
             ``max_respawns`` budget was already spent.
         crash_tally: Crashes per *lineage*, keyed by the original thread
@@ -48,123 +56,56 @@ class RecoveryReport:
             the ensemble.
     """
 
-    respawned: Dict[int, int] = field(default_factory=dict)
-    crashes_seen: int = 0
-    steps: int = 0
-    checks: int = 0
-    respawn_denied: int = 0
-    crash_tally: Dict[int, int] = field(default_factory=dict)
+    name = "respawner"
+    requires_log = False
+
+    def __init__(
+        self,
+        program_factory: Optional[ProgramFactory] = None,
+        max_respawns: Optional[int] = None,
+        name_prefix: str = "respawn",
+    ) -> None:
+        super().__init__()
+        self.program_factory = program_factory
+        self.max_respawns = max_respawns
+        self.name_prefix = name_prefix
+        self.respawned: Dict[int, int] = {}
+        self.respawn_denied = 0
+        self.crash_tally: Dict[int, int] = {}
+        self._handled: Set[int] = set()
+        # Replacement thread id -> the lineage root it (transitively)
+        # replaced, so crash_tally attributes a respawn's own crash to
+        # the original worker's lineage.
+        self._lineage: Dict[int, int] = {}
 
     @property
-    def recovered_count(self) -> int:
-        """Number of crashed threads that were respawned."""
-        return len(self.respawned)
+    def crashes_seen(self) -> int:
+        """Total crashes observed (respawned or not)."""
+        return len(self._handled)
 
-    @property
-    def budget_exhausted(self) -> bool:
-        """True when at least one crash went unrecovered purely because
-        the respawn budget was spent."""
-        return self.respawn_denied > 0
-
-    def summary(self) -> Dict[str, object]:
-        """Plain-values structured summary (JSON-safe, log-friendly)."""
-        return {
-            "crashes_seen": self.crashes_seen,
-            "respawned": self.recovered_count,
-            "respawn_denied": self.respawn_denied,
-            "budget_exhausted": self.budget_exhausted,
-            "crash_tally": {
-                str(root): count
-                for root, count in sorted(self.crash_tally.items())
-            },
-            "steps": self.steps,
-            "checks": self.checks,
-        }
-
-
-def run_with_recovery(
-    sim,
-    program_factory: Optional[ProgramFactory] = None,
-    max_respawns: Optional[int] = None,
-    check_interval: int = 64,
-    monitors=None,
-    name_prefix: str = "respawn",
-) -> RecoveryReport:
-    """Drive ``sim`` to quiescence, respawning crashed threads.
-
-    Args:
-        sim: A :class:`~repro.runtime.simulator.Simulator` with threads
-            already spawned.
-        program_factory: Maps a crashed :class:`SimThread` to the
-            replacement :class:`~repro.runtime.program.Program`; ``None``
-            disables recovery (the run still gets monitoring).
-        max_respawns: Cap on total respawns; ``None`` means unlimited
-            (still bounded in practice — each respawn requires a crash,
-            and crash budgets bound those).
-        check_interval: Steps between crash polls / monitor checks.
-            Crashes are detected at most ``check_interval`` steps after
-            they fire; the chunked schedule is step-for-step identical to
-            one uninterrupted run (the scheduler is consulted per step
-            either way).
-        monitors: Optional :class:`~repro.faults.monitors.MonitorSuite`;
-            its periodic checks run every chunk and its final checks at
-            quiescence.
-        name_prefix: Replacement threads are named
-            ``"<prefix>-<crashed_id>"``.
-
-    Returns:
-        A :class:`RecoveryReport`.
-    """
-    if check_interval < 1:
-        raise ConfigurationError(
-            f"check_interval must be >= 1, got {check_interval}"
-        )
-    report = RecoveryReport()
-    if program_factory is None and monitors is None:
-        # Nothing to observe between steps: take the one-shot fast path.
-        report.steps = sim.run_fast()
-        return report
-
-    handled: set = set()
-    # Replacement thread id -> the lineage root it (transitively)
-    # replaced, so crash_tally attributes a respawn's own crash to the
-    # original worker's lineage.
-    lineage: Dict[int, int] = {}
-    while True:
-        if sim.runnable_count:
-            report.steps += sim.run_fast(max_steps=check_interval)
-            if monitors is not None:
-                monitors.check(sim)
-        respawned_this_round = False
-        if sim.crashed_count > len(handled):
-            for thread in sim.threads:
-                if (
-                    thread.state is not ThreadState.CRASHED
-                    or thread.thread_id in handled
-                ):
-                    continue
-                handled.add(thread.thread_id)
-                report.crashes_seen += 1
-                root = lineage.get(thread.thread_id, thread.thread_id)
-                report.crash_tally[root] = report.crash_tally.get(root, 0) + 1
-                if program_factory is None:
-                    continue
-                if (
-                    max_respawns is not None
-                    and len(report.respawned) >= max_respawns
-                ):
-                    report.respawn_denied += 1
-                    continue
-                replacement = sim.spawn(
-                    program_factory(thread),
-                    name=f"{name_prefix}-{thread.thread_id}",
-                )
-                lineage[replacement.thread_id] = root
-                report.respawned[thread.thread_id] = replacement.thread_id
-                respawned_this_round = True
-        if sim.runnable_count == 0 and not respawned_this_round:
-            break
-    if monitors is not None:
-        monitors.finish(sim)
-        report.checks = monitors.checks_run
-    return report
+    def drain(self, sim) -> None:
+        if sim.crashed_count <= len(self._handled):
+            return
+        for thread in sim.threads:
+            if (
+                thread.state is not ThreadState.CRASHED
+                or thread.thread_id in self._handled
+            ):
+                continue
+            self._handled.add(thread.thread_id)
+            root = self._lineage.get(thread.thread_id, thread.thread_id)
+            self.crash_tally[root] = self.crash_tally.get(root, 0) + 1
+            if self.program_factory is None:
+                continue
+            if (
+                self.max_respawns is not None
+                and len(self.respawned) >= self.max_respawns
+            ):
+                self.respawn_denied += 1
+                continue
+            replacement = sim.spawn(
+                self.program_factory(thread),
+                name=f"{self.name_prefix}-{thread.thread_id}",
+            )
+            self._lineage[replacement.thread_id] = root
+            self.respawned[thread.thread_id] = replacement.thread_id

@@ -15,6 +15,13 @@ HEAL004   the *retained* checkpoint no longer matches the digest it
           had at capture (the rollback target itself is damaged)
 ========  ==========================================================
 
+The chaos engine's invariant monitors (:mod:`repro.faults.monitors`)
+are detectors too.  A :class:`DetectorSuite` is an
+:class:`~repro.runtime.simulator.Analyzer`, so ``repro chaos`` attaches
+one and lets :meth:`~repro.runtime.simulator.Simulator.run_analyzed`
+drive it; the heal ladder calls :meth:`DetectorSuite.check` from its own
+chunk loop, because a rollback swaps the simulator it watches.
+
 Detectors are **read-only observers**: they may ``peek`` shared memory
 but never mutate it — poking, loading or storing from a detector would
 make the observer part of the fault model.  Lint rule ``RPL104``
@@ -24,12 +31,13 @@ enforces this contract statically.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.report import Finding
 from repro.errors import UnknownAddressError
+from repro.runtime.simulator import Analyzer
 
 
 def _segment_view(sim, name: str) -> Optional[np.ndarray]:
@@ -44,8 +52,9 @@ def _segment_view(sim, name: str) -> Optional[np.ndarray]:
 class HealthDetector:
     """Base class: one health question, asked at chunk boundaries.
 
-    Subclasses set :attr:`rule` and implement :meth:`check`; the
-    contract is *read-only observation* (enforced by lint rule RPL104).
+    Subclasses set :attr:`rule` and implement :meth:`check` and/or
+    :meth:`final`; the contract is *read-only observation* (enforced by
+    lint rule RPL104).
     """
 
     #: Stable finding rule id (``HEAL001``...).
@@ -57,6 +66,10 @@ class HealthDetector:
     def check(self, sim) -> Optional[Finding]:
         """Inspect the current cut; a :class:`Finding` means unhealthy."""
         return None
+
+    def final(self, sim) -> Iterable[Finding]:
+        """Quiescence-only checks (e.g. over the whole trace)."""
+        return ()
 
     def on_rollback(self, sim) -> None:
         """Reset transient state after the driver restored a checkpoint."""
@@ -268,29 +281,43 @@ class CheckpointDigestDetector(HealthDetector):
         )
 
 
-class DetectorSuite:
+class DetectorSuite(Analyzer):
     """A set of detectors checked together at each chunk boundary.
 
-    Tallies firings per rule (:attr:`firings`) so reports and the obs
-    layer can count detections without re-deriving them.
+    Every firing lands in :attr:`findings`, in detector order per
+    check.  As an analyzer it needs no memory log: each drain is one
+    :meth:`check`, and :meth:`finish` is one more check followed by
+    every detector's :meth:`~HealthDetector.final`.
     """
 
-    def __init__(self, detectors: Sequence[HealthDetector]) -> None:
-        self.detectors: Tuple[HealthDetector, ...] = tuple(detectors)
-        self.firings: Dict[str, int] = {}
+    name = "detectors"
+    requires_log = False
 
-    def attach(self, sim) -> None:
+    def __init__(self, detectors: Sequence[HealthDetector]) -> None:
+        super().__init__()
+        self.detectors: Tuple[HealthDetector, ...] = tuple(detectors)
+
+    def on_attach(self, sim) -> None:
         for detector in self.detectors:
             detector.on_attach(sim)
 
     def check(self, sim) -> List[Finding]:
-        findings: List[Finding] = []
+        """Ask every detector once; returns (and keeps) what fired."""
+        findings = []
         for detector in self.detectors:
             finding = detector.check(sim)
             if finding is not None:
                 findings.append(finding)
-                self.firings[finding.rule] = self.firings.get(finding.rule, 0) + 1
+        self.findings.extend(findings)
         return findings
+
+    def drain(self, sim) -> None:
+        self.check(sim)
+
+    def finish(self, sim) -> None:
+        self.check(sim)
+        for detector in self.detectors:
+            self.findings.extend(detector.final(sim))
 
     def on_rollback(self, sim) -> None:
         for detector in self.detectors:

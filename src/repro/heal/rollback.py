@@ -284,7 +284,7 @@ def run_with_healing(
         return sim, engine
 
     sim, engine = fresh_lineage()
-    suite.attach(sim)
+    suite.on_attach(sim)
     healthy = Checkpoint.capture(sim, label="initial")
     anchor = healthy  # lineage t=0 fallback if the retained cut is damaged
     suite.observe_checkpoint(healthy)
@@ -385,7 +385,7 @@ def run_with_healing(
         windows = [(0, restart_disarm)]
         sim, engine = fresh_lineage()
         corruption_baseline = engine.corruptions
-        suite.attach(sim)
+        suite.on_attach(sim)
         suite.on_rollback(sim)
         healthy = Checkpoint.capture(
             sim, label=f"degraded:{len(report.degradations)}"

@@ -25,9 +25,10 @@ what happens.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
+    ConfigurationError,
     NoRunnableThreadError,
     ProgramError,
     SchedulerError,
@@ -43,6 +44,50 @@ from repro.runtime.rng import RngStream
 from repro.runtime.thread import SimThread, ThreadState
 from repro.shm.memory import SharedMemory
 from repro.shm.ops import DISPATCH_TABLE, OP_READ, Operation
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.report import Finding
+
+
+class Analyzer:
+    """Base protocol for chunk-boundary execution analyzers.
+
+    Attach with :meth:`Simulator.attach_analyzer`; :meth:`Simulator.
+    run_analyzed` calls :meth:`drain` between ``run_fast`` chunks (the
+    only places the engine is paused, so every drain sees a consistent
+    cut) and :meth:`finish` once at quiescence.  The sanitizer, the
+    chaos monitors and respawner, and FullSGD's epoch checkpoints are
+    all analyzers.
+    """
+
+    name = "analyzer"
+    #: Whether the analyzer consumes the shared-memory operation log
+    #: (the memory's ``record_log`` must be on before the run;
+    #: :func:`repro.core.algorithm.simulate` turns it on when an
+    #: attached analyzer requires it).
+    requires_log = True
+
+    def __init__(self) -> None:
+        self.findings: List["Finding"] = []
+
+    @property
+    def clean(self) -> bool:
+        """Whether nothing has been flagged so far."""
+        return not self.findings
+
+    def on_attach(self, sim: "Simulator") -> None:
+        """Validate the simulator configuration once, at attach time."""
+        if self.requires_log and not sim.memory.record_log:
+            raise ConfigurationError(
+                f"{type(self).__name__} consumes the operation log; "
+                "construct the SharedMemory with record_log=True"
+            )
+
+    def drain(self, sim: "Simulator") -> None:
+        """Act on the cut reached by the last chunk."""
+
+    def finish(self, sim: "Simulator") -> None:
+        """Run final checks once the simulation is quiescent."""
 
 
 class Simulator:
@@ -99,7 +144,7 @@ class Simulator:
         # spawn/crash/finish, so schedulers can cache per-set state keyed
         # on the object's identity.
         self._runnable: Tuple[int, ...] = ()
-        self._analyzers: List[Any] = []
+        self._analyzers: List[Analyzer] = []
         # Telemetry (repro.obs) — None until attach_metrics(); the hot
         # loops only ever do bulk increments at run()/run_fast() exit.
         self.metrics: Optional[Any] = None
@@ -429,14 +474,14 @@ class Simulator:
     # ------------------------------------------------------------------
     # Analysis (repro.analysis — dynamic checkers over the op stream)
     # ------------------------------------------------------------------
-    def attach_analyzer(self, analyzer: Any) -> None:
-        """Register a :class:`repro.analysis.sanitizer.Analyzer`.
+    def attach_analyzer(self, analyzer: Analyzer) -> None:
+        """Register an :class:`Analyzer`.
 
-        Analyzers consume the shared-memory operation log *between*
-        execution chunks (see :meth:`run_analyzed`), never per step — the
-        hot loops of :meth:`run` and :meth:`run_fast` are untouched and a
-        simulator with no analyzers pays nothing.  The analyzer's
-        ``on_attach`` validates its requirements (e.g. ``record_log``).
+        Analyzers act *between* execution chunks (see
+        :meth:`run_analyzed`), never per step — the hot loops of
+        :meth:`run` and :meth:`run_fast` are untouched and a simulator
+        with no analyzers pays nothing.  The analyzer's ``on_attach``
+        validates its requirements (e.g. ``record_log``).
         """
         analyzer.on_attach(self)
         self._analyzers.append(analyzer)
@@ -448,10 +493,11 @@ class Simulator:
 
         Executes the exact same schedule as :meth:`run_fast` (chunking is
         invisible to schedulers and programs: the loop merely pauses to
-        let analyzers read the already-materialized operation log), then
-        gives every analyzer a ``finish(sim)`` pass at quiescence.
-        Degenerates to one :meth:`run_fast` call when no analyzers are
-        attached.
+        let analyzers act on the cut), then gives every analyzer a
+        ``finish(sim)`` pass at quiescence.  Analyzers drain in attach
+        order; one that spawns a thread (the chaos respawner) keeps the
+        loop going.  Degenerates to one :meth:`run_fast` call when no
+        analyzers are attached.
 
         Returns the number of steps executed by this call.
         """

@@ -27,7 +27,8 @@ it is a thin translator; every guarantee the service makes lives here:
 * **Retry ladder.**  Crashed attempts (the worker died or closed its
   pipe without an outcome — SIGKILL, segfault, OOM — or reported an
   unexpected exception) respawn under a server-wide budget that mirrors
-  ``run_with_recovery``'s lineage accounting, after a **seeded
+  the chaos :class:`~repro.faults.recovery.Respawner`'s
+  ``max_respawns`` budget, after a **seeded
   deterministic** exponential backoff
   (:func:`repro.experiments.ensemble.backoff_delay`, seeded from the
   job fingerprint — no wall-clock entropy).  Deterministic errors

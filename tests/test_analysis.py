@@ -621,7 +621,6 @@ class TestFindingModel:
             time=12,
         )
         assert isinstance(violation, Finding)
-        assert violation.monitor == "model-finite"
         assert str(violation) == "[model-finite @ t=12] model[0] is inf"
         assert violation.as_dict()["severity"] == "error"
 
@@ -663,6 +662,18 @@ class Sneaky(HealthDetector):
         return None
 '''
 
+POKING_MONITOR_FIXTURE = '''
+from repro.heal.detectors import HealthDetector
+
+class CounterResetMonitor(HealthDetector):
+    name = "counter-reset"
+    rule = "monitor:counter-reset"
+
+    def check(self, sim):
+        sim.memory.poke(0, 0.0)
+        return None
+'''
+
 NON_DETECTOR_POKE_FIXTURE = '''
 class Driver:
     def prepare(self, sim):
@@ -699,6 +710,19 @@ class TestLintDetectorPurity:
         findings = lint_source(NON_DETECTOR_POKE_FIXTURE, path="fixture.py")
         assert not [f for f in findings if f.rule == "RPL104"]
 
+    def test_chaos_monitor_that_pokes_is_flagged(self):
+        findings = lint_source(POKING_MONITOR_FIXTURE, path="fixture.py")
+        assert [f.rule for f in findings] == ["RPL104"]
+        assert "CounterResetMonitor" in findings[0].message
+
+    def test_shipped_monitors_are_covered_by_the_rule(self):
+        # RPL104 recognises a detector by its direct HealthDetector base.
+        from repro.faults.monitors import default_monitors
+        from repro.heal.detectors import HealthDetector
+
+        for monitor in default_monitors():
+            assert HealthDetector in type(monitor).__bases__
+
     def test_shipped_detectors_pass_their_own_rule(self):
-        findings = lint_paths(["src/repro/heal"])
+        findings = lint_paths(["src/repro/heal", "src/repro/faults/monitors.py"])
         assert findings == [], render_findings(findings)

@@ -30,7 +30,7 @@ from repro.core.schedules import EpochHalvingRate
 from repro.core.snapshot_sgd import SnapshotSGDAlgorithm, SnapshotSGDProgram
 from repro.core.staleness_aware import StalenessAwareSGDProgram
 from repro.errors import ConfigurationError
-from repro.faults.recovery import run_with_recovery
+from repro.faults.recovery import Respawner
 from repro.faults.spec import AdaptiveCrashSpec, FaultSpec
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
@@ -246,7 +246,8 @@ def _run(algorithm, seed, crash=None, factory=None):
     if factory is None:
         sim.run_fast()
     else:
-        run_with_recovery(sim, program_factory=factory(algorithm), check_interval=8)
+        sim.attach_analyzer(Respawner(factory(algorithm)))
+        sim.run_analyzed(chunk=8)
     return _observed(sim)
 
 

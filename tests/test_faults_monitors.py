@@ -1,24 +1,23 @@
 """Tests for invariant monitors and crash recovery: monitors stay quiet
-on clean runs, catch seeded corruption, and the recovery driver respawns
+on clean runs, catch seeded corruption, and the respawner re-spawns
 crashed threads that rejoin and finish the shared workload."""
 
 import numpy as np
 import pytest
 
 from repro.core.epoch_sgd import EpochSGDProgram
-from repro.errors import ConfigurationError, InvariantViolationError
+from repro.errors import SimulationError
 from repro.faults import (
     CounterMonotonicityMonitor,
     CrashBudgetMonitor,
     FaultSpec,
     IterationOrderMonitor,
     ModelFiniteMonitor,
-    MonitorSuite,
     ProbabilisticCrashSpec,
-    RecoveryReport,
+    Respawner,
     default_monitors,
-    run_with_recovery,
 )
+from repro.heal.detectors import DetectorSuite
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.runtime.simulator import Simulator
@@ -52,13 +51,24 @@ def _build_workload(engine, num_threads=3, iterations=60, seed=0):
     return sim, model, make_program
 
 
+def _recover(sim, factory=None, check_interval=64, max_respawns=None,
+             monitors=None):
+    """Attach ``monitors`` then a respawner, as the chaos worker does,
+    and run to quiescence in ``check_interval``-step chunks."""
+    if monitors is not None:
+        sim.attach_analyzer(monitors)
+    respawner = Respawner(factory, max_respawns=max_respawns)
+    sim.attach_analyzer(respawner)
+    sim.run_analyzed(chunk=check_interval)
+    return respawner
+
+
 class TestMonitorsOnCleanRuns:
     def test_default_suite_stays_quiet_without_faults(self):
         sim, _, _ = _build_workload(RandomScheduler(seed=1), seed=1)
-        suite = MonitorSuite()
-        run_with_recovery(sim, monitors=suite)
+        suite = DetectorSuite(default_monitors())
+        _recover(sim, monitors=suite)
         assert suite.clean
-        assert suite.checks_run > 1
 
     def test_default_suite_stays_quiet_under_crashes(self):
         spec = FaultSpec(
@@ -66,10 +76,8 @@ class TestMonitorsOnCleanRuns:
         )
         engine = spec.build(RandomScheduler(seed=2), seed=2)
         sim, _, make_program = _build_workload(engine, num_threads=4, seed=2)
-        suite = MonitorSuite()
-        run_with_recovery(
-            sim, program_factory=lambda t: make_program(), monitors=suite
-        )
+        suite = DetectorSuite(default_monitors())
+        _recover(sim, lambda t: make_program(), monitors=suite)
         assert suite.clean
 
     def test_missing_segments_keep_monitors_quiet(self):
@@ -77,7 +85,7 @@ class TestMonitorsOnCleanRuns:
         # crash or fire, they just have nothing to watch.
         memory = SharedMemory(record_log=False)
         sim = Simulator(memory, RandomScheduler(seed=3), seed=3)
-        suite = MonitorSuite(
+        suite = DetectorSuite(
             [CounterMonotonicityMonitor(), ModelFiniteMonitor()]
         )
         suite.check(sim)
@@ -89,65 +97,81 @@ class TestMonitorsCatchCorruption:
         sim, _, _ = _build_workload(RandomScheduler(seed=4), seed=4)
         monitor = CounterMonotonicityMonitor()
         sim.run_fast(max_steps=50)
-        assert monitor.on_check(sim) is None
+        assert monitor.check(sim) is None
         address = sim.memory.segment("iteration_counter").base
         sim.memory.poke(address, sim.memory.peek(address) - 3)
-        message = monitor.on_check(sim)
-        assert message is not None and "decreased" in message
+        violation = monitor.check(sim)
+        assert violation is not None and "decreased" in violation.message
 
     def test_counter_non_integral_detected(self):
         sim, _, _ = _build_workload(RandomScheduler(seed=5), seed=5)
         monitor = CounterMonotonicityMonitor()
         address = sim.memory.segment("iteration_counter").base
         sim.memory.poke(address, 1.5)
-        message = monitor.on_check(sim)
-        assert message is not None and "non-integral" in message
+        violation = monitor.check(sim)
+        assert violation is not None and "non-integral" in violation.message
 
     def test_model_nan_detected(self):
         sim, _, _ = _build_workload(RandomScheduler(seed=6), seed=6)
         monitor = ModelFiniteMonitor()
-        assert monitor.on_check(sim) is None
+        assert monitor.check(sim) is None
         sim.memory.poke(sim.memory.segment("model").base + 1, float("nan"))
-        message = monitor.on_check(sim)
-        assert message is not None and "model[1]" in message
+        violation = monitor.check(sim)
+        assert violation is not None and "model[1]" in violation.message
 
     def test_crash_accounting_mismatch_detected(self):
         sim, _, _ = _build_workload(RandomScheduler(seed=7), seed=7)
         sim.run_fast(max_steps=20)
         sim.crash(0)
         monitor = CrashBudgetMonitor()
-        assert monitor.on_check(sim) is None
-        assert list(monitor.on_finish(sim)) == []
+        assert monitor.check(sim) is None
+        assert list(monitor.final(sim)) == []
         sim.trace[:] = [
             e for e in sim.trace if type(e).__name__ != "CrashEvent"
         ]
         assert any(
-            "mismatch" in m for m in monitor.on_finish(sim)
+            "mismatch" in v.message for v in monitor.final(sim)
         )
 
     def test_iteration_order_duplicates_detected(self):
         sim, _, _ = _build_workload(RandomScheduler(seed=8), seed=8)
         sim.run_fast()
         monitor = IterationOrderMonitor()
-        assert list(monitor.on_finish(sim)) == []
+        assert list(monitor.final(sim)) == []
         records = [
             e for e in sim.trace if type(e).__name__ == "IterationRecord"
         ]
         sim.trace.append(records[0])  # replayed iteration: index + order dup
-        messages = list(monitor.on_finish(sim))
+        messages = [v.message for v in monitor.final(sim)]
         assert any("claimed twice" in m for m in messages)
         assert any("total order broken" in m for m in messages)
 
-    def test_fail_fast_raises_invariant_violation(self):
+    def test_suite_records_one_violation_per_firing(self):
         sim, _, _ = _build_workload(RandomScheduler(seed=9), seed=9)
         sim.memory.poke(sim.memory.segment("model").base, float("inf"))
-        suite = MonitorSuite(fail_fast=True)
-        with pytest.raises(InvariantViolationError):
-            suite.check(sim)
-        assert len(suite.violations) == 1
-        violation = suite.violations[0]
-        assert violation.monitor == "model-finite"
+        suite = DetectorSuite(default_monitors())
+        assert suite.check(sim) == suite.findings
+        assert len(suite.findings) == 1
+        violation = suite.findings[0]
+        assert violation.source == "model-finite"
+        assert violation.rule == "monitor:model-finite"
         assert str(violation).startswith("[model-finite @ t=")
+
+    def test_finish_checks_once_more_then_runs_every_final(self):
+        sim, _, _ = _build_workload(RandomScheduler(seed=8), seed=8)
+        sim.run_fast()
+        records = [
+            e for e in sim.trace if type(e).__name__ == "IterationRecord"
+        ]
+        sim.trace.append(records[0])
+        sim.memory.poke(sim.memory.segment("iteration_counter").base, 1.5)
+        sim.memory.poke(sim.memory.segment("model").base, float("nan"))
+        suite = DetectorSuite(default_monitors())
+        suite.finish(sim)
+        sources = [violation.source for violation in suite.findings]
+        assert sources[:2] == ["counter-monotonic", "model-finite"]
+        assert set(sources[2:]) == {"iteration-order"}
+        assert all(v.time == sim.now for v in suite.findings)
 
 
 class TestRecovery:
@@ -163,16 +187,13 @@ class TestRecovery:
         sim, model, make_program = _build_workload(
             engine, num_threads=3, iterations=iterations, seed=10
         )
-        report = run_with_recovery(
-            sim, program_factory=lambda t: make_program(), check_interval=16
-        )
-        assert report.recovered_count == 2
-        assert report.crashes_seen == 2
-        assert set(report.respawned) == {0, 1}
+        respawner = _recover(sim, lambda t: make_program(), check_interval=16)
+        assert respawner.crashes_seen == 2
+        assert set(respawner.respawned) == {0, 1}
         # Replacements are genuinely new threads that joined the run.
         assert len(sim.threads) == 5
         replacements = [
-            sim.threads[tid] for tid in report.respawned.values()
+            sim.threads[tid] for tid in respawner.respawned.values()
         ]
         assert all(t.name.startswith("respawn-") for t in replacements)
         assert all(
@@ -195,14 +216,11 @@ class TestRecovery:
         sim, _, make_program = _build_workload(
             engine, num_threads=3, seed=11
         )
-        report = run_with_recovery(
-            sim,
-            program_factory=lambda t: make_program(),
-            max_respawns=1,
-            check_interval=16,
+        respawner = _recover(
+            sim, lambda t: make_program(), check_interval=16, max_respawns=1
         )
-        assert report.recovered_count == 1
-        assert report.crashes_seen == 2
+        assert len(respawner.respawned) == 1
+        assert respawner.crashes_seen == 2
         assert len(sim.threads) == 4
 
     def test_exhausted_budget_reported_in_structured_summary(self):
@@ -216,25 +234,15 @@ class TestRecovery:
         sim, _, make_program = _build_workload(
             engine, num_threads=3, seed=11
         )
-        report = run_with_recovery(
-            sim,
-            program_factory=lambda t: make_program(),
-            max_respawns=1,
-            check_interval=16,
+        respawner = _recover(
+            sim, lambda t: make_program(), check_interval=16, max_respawns=1
         )
-        # The second crash was denied purely by the budget — the report
-        # must say so, not silently under-count.
-        assert report.respawn_denied == 1
-        assert report.budget_exhausted
-        assert report.crash_tally == {0: 1, 1: 1}
-        summary = report.summary()
-        assert summary["crashes_seen"] == 2
-        assert summary["respawned"] == 1
-        assert summary["respawn_denied"] == 1
-        assert summary["budget_exhausted"] is True
-        assert summary["crash_tally"] == {"0": 1, "1": 1}
-        assert summary["steps"] == report.steps
-        assert summary["checks"] == report.checks
+        # The second crash was denied purely by the budget — the
+        # respawner must say so, not silently under-count.
+        assert respawner.respawn_denied == 1
+        assert respawner.crash_tally == {0: 1, 1: 1}
+        assert respawner.crashes_seen == 2
+        assert respawner.respawned == {0: 3}
 
     def test_unexhausted_budget_is_not_flagged(self):
         engine = CrashScheduler(
@@ -242,15 +250,11 @@ class TestRecovery:
             [CrashPlan(thread_id=0, at_time=30)],
         )
         sim, _, make_program = _build_workload(engine, seed=10)
-        report = run_with_recovery(
-            sim,
-            program_factory=lambda t: make_program(),
-            max_respawns=5,
-            check_interval=16,
+        respawner = _recover(
+            sim, lambda t: make_program(), check_interval=16, max_respawns=5
         )
-        assert report.respawn_denied == 0
-        assert not report.budget_exhausted
-        assert report.summary()["budget_exhausted"] is False
+        assert respawner.respawn_denied == 0
+        assert respawner.respawned == {0: 3}
 
     def test_crash_tally_attributes_respawn_crashes_to_lineage_root(self):
         # Seed 17 produces a full doom chain: worker 0 crashes, its
@@ -264,28 +268,32 @@ class TestRecovery:
         sim, _, make_program = _build_workload(
             engine, num_threads=3, iterations=80, seed=17
         )
-        report = run_with_recovery(
-            sim, program_factory=lambda t: make_program(), check_interval=16
-        )
-        assert report.crashes_seen == 3
-        assert report.crash_tally == {0: 3}
-        assert report.respawned == {0: 3, 3: 4, 4: 5}
+        respawner = _recover(sim, lambda t: make_program(), check_interval=16)
+        assert respawner.crashes_seen == 3
+        assert respawner.crash_tally == {0: 3}
+        assert respawner.respawned == {0: 3, 3: 4, 4: 5}
         # Lineage roots are always original workers, never respawn ids.
-        assert set(report.crash_tally) <= {0, 1, 2}
-        assert sum(report.crash_tally.values()) == report.crashes_seen
+        assert set(respawner.crash_tally) <= {0, 1, 2}
+        assert sum(respawner.crash_tally.values()) == respawner.crashes_seen
 
     def test_no_factory_no_monitors_is_plain_run_fast(self):
         sim_plain, model_plain, _ = _build_workload(
             RandomScheduler(seed=12), seed=12
         )
         steps_plain = sim_plain.run_fast()
+        # Nothing attached: run_analyzed is one plain run_fast call.
+        sim_bare, model_bare, _ = _build_workload(
+            RandomScheduler(seed=12), seed=12
+        )
+        assert sim_bare.run_analyzed(chunk=7) == steps_plain
+        assert model_bare.snapshot().tobytes() == model_plain.snapshot().tobytes()
+        # A respawner without a factory only watches: same schedule.
         sim_rec, model_rec, _ = _build_workload(
             RandomScheduler(seed=12), seed=12
         )
-        report = run_with_recovery(sim_rec)
-        assert isinstance(report, RecoveryReport)
-        assert report.steps == steps_plain
-        assert report.recovered_count == 0 and report.checks == 0
+        respawner = _recover(sim_rec, check_interval=7)
+        assert sim_rec.now == steps_plain
+        assert respawner.respawned == {} and respawner.crashes_seen == 0
         assert model_rec.snapshot().tobytes() == model_plain.snapshot().tobytes()
 
     def test_recovery_identical_to_unchunked_when_nothing_crashes(self):
@@ -296,19 +304,20 @@ class TestRecovery:
         sim_rec, model_rec, make_program = _build_workload(
             RandomScheduler(seed=13), seed=13
         )
-        run_with_recovery(
+        _recover(
             sim_rec,
-            program_factory=lambda t: make_program(),
-            monitors=MonitorSuite(),
+            lambda t: make_program(),
             check_interval=7,
+            monitors=DetectorSuite(default_monitors()),
         )
         assert sim_rec.now == sim_plain.now
         assert model_rec.snapshot().tobytes() == model_plain.snapshot().tobytes()
 
     def test_bad_check_interval_rejected(self):
         sim, _, _ = _build_workload(RandomScheduler(seed=14), seed=14)
-        with pytest.raises(ConfigurationError):
-            run_with_recovery(sim, check_interval=0)
+        sim.attach_analyzer(Respawner())
+        with pytest.raises(SimulationError):
+            sim.run_analyzed(chunk=0)
 
 
 class TestDefaultMonitors:

@@ -121,12 +121,14 @@ class TestDetectors:
         assert finding is not None and finding.rule == "HEAL004"
         assert "damaged" in finding.message
 
-    def test_suite_tallies_firings_per_rule(self):
+    def test_suite_keeps_every_check_findings(self):
         suite = DetectorSuite([NanGuardDetector()])
+        assert [f.rule for f in suite.check(_FakeSim([float("nan")]))] == [
+            "HEAL001"
+        ]
         suite.check(_FakeSim([float("nan")]))
-        suite.check(_FakeSim([float("nan")]))
-        suite.check(_FakeSim([1.0]))
-        assert suite.firings == {"HEAL001": 2}
+        assert suite.check(_FakeSim([1.0])) == []
+        assert [f.rule for f in suite.findings] == ["HEAL001", "HEAL001"]
 
     def test_default_panel_composition(self):
         rules = [d.rule for d in default_detectors(OBJECTIVE)]
