@@ -241,13 +241,13 @@ def _chaos_worker(
     suite = DetectorSuite(default_monitors()) if config.monitors else None
     if suite is not None:
         sim.attach_analyzer(suite)
-    # A respawn reruns the crashed thread's program from the start.
+    # A respawn reruns the crashed thread's program from the start; with
+    # recovery off the respawner still tallies every crash.
     respawner = Respawner(
         (lambda crashed: crashed.program) if config.recover else None,
         max_respawns=config.max_respawns,
     )
-    if config.recover or suite is not None:
-        sim.attach_analyzer(respawner)
+    sim.attach_analyzer(respawner)
     sim.run_analyzed(chunk=config.check_interval)
 
     final = model.snapshot()

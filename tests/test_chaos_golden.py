@@ -155,13 +155,13 @@ CHAOS_PINS = {
         "e53d264d2222637a6694216670706680f853b920d6d7311a554def20287481ac"
     ),
     "no-recover/no-monitors/k=1": (
-        "73c2eb516a87cdd289b355367f45d752fd9dbfc81b79c012256d71c7652650f4"
+        "b99d94019f04330039ec7b1969f720a5a0449bf5e4d8b6741e98c9fa83c01277"
     ),
     "no-recover/no-monitors/k=5": (
-        "73c2eb516a87cdd289b355367f45d752fd9dbfc81b79c012256d71c7652650f4"
+        "b99d94019f04330039ec7b1969f720a5a0449bf5e4d8b6741e98c9fa83c01277"
     ),
     "no-recover/no-monitors/k=64": (
-        "73c2eb516a87cdd289b355367f45d752fd9dbfc81b79c012256d71c7652650f4"
+        "b99d94019f04330039ec7b1969f720a5a0449bf5e4d8b6741e98c9fa83c01277"
     ),
 }
 

@@ -77,6 +77,15 @@ class TestCampaignGrid:
         # Lock freedom: survivors still converge without replacements.
         assert report.all_converged
 
+    def test_crash_tally_does_not_depend_on_monitors(self):
+        watched = run_campaign(_config(recover=False, seeds=(1, 2, 3)))
+        unwatched = run_campaign(
+            _config(recover=False, monitors=False, seeds=(1, 2, 3))
+        )
+        tallies = [o.crash_tally for o in watched.outcomes]
+        assert any(tallies)
+        assert [o.crash_tally for o in unwatched.outcomes] == tallies
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             _config(specs=())
