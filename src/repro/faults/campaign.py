@@ -154,6 +154,16 @@ class ChaosWorkload:
     #: ``||x - x*||`` at or below which a run counts as converged.
     convergence_radius: float = 0.5
 
+    def __post_init__(self) -> None:
+        if self.num_threads < 1:
+            raise ConfigurationError(
+                f"threads must be >= 1, got {self.num_threads}"
+            )
+        if self.iterations < 0:
+            raise ConfigurationError(
+                f"iterations must be >= 0, got {self.iterations}"
+            )
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -179,6 +189,10 @@ class CampaignConfig:
             raise ConfigurationError("campaign needs at least one fault spec")
         if not self.seeds:
             raise ConfigurationError("campaign needs at least one seed")
+        if self.check_interval < 1:
+            raise ConfigurationError(
+                f"check_interval must be >= 1, got {self.check_interval}"
+            )
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,14 @@ class TestCampaignGrid:
         with pytest.raises(ConfigurationError):
             _config(seeds=())
 
+    def test_bad_ranges_rejected_when_built(self):
+        with pytest.raises(ConfigurationError, match="check_interval"):
+            _config(check_interval=0)
+        with pytest.raises(ConfigurationError, match="threads"):
+            ChaosWorkload(num_threads=0)
+        with pytest.raises(ConfigurationError, match="iterations"):
+            ChaosWorkload(iterations=-1)
+
 
 class TestCampaignDeterminism:
     def test_rerun_produces_identical_bytes(self):
@@ -160,6 +168,18 @@ class TestChaosCli:
     def test_unknown_spec_rejected(self, capsys):
         assert main(["chaos", "--specs", "no-such-fault"]) == 2
         assert "unknown fault spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--check-interval", "0", "check_interval"),
+            ("--threads", "0", "threads"),
+            ("--iterations", "-1", "iterations"),
+        ],
+    )
+    def test_bad_range_is_a_usage_error(self, capsys, flag, value, field):
+        assert main(self._ARGS + [flag, value]) == 2
+        assert f"{field} must be >=" in capsys.readouterr().err
 
     def test_no_monitors_no_recovery_flags(self, capsys):
         code = main(

@@ -59,6 +59,14 @@ class TestParseJobSpec:
         with pytest.raises(ConfigurationError, match="unknown fault spec"):
             parse_job_spec({"kind": "chaos", "params": {"specs": ["nope"]}})
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"check_interval": 0}, {"threads": 0}, {"iterations": -1}],
+    )
+    def test_out_of_range_chaos_param_rejected(self, params):
+        with pytest.raises(ConfigurationError, match="must be >="):
+            parse_job_spec({"kind": "chaos", "params": params})
+
     def test_experiment_requires_id(self):
         with pytest.raises(ConfigurationError, match="requires param 'id'"):
             parse_job_spec({"kind": "experiment"})

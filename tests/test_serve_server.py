@@ -164,6 +164,17 @@ class TestErrorMapping:
 
         _serve(test)
 
+    def test_out_of_range_chaos_param_answers_400(self):
+        async def test(server):
+            status, _h, data = await http_request(
+                "127.0.0.1", server.port, "POST", "/jobs",
+                body={"kind": "chaos", "params": {"check_interval": 0}},
+            )
+            assert status == 400
+            assert "check_interval" in json.loads(data)["error"]
+
+        _serve(test)
+
     def test_unknown_endpoint_404_and_wrong_method_405(self):
         async def test(server):
             status, _h, _d = await http_request(
