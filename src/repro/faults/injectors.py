@@ -48,9 +48,8 @@ from repro.faults.spec import (
     TornUpdateSpec,
 )
 from repro.errors import ConfigurationError, UnknownAddressError
-from repro.runtime.policy import live_hook
 from repro.runtime.rng import RngStream
-from repro.sched.base import Scheduler
+from repro.sched.base import Scheduler, WrapperScheduler
 from repro.shm.ops import OP_FETCH_ADD, OP_GUARDED_FETCH_ADD, OP_WRITE
 
 #: Opcodes that mutate a model entry — the ops a torn-update fault tears.
@@ -386,7 +385,7 @@ def build_injector(spec: InjectorSpec, rng: RngStream) -> FaultInjector:
     raise ConfigurationError(f"unknown injector spec: {type(spec).__name__}")
 
 
-class FaultInjectionScheduler(Scheduler):
+class FaultInjectionScheduler(WrapperScheduler):
     """Compose fault injectors below any inner scheduler.
 
     At each selection point the engine (1) lets every injector fire due
@@ -401,9 +400,6 @@ class FaultInjectionScheduler(Scheduler):
     conservative "never kill the last runnable thread" guard.  Requests
     the budget rejects are counted in :attr:`skipped_crashes`.
 
-    Like :class:`~repro.sched.crash.CrashScheduler`, the inner's hooks
-    are forwarded only when live, so benign inners keep ``run_fast``'s
-    elided path.
     """
 
     def __init__(
@@ -413,7 +409,7 @@ class FaultInjectionScheduler(Scheduler):
         crash_budget: Optional[int] = None,
         name: str = "",
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.injectors = tuple(injectors)
         self.crash_budget = crash_budget
         self.name = name or "faults"
@@ -424,12 +420,6 @@ class FaultInjectionScheduler(Scheduler):
         self._m_skipped = None
         self._m_reroutes = None
         self._m_corruptions = None
-        spawn_hook = live_hook(inner, "on_spawn")
-        if spawn_hook is not None:
-            self.on_spawn = spawn_hook
-        step_hook = live_hook(inner, "on_step")
-        if step_hook is not None:
-            self.on_step = step_hook
 
     def attach_metrics(self, metrics) -> None:
         """Wire ``repro_faults_*`` counters (fault events are rare, so

@@ -12,7 +12,7 @@ import abc
 from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import NoRunnableThreadError
-from repro.runtime.policy import ENGINE_NOOP_ATTR
+from repro.runtime.policy import ENGINE_NOOP_ATTR, live_hook
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.events import StepRecord
@@ -40,8 +40,7 @@ class Scheduler(abc.ABC):
 
     # Mark the default hooks so the engine can skip schedulers that never
     # overrode them (and elide StepRecord construction entirely — see
-    # repro.runtime.policy.live_hook).  Wrapper schedulers that *forward*
-    # hooks (replay, crash) override these methods, so they stay live.
+    # repro.runtime.policy.live_hook).
     setattr(on_spawn, ENGINE_NOOP_ATTR, True)
     setattr(on_step, ENGINE_NOOP_ATTR, True)
 
@@ -62,3 +61,22 @@ class Scheduler(abc.ABC):
         if not ids:
             raise NoRunnableThreadError("scheduler consulted with no runnable thread")
         return ids
+
+
+class WrapperScheduler(Scheduler):
+    """Base for schedulers that wrap an ``inner`` one (recording,
+    prefix replay, crash and fault injection).
+
+    The inner's ``on_spawn``/``on_step`` hooks are aliased onto the
+    wrapper only when they are live, so wrapping a benign scheduler
+    keeps the engine's elided ``run_fast`` path: forwarding methods
+    defined unconditionally would look live and force a
+    :class:`~repro.runtime.events.StepRecord` per step.
+    """
+
+    def __init__(self, inner: Scheduler) -> None:
+        self.inner = inner
+        for name in ("on_spawn", "on_step"):
+            hook = live_hook(inner, name)
+            if hook is not None:
+                setattr(self, name, hook)

@@ -24,8 +24,7 @@ import warnings
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.runtime.policy import live_hook
-from repro.sched.base import Scheduler
+from repro.sched.base import Scheduler, WrapperScheduler
 
 
 class CrashBudgetWarning(RuntimeWarning):
@@ -50,31 +49,17 @@ class CrashPlan:
     after_steps: int = -1
 
 
-class CrashScheduler(Scheduler):
+class CrashScheduler(WrapperScheduler):
     """Delegate scheduling to ``inner``, injecting crashes per ``plans``.
 
     Crashes are injected at selection points (before choosing the next
     thread), which in the model is exactly when the adversary acts.
-
-    The inner scheduler's ``on_spawn``/``on_step`` hooks are forwarded
-    only when the inner actually defines them: benign inners keep the
-    engine's elided ``run_fast`` path (no live ``on_step`` means no
-    per-step :class:`~repro.runtime.events.StepRecord` construction).
     """
 
     def __init__(self, inner: Scheduler, plans: List[CrashPlan]) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self._pending = list(plans)
         self._unfired: List[Tuple[CrashPlan, str]] = []
-        # Alias the inner's hooks onto this instance only if they are
-        # live; otherwise the base class's no-op (marked for elision)
-        # stays visible and run_fast keeps its fast path.
-        spawn_hook = live_hook(inner, "on_spawn")
-        if spawn_hook is not None:
-            self.on_spawn = spawn_hook
-        step_hook = live_hook(inner, "on_step")
-        if step_hook is not None:
-            self.on_step = step_hook
 
     @property
     def pending_plans(self) -> List[CrashPlan]:

@@ -14,22 +14,15 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.errors import ReplayDivergenceError
-from repro.runtime.policy import live_hook
-from repro.sched.base import Scheduler
+from repro.sched.base import Scheduler, WrapperScheduler
 
 
-class RecordingScheduler(Scheduler):
+class RecordingScheduler(WrapperScheduler):
     """Wrap ``inner`` and record every decision in :attr:`schedule`."""
 
     def __init__(self, inner: Scheduler) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.schedule: List[int] = []
-
-    def on_spawn(self, sim, thread) -> None:
-        self.inner.on_spawn(sim, thread)
-
-    def on_step(self, sim, record) -> None:
-        self.inner.on_step(sim, record)
 
     def select(self, sim) -> int:
         choice = self.inner.select(sim)
@@ -37,7 +30,7 @@ class RecordingScheduler(Scheduler):
         return choice
 
 
-class PrefixReplayScheduler(Scheduler):
+class PrefixReplayScheduler(WrapperScheduler):
     """Play a recorded decision prefix, then hand control to ``inner``.
 
     The restore-by-replay path of :class:`repro.durable.checkpoint.
@@ -60,21 +53,11 @@ class PrefixReplayScheduler(Scheduler):
     def __init__(
         self, inner: Scheduler, prefix: Sequence[int], verify: bool = True
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self._prefix = [int(s) for s in prefix]
         self._cursor = 0
         self.verify = verify
         self.decisions: List[int] = []
-        # Delegate hooks only when the inner scheduler actually has live
-        # ones, so wrapping a benign scheduler keeps the engine's elided
-        # fast path (defining the methods unconditionally would make the
-        # hooks look live and force per-step StepRecord construction).
-        spawn_hook = live_hook(inner, "on_spawn")
-        if spawn_hook is not None:
-            self.on_spawn = spawn_hook  # type: ignore[method-assign]
-        step_hook = live_hook(inner, "on_step")
-        if step_hook is not None:
-            self.on_step = step_hook  # type: ignore[method-assign]
 
     @property
     def in_prefix(self) -> bool:

@@ -71,6 +71,62 @@ class TestRecordReplay:
         assert replay.remaining == 3
 
 
+def _wrappers():
+    from repro.faults.injectors import FaultInjectionScheduler
+    from repro.sched.crash import CrashScheduler
+    from repro.sched.replay import PrefixReplayScheduler
+
+    return {
+        "recording": RecordingScheduler,
+        "prefix-replay": lambda inner: PrefixReplayScheduler(inner, ()),
+        "crash": lambda inner: CrashScheduler(inner, []),
+        "faults": FaultInjectionScheduler,
+    }
+
+
+class _Hooked(RandomScheduler):
+    """A scheduler with live hooks that counts what it is shown."""
+
+    def __init__(self):
+        super().__init__(seed=3)
+        self.spawned = 0
+        self.stepped = 0
+
+    def on_spawn(self, sim, thread):
+        self.spawned += 1
+
+    def on_step(self, sim, record):
+        self.stepped += 1
+
+
+class TestWrapperHooks:
+    @pytest.mark.parametrize("name", sorted(_wrappers()))
+    def test_benign_inner_keeps_the_fast_loop(self, name):
+        from repro.runtime.policy import live_hook
+
+        wrapper = _wrappers()[name](RandomScheduler(seed=9))
+        assert live_hook(wrapper, "on_spawn") is None
+        assert live_hook(wrapper, "on_step") is None
+
+    @pytest.mark.parametrize("name", sorted(_wrappers()))
+    def test_live_inner_hooks_are_forwarded(self, name, workload):
+        inner = _Hooked()
+        result = workload(_wrappers()[name](inner))
+        assert inner.spawned == 3
+        assert inner.stepped == result.sim_steps > 0
+
+    def test_recorded_run_takes_no_step_records(self, workload, monkeypatch):
+        from repro.runtime.simulator import Simulator
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a recorded run left the fast loop")
+
+        monkeypatch.setattr(Simulator, "run", refuse)
+        recorder = RecordingScheduler(RandomScheduler(seed=9))
+        result = workload(recorder)
+        assert len(recorder.schedule) == result.sim_steps
+
+
 class TestReplayDivergenceError:
     """Divergence raises carry structured (step_index, expected, actual)
     so callers can localize the first bad decision programmatically."""
