@@ -83,11 +83,6 @@ SPILL_SUFFIX = ".spans.jsonl"
 #: Accepted shape of an externally supplied trace id (hex, 8-64 chars).
 TRACE_ID_RE = re.compile(r"^[0-9a-f]{8,64}$")
 
-#: Environment variable carrying a JSON :class:`TraceContext` into
-#: child processes that were not handed one explicitly.
-TRACE_ENV = "REPRO_TRACE_CONTEXT"
-
-
 def span_id(trace_id: str, name: str, key: str = "") -> str:
     """Deterministic 16-hex span id for ``(trace, name, key)``.
 
@@ -158,28 +153,6 @@ class TraceContext:
             spill=payload.get("spill"),
             flight=payload.get("flight"),
         )
-
-    def to_env(self, environ: Optional[Dict[str, str]] = None) -> Dict[str, str]:
-        """Serialize into ``environ`` (default: a fresh dict)."""
-        target = environ if environ is not None else {}
-        target[TRACE_ENV] = json.dumps(self.to_payload(), sort_keys=True)
-        return target
-
-    @classmethod
-    def from_env(
-        cls, environ: Optional[Mapping[str, str]] = None
-    ) -> Optional["TraceContext"]:
-        if environ is None:
-            import os
-
-            environ = os.environ
-        raw = environ.get(TRACE_ENV)
-        if not raw:
-            return None
-        try:
-            return cls.from_payload(json.loads(raw))
-        except (ValueError, TypeError):
-            return None
 
 
 class CausalRecorder:

@@ -24,9 +24,8 @@ Protocol with the supervisor:
 * ``progress_path``: rewritten after every completed grid cell with
   ``{"cells_completed", "metrics"}``.  Doubles as the supervisor's
   heartbeat: a changing progress file beats the job's watchdog.
-* ``trace``: optional :class:`~repro.obs.causal.TraceContext` payload
-  (also honored from the ``REPRO_TRACE_CONTEXT`` env var).  When
-  present the worker appends the job's spans to the attempt's spill
+* ``trace``: optional :class:`~repro.obs.causal.TraceContext` payload.
+  When present the worker appends the job's spans to the attempt's spill
   file — the ``worker.run`` span flows from the supervisor's attempt
   span, and ``run_ensemble`` emits per-seed/per-chunk records under
   it — and arms a :class:`~repro.obs.causal.FlightRecorder` that
@@ -143,8 +142,6 @@ def run_job(
     metrics = MetricsRegistry()
 
     context = TraceContext.from_payload(trace)
-    if context is None:
-        context = TraceContext.from_env()
     causal = None
     flight = None
     if context is not None:

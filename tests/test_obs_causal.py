@@ -81,16 +81,6 @@ class TestTraceContext:
         assert TraceContext.from_payload({}) is None
         assert TraceContext.from_payload({"trace": ""}) is None
 
-    def test_env_round_trip_and_garbage(self):
-        ctx = TraceContext("cc" * 8, attempt=1)
-        env = ctx.to_env({})
-        back = TraceContext.from_env(env)
-        assert back.trace_id == ctx.trace_id and back.attempt == 1
-        assert TraceContext.from_env({}) is None
-        assert TraceContext.from_env(
-            {"REPRO_TRACE_CONTEXT": "not json"}
-        ) is None
-
 
 class TestCausalRecorder:
     def test_records_are_sorted_key_jsonl(self, tmp_path):
