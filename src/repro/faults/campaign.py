@@ -51,8 +51,8 @@ from repro.faults.spec import (
     StallSpec,
     TornUpdateSpec,
 )
-from repro.objectives.noise import GaussianNoise
 from repro.heal.detectors import DetectorSuite
+from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.runtime.thread import ThreadState
 from repro.sched.registry import build_scheduler

@@ -42,11 +42,10 @@ class Respawner(Analyzer):
         max_respawns: Cap on total respawns; ``None`` means unlimited
             (still bounded in practice — each respawn requires a crash,
             and crash budgets bound those).
-        name_prefix: Replacement threads are named
-            ``"<prefix>-<crashed_id>"``.
 
     Attributes:
-        respawned: Crashed thread id -> replacement thread id.
+        respawned: Crashed thread id -> replacement thread id; a
+            replacement is named ``"respawn-<crashed_id>"``.
         respawn_denied: Crashes left unrecovered because the
             ``max_respawns`` budget was already spent.
         crash_tally: Crashes per *lineage*, keyed by the original thread
@@ -56,19 +55,16 @@ class Respawner(Analyzer):
             the ensemble.
     """
 
-    name = "respawner"
     requires_log = False
 
     def __init__(
         self,
         program_factory: Optional[ProgramFactory] = None,
         max_respawns: Optional[int] = None,
-        name_prefix: str = "respawn",
     ) -> None:
         super().__init__()
         self.program_factory = program_factory
         self.max_respawns = max_respawns
-        self.name_prefix = name_prefix
         self.respawned: Dict[int, int] = {}
         self.respawn_denied = 0
         self.crash_tally: Dict[int, int] = {}
@@ -77,11 +73,6 @@ class Respawner(Analyzer):
         # replaced, so crash_tally attributes a respawn's own crash to
         # the original worker's lineage.
         self._lineage: Dict[int, int] = {}
-
-    @property
-    def crashes_seen(self) -> int:
-        """Total crashes observed (respawned or not)."""
-        return len(self._handled)
 
     def drain(self, sim) -> None:
         if sim.crashed_count <= len(self._handled):
@@ -105,7 +96,7 @@ class Respawner(Analyzer):
                 continue
             replacement = sim.spawn(
                 self.program_factory(thread),
-                name=f"{self.name_prefix}-{thread.thread_id}",
+                name=f"respawn-{thread.thread_id}",
             )
             self._lineage[replacement.thread_id] = root
             self.respawned[thread.thread_id] = replacement.thread_id

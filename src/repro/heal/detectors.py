@@ -290,7 +290,6 @@ class DetectorSuite(Analyzer):
     every detector's :meth:`~HealthDetector.final`.
     """
 
-    name = "detectors"
     requires_log = False
 
     def __init__(self, detectors: Sequence[HealthDetector]) -> None:
@@ -303,7 +302,7 @@ class DetectorSuite(Analyzer):
 
     def check(self, sim) -> List[Finding]:
         """Ask every detector once; returns (and keeps) what fired."""
-        findings = []
+        findings: List[Finding] = []
         for detector in self.detectors:
             finding = detector.check(sim)
             if finding is not None:

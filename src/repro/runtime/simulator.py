@@ -56,8 +56,8 @@ class Analyzer:
     run_analyzed` calls :meth:`drain` between ``run_fast`` chunks (the
     only places the engine is paused, so every drain sees a consistent
     cut) and :meth:`finish` once at quiescence.  The sanitizer, the
-    chaos monitors and respawner, and FullSGD's epoch checkpoints are
-    all analyzers.
+    chaos run's monitor suite and respawner, and FullSGD's epoch
+    checkpoints are all analyzers.
     """
 
     name = "analyzer"
@@ -472,7 +472,7 @@ class Simulator:
         return executed
 
     # ------------------------------------------------------------------
-    # Analysis (repro.analysis — dynamic checkers over the op stream)
+    # Analyzers (checks and actions at chunk boundaries)
     # ------------------------------------------------------------------
     def attach_analyzer(self, analyzer: Analyzer) -> None:
         """Register an :class:`Analyzer`.
