@@ -379,8 +379,8 @@ def run_algorithm(
     (``spin_steps``, ``cas_failures``, ...) summed over threads.
 
     ``analyzers`` attaches :class:`repro.runtime.simulator.Analyzer`
-    instances (forces the memory log on; same schedule, analyzers drain
-    at chunk boundaries).  ``metrics`` attaches a
+    instances (the memory log is on when one ``requires_log``; same
+    schedule, analyzers drain at chunk boundaries).  ``metrics`` attaches a
     :class:`repro.obs.registry.MetricsRegistry` and publishes the run's
     paper-aligned snapshot at the end.
     """

@@ -443,10 +443,10 @@ def run_lock_free_sgd(
             Threads are abandoned mid-iteration; records of completed
             iterations remain valid.
         analyzers: Optional :class:`repro.runtime.simulator.Analyzer`
-            instances to attach.  Forces the memory log on and drives the
-            run through :meth:`Simulator.run_analyzed` (same schedule;
-            analyzers drain the log between chunks).  Incompatible with
-            ``stop_epsilon``.
+            instances to attach.  Drives the run through
+            :meth:`Simulator.run_analyzed` (same schedule; analyzers
+            drain between chunks), with the memory log on when one
+            ``requires_log``.  Incompatible with ``stop_epsilon``.
         metrics: Optional :class:`repro.obs.registry.MetricsRegistry`.
             Attached to the simulator (bulk ``repro_sim_*`` counters) and
             fed the run's paper-aligned snapshot (τ histogram, window

@@ -369,9 +369,9 @@ class FullSGD(FullSGDAlgorithm):
         """Execute all epochs under ``scheduler`` and return the result.
 
         ``analyzers`` optionally attaches
-        :class:`repro.runtime.simulator.Analyzer` instances: the memory
-        log is switched on and the run is driven through
-        :meth:`Simulator.run_analyzed` (same schedule, same result).
+        :class:`repro.runtime.simulator.Analyzer` instances: the run is
+        driven through :meth:`Simulator.run_analyzed` (same schedule,
+        same result), with the memory log on when one ``requires_log``.
 
         ``checkpoint_hook(epoch, checkpoint)`` makes the run durable:
         the scheduler is wrapped in a :class:`~repro.sched.replay.
