@@ -399,7 +399,6 @@ class FaultInjectionScheduler(WrapperScheduler):
     model's hard ``n - 1`` rule, the spec-level ``crash_budget``, and a
     conservative "never kill the last runnable thread" guard.  Requests
     the budget rejects are counted in :attr:`skipped_crashes`.
-
     """
 
     def __init__(

@@ -83,6 +83,7 @@ SPILL_SUFFIX = ".spans.jsonl"
 #: Accepted shape of an externally supplied trace id (hex, 8-64 chars).
 TRACE_ID_RE = re.compile(r"^[0-9a-f]{8,64}$")
 
+
 def span_id(trace_id: str, name: str, key: str = "") -> str:
     """Deterministic 16-hex span id for ``(trace, name, key)``.
 
