@@ -38,8 +38,9 @@ so those two are N/A there.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -255,6 +256,39 @@ def collect_iteration_records(sim: Simulator) -> List[IterationRecord]:
     )
 
 
+def within_radius(
+    model: AtomicArray, x_star: np.ndarray, radius: float
+) -> Callable[[Simulator], bool]:
+    """The early-stop predicate :func:`simulate` hands ``run_fast``:
+    whether ``float(gap @ gap) <= radius`` for ``gap = model.snapshot()
+    - x_star``, the squared distance of the shared model to ``x_star``.
+
+    Most checks are far from the boundary, so the predicate first
+    squares ``math.dist`` over the model's entries, which builds no
+    array, and returns False when that exceeds ``radius * (1 + 1e-9) +
+    1e-300``.  The square and numpy's dot each lie within a few ulps of
+    the exact sum of squares, whatever the summation order, so the
+    relative margin separates them for any d; the floor covers sums of
+    subnormal squares, whose rounding error is absolute.  Only inside
+    the margin does the snapshot test run, so the predicate answers as
+    that test does for every model, NaN and infinite entries and a zero
+    or negative ``radius`` included.
+    """
+    memory, base, length = model.memory, model.base, model.length
+    target = tuple(float(value) for value in x_star)
+    limit = radius * (1.0 + 1e-9) + 1e-300
+    dist = math.dist
+
+    def reached(sim: Simulator) -> bool:
+        distance = dist(memory.peek_range(base, length), target)
+        if distance * distance > limit:
+            return False
+        gap = model.snapshot() - x_star
+        return float(gap @ gap) <= radius
+
+    return reached
+
+
 def simulate(
     algorithm: Algorithm,
     objective: Objective,
@@ -305,13 +339,7 @@ def simulate(
     if stop_epsilon is None:
         sim.run_analyzed(chunk=chunk)
     else:
-        x_star = objective.x_star
-
-        def reached(sim_: Simulator) -> bool:
-            gap = model.snapshot() - x_star
-            return float(gap @ gap) <= stop_epsilon
-
-        sim.run_fast(stop=reached)
+        sim.run_fast(stop=within_radius(model, objective.x_star, stop_epsilon))
 
     records = collect_iteration_records(sim)
     # Only pay for the O(N log N) derived quantities when a live

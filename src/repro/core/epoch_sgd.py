@@ -40,7 +40,7 @@ from repro.runtime.events import IterationRecord
 from repro.runtime.program import Program, ThreadContext
 from repro.shm.array import AtomicArray
 from repro.shm.counter import AtomicCounter
-from repro.shm.ops import DoubleCompareSingleSwap
+from repro.shm.ops import DoubleCompareSingleSwap, FetchAdd
 from repro.shm.register import AtomicRegister
 
 
@@ -135,23 +135,36 @@ class SGDProgram(Program):
         self.record_iterations = record_iterations
 
     def run(self, ctx: ThreadContext):
-        model, objective, annotate = self.model, self.objective, ctx.annotate
+        model, objective = self.model, self.objective
+        # Per step, the loop reads the clock's counter and writes the
+        # annotations dict directly: ``ctx.now`` is two nested property
+        # calls and ``ctx.annotate`` one method call.
+        clock, annotations = ctx.clock, ctx.annotations
         dim = model.length
         claim, plan, begin, scan = self.claim, self.plan, self.begin, self.scan
         direction, observe, apply = self.direction, self.observe, self.apply
         end, finish = self.end, self.finish
         epoch, step_size, accumulate = self.epoch, self.step_size, self.accumulate
+        # Descriptors are immutable, so the inline claim and scan yield
+        # the same instances every iteration, and the inline update
+        # builds its fetch&add from the entry's address.
+        if claim is None:
+            claim_op = self.counter.increment_op()
+        if scan is None:
+            reads = tuple(model.read_op(j) for j in range(dim))
+        if apply is None:
+            base = model.base
         state = dict.fromkeys(self.counters, 0)
         accumulator = np.zeros(dim)
         iterations_done = 0
-        annotate("iterations_done", 0)
+        annotations["iterations_done"] = 0
 
         while True:
             # Line 3: claim an iteration; return once T are claimed.
-            annotate("phase", "start")
+            annotations["phase"] = "start"
             if claim is None:
-                claimed = yield self.counter.increment_op()
-                start_time = ctx.now - 1
+                claimed = yield claim_op
+                start_time = clock._now - 1
             else:
                 claimed, start_time = yield from claim(ctx, state)
             if claimed >= self.max_iterations:
@@ -162,31 +175,31 @@ class SGDProgram(Program):
                 yield from begin(ctx, state, epoch)
 
             # Line 4: scan the model entry by entry (the inconsistent view).
-            annotate("phase", "read")
+            annotations["phase"] = "read"
             if scan is None:
                 view = np.empty(dim)
                 read_start = -1
                 for j in range(dim):
-                    view[j] = yield model.read_op(j)
+                    view[j] = yield reads[j]
                     if j == 0:
-                        read_start = ctx.now - 1
+                        read_start = clock._now - 1
             else:
-                read_start = ctx.now
+                read_start = clock._now
                 view = yield from scan(ctx, state)
-            read_end = ctx.now - 1
+            read_end = clock._now - 1
 
             # Line 5: local computation — draw the coin, evaluate the oracle.
             gradient, sample = objective.stochastic_gradient(view, ctx.rng)
             if direction is not None:
                 gradient = direction(ctx, state, gradient)
-            annotate("pending_gradient", gradient)
-            annotate("view", view)
-            annotate("sample", sample)
+            annotations["pending_gradient"] = gradient
+            annotations["view"] = view
+            annotations["sample"] = sample
             if observe is not None:
                 step_size = yield from observe(ctx, state, claimed)
 
             # Lines 6-7: apply the non-zero components.
-            annotate("phase", "update")
+            annotations["phase"] = "update"
             applied = [False] * dim
             update_times: list = [None] * dim
             first_update: Optional[int] = None
@@ -197,24 +210,24 @@ class SGDProgram(Program):
                     continue
                 delta = -step_size * component
                 if apply is None:
-                    yield model.fetch_add_op(j, delta)
+                    yield FetchAdd(base + j, delta)
                     landed = True
                 else:
                     landed = yield from apply(ctx, state, view, j, delta, epoch)
-                last_time = ctx.now - 1
+                last_time = clock._now - 1
                 if landed is not None:
                     if first_update is None:
                         first_update = last_time
                     applied[j] = landed
                     update_times[j] = last_time
-            annotate("pending_gradient", None)
+            annotations["pending_gradient"] = None
             if end is not None:
                 yield from end(ctx, state)
 
             if accumulate:
                 accumulator -= step_size * gradient
             iterations_done += 1
-            annotate("iterations_done", iterations_done)
+            annotations["iterations_done"] = iterations_done
             if finish is not None:
                 sample = finish(ctx, state, sample)
             if self.record_iterations:
@@ -238,7 +251,7 @@ class SGDProgram(Program):
                     )
                 )
 
-        annotate("phase", "done")
+        annotations["phase"] = "done"
         result = {"iterations": iterations_done, "accumulator": accumulator}
         for name in self.counters:
             result[name] = state[name]

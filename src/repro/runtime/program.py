@@ -38,6 +38,8 @@ class ThreadContext:
     Attributes:
         thread_id: The id of the thread running the program.
         rng: The thread's private random stream (its "local coins").
+        clock: The simulator's :class:`~repro.runtime.clock.Clock`
+            (programs read it; only the engine advances it).
         annotations: A mutable dict published to adaptive adversaries.
     """
 
@@ -51,14 +53,14 @@ class ThreadContext:
         # back reference would make every run's object graph cyclic
         # and leave it for the garbage collector instead of freeing it
         # as soon as the last reference goes.
-        self._clock = simulator.clock
+        self.clock = simulator.clock
         self._trace = simulator.trace
         self.annotations: Dict[str, Any] = {}
 
     @property
     def now(self) -> int:
         """Current logical time (steps executed so far)."""
-        return self._clock.now
+        return self.clock.now
 
     def emit(self, event: Event) -> None:
         """Append a semantic event to the simulation trace."""

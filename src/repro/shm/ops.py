@@ -7,8 +7,13 @@ feeds the result back into the thread's coroutine.  One yielded descriptor
 is one *shared-memory step* — the unit in which the paper measures time.
 
 All descriptors are small frozen dataclasses so they can be logged,
-compared and replayed.  ``address`` is an integer into the flat location
-table managed by :class:`~repro.shm.memory.SharedMemory`.
+compared, replayed and shared: a program may yield one instance for
+many steps (:class:`~repro.core.epoch_sgd.SGDProgram` yields one claim
+and one read per model entry for its whole run), and the log, the
+fault injectors and the analyzers may hold it long after.  Never
+mutate a descriptor; build a new one (``dataclasses.replace``).
+``address`` is an integer into the flat location table managed by
+:class:`~repro.shm.memory.SharedMemory`.
 
 Dispatch: every concrete descriptor class carries a dense integer
 :attr:`~Operation.opcode` and implements :meth:`~Operation.apply`, the
@@ -63,11 +68,6 @@ class Operation:
         )
 
 
-def _check(values: List[float], address: int) -> None:
-    if not 0 <= address < len(values):
-        raise UnknownAddressError(address)
-
-
 @dataclass(frozen=True)
 class Read(Operation):
     """Atomically read a location; the step result is its current value."""
@@ -75,8 +75,10 @@ class Read(Operation):
     opcode: ClassVar[int] = OP_READ
 
     def apply(self, values: List[float]) -> float:
-        _check(values, self.address)
-        return values[self.address]
+        address = self.address
+        if not 0 <= address < len(values):
+            raise UnknownAddressError(address)
+        return values[address]
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,10 @@ class Write(Operation):
     value: float
 
     def apply(self, values: List[float]) -> None:
-        _check(values, self.address)
-        values[self.address] = self.value
+        address = self.address
+        if not 0 <= address < len(values):
+            raise UnknownAddressError(address)
+        values[address] = self.value
         return None
 
 
@@ -113,9 +117,11 @@ class FetchAdd(Operation):
     delta: float
 
     def apply(self, values: List[float]) -> float:
-        _check(values, self.address)
-        previous = values[self.address]
-        values[self.address] = previous + self.delta
+        address = self.address
+        if not 0 <= address < len(values):
+            raise UnknownAddressError(address)
+        previous = values[address]
+        values[address] = previous + self.delta
         return previous
 
 
@@ -133,9 +139,11 @@ class CompareAndSwap(Operation):
     new: float
 
     def apply(self, values: List[float]) -> bool:
-        _check(values, self.address)
-        if values[self.address] == self.expected:
-            values[self.address] = self.new
+        address = self.address
+        if not 0 <= address < len(values):
+            raise UnknownAddressError(address)
+        if values[address] == self.expected:
+            values[address] = self.new
             return True
         return False
 
@@ -160,13 +168,16 @@ class DoubleCompareSingleSwap(Operation):
     guard_expected: float = 0.0
 
     def apply(self, values: List[float]) -> bool:
-        _check(values, self.address)
-        _check(values, self.guard_address)
+        address, guard_address = self.address, self.guard_address
+        if not 0 <= address < len(values):
+            raise UnknownAddressError(address)
+        if not 0 <= guard_address < len(values):
+            raise UnknownAddressError(guard_address)
         if (
-            values[self.guard_address] == self.guard_expected
-            and values[self.address] == self.expected
+            values[guard_address] == self.guard_expected
+            and values[address] == self.expected
         ):
-            values[self.address] = self.new
+            values[address] = self.new
             return True
         return False
 
@@ -195,11 +206,14 @@ class GuardedFetchAdd(Operation):
     guard_expected: float = 0.0
 
     def apply(self, values: List[float]) -> Tuple[bool, float]:
-        _check(values, self.address)
-        _check(values, self.guard_address)
-        current = values[self.address]
-        if values[self.guard_address] == self.guard_expected:
-            values[self.address] = current + self.delta
+        address, guard_address = self.address, self.guard_address
+        if not 0 <= address < len(values):
+            raise UnknownAddressError(address)
+        if not 0 <= guard_address < len(values):
+            raise UnknownAddressError(guard_address)
+        current = values[address]
+        if values[guard_address] == self.guard_expected:
+            values[address] = current + self.delta
             return (True, current)
         return (False, current)
 
@@ -217,7 +231,8 @@ class Noop(Operation):
     address: int = 0
 
     def apply(self, values: List[float]) -> None:
-        _check(values, self.address)
+        if not 0 <= self.address < len(values):
+            raise UnknownAddressError(self.address)
         return None
 
 

@@ -6,8 +6,12 @@ every variant completes under every panel adversary, the fidelity modes
 variant-specific counters surface through ``result.extras``.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.algorithm import (
     LEMMAS,
@@ -18,8 +22,10 @@ from repro.core.algorithm import (
     get_algorithm,
     register_algorithm,
     run_algorithm,
+    simulate,
+    within_radius,
 )
-from repro.core.epoch_sgd import run_lock_free_sgd
+from repro.core.epoch_sgd import LockFreeSGD, run_lock_free_sgd
 from repro.core.full_sgd import FullSGD
 from repro.core.snapshot_sgd import run_snapshot_sgd
 from repro.durable.checkpoint import state_digest
@@ -28,8 +34,12 @@ from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.policy import TraceConfig
+from repro.sched.bounded_delay import BoundedDelayScheduler
 from repro.sched.registry import build_scheduler
 from repro.sched.round_robin import RoundRobinScheduler
+from repro.shm.array import AtomicArray
+from repro.shm.memory import SharedMemory
+from repro.shm.ops import FetchAdd, Read
 
 EXPECTED_NAMES = (
     "epoch-sgd",
@@ -280,6 +290,164 @@ class TestFastLoopEarlyStop:
         )
         assert len(fast.steps) == fast.now == fast_steps == slow_steps
         assert fast.state_digest() == slow.state_digest()
+
+
+def _snapshot_predicate(model, x_star, radius):
+    """The snapshot test ``float(gap @ gap) <= radius``: the reference
+    every ``within_radius`` decision must match."""
+
+    def reached(_sim):
+        gap = model.snapshot() - x_star
+        return float(gap @ gap) <= radius
+
+    return reached
+
+
+def _e5_shaped(seed):
+    """E5's lock-free setting: d = 2, 4 threads, a bounded-delay
+    adversary starving thread 0."""
+    return dict(
+        objective=_objective(),
+        scheduler=BoundedDelayScheduler(16, seed=seed, victims=[0], bias=0.9),
+        num_threads=4,
+        step_size=0.01,
+        iterations=2000,
+        x0=np.full(2, 1.5),
+        seed=seed,
+    )
+
+
+def _near(value, ulps):
+    """``value`` moved ``ulps`` representable floats up (or down)."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.inf if ulps > 0 else -math.inf)
+    return value
+
+
+_ENTRIES = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=-1e-150, max_value=1e-150),  # subnormal squares
+    st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e154)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestStopPredicate:
+    """``within_radius`` decides every stop check exactly as the
+    snapshot test does, though it builds no array outside the margin."""
+
+    @given(
+        data=st.data(),
+        dim=st.integers(min_value=1, max_value=16),
+        numpy_scalars=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_snapshot_test(self, data, dim, numpy_scalars):
+        values = data.draw(st.lists(_ENTRIES, min_size=dim, max_size=dim))
+        x_star = np.array(
+            data.draw(
+                st.one_of(
+                    st.just([0.0] * dim),
+                    st.lists(
+                        st.floats(min_value=-4.0, max_value=4.0),
+                        min_size=dim,
+                        max_size=dim,
+                    ),
+                )
+            )
+        )
+        model = self._model(values, numpy_scalars)
+        with np.errstate(all="ignore"):
+            gap = model.snapshot() - x_star
+            exact = float(gap @ gap)
+        radius = data.draw(
+            st.one_of(
+                st.sampled_from((0.0, -0.0, exact)),
+                st.integers(min_value=-4, max_value=4).map(
+                    lambda ulps: _near(exact, ulps)
+                ),
+                st.floats(max_value=0.0),
+                st.floats(allow_nan=False),
+            )
+        )
+        with np.errstate(all="ignore"):
+            expected = _snapshot_predicate(model, x_star, radius)(None)
+            assert within_radius(model, x_star, radius)(None) is expected
+
+    def test_subnormal_sums_defer_to_the_snapshot_test(self):
+        # Each square below 2.2e-308 is rounded to the subnormal grid,
+        # so numpy's dot can read below math.dist's square (6.530e-321
+        # against 6.536e-321 here): the 1e-300 floor keeps such a
+        # model's stop decision with the snapshot test.
+        model = self._model([4.875843565561751e-161, -6.44739112102704e-161])
+        x_star = np.zeros(2)
+        snapshot = model.snapshot()
+        radius = float(snapshot @ snapshot)
+        assert within_radius(model, x_star, radius)(None) is True
+
+    @staticmethod
+    def _model(values, numpy_scalars=False):
+        memory = SharedMemory(record_log=False)
+        model = AtomicArray.allocate(memory, len(values))
+        for j, value in enumerate(values):
+            # A run's model entries are numpy scalars (fetch&add sums).
+            memory.poke(model.base + j, np.float64(value) if numpy_scalars else value)
+        return model
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("radius", (0.05, 0.25, 1.0))
+    def test_simulate_stops_where_the_snapshot_test_stops(self, radius, seed):
+        setting = _e5_shaped(seed)
+        _result, sim = simulate(LockFreeSGD(), **setting, stop_epsilon=radius)
+        setting = _e5_shaped(seed)
+        reference, model, _x0 = build_zoo_simulation(
+            LockFreeSGD(), **setting, trace_config=TraceConfig(record_log=False)
+        )
+        reference.run_fast(
+            stop=_snapshot_predicate(model, setting["objective"].x_star, radius)
+        )
+        assert not reference.is_done  # the radius ended the run
+        assert sim.now == reference.now
+        assert sim.state_digest() == reference.state_digest()
+
+
+class TestFastLoopStepCost:
+    """What Algorithm 1 pays per step on the fast loop, counted: the
+    claim and the reads reuse one descriptor each, so an iteration
+    builds only its d fetch&adds, and an early-stop check builds a
+    snapshot only when the model is within the radius's margin."""
+
+    def test_descriptors_and_snapshots_built(self, monkeypatch):
+        built = []
+
+        def counting(init):
+            def wrapper(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+
+            return wrapper
+
+        for cls in (Read, FetchAdd):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+        snapshots = []
+        snapshot = AtomicArray.snapshot
+
+        def recording(array):
+            values = snapshot(array)
+            snapshots.append(float(values @ values))  # x* is the origin
+            return values
+
+        monkeypatch.setattr(AtomicArray, "snapshot", recording)
+        radius = 0.25
+        result = run_lock_free_sgd(**_e5_shaped(seed=3), stop_epsilon=radius)
+        iterations = len(result.records)
+        assert result.x_final @ result.x_final <= radius  # the radius ended it
+        assert iterations > 100
+        # d = 2 fetch&adds per completed iteration; per thread, the
+        # shared claim and reads plus an abandoned iteration's updates.
+        assert len(built) <= 2 * iterations + (1 + 2 + 2) * 4
+        assert snapshots
+        assert all(gap <= radius * (1 + 1e-9) for gap in snapshots)
 
 
 def _run_with(entry, iterations, x0):
