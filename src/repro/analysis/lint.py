@@ -277,21 +277,67 @@ def _yield_values(
     return values
 
 
-def _is_program_generator(
-    function: Union[ast.FunctionDef, ast.AsyncFunctionDef],
-) -> bool:
-    """A generator counts as a simulated program when at least one of
-    its yields is an op-constructor call (``x.read_op(...)``,
-    ``FetchAdd(...)``, ...)."""
-    for value in _yield_values(function):
-        if not isinstance(value, ast.Call):
-            continue
+def _op_calls(
+    value: ast.expr, bindings: Dict[str, List[ast.Call]]
+) -> List[ast.Call]:
+    """The op-constructor calls (``x.read_op(...)``, ``FetchAdd(...)``,
+    ...) that ``value`` is or holds: the call itself, the calls in a
+    tuple, list or comprehension of them (``tuple(...)`` included), or
+    the calls ``bindings`` holds for a name, subscripted or not."""
+    if isinstance(value, ast.Call):
         func = value.func
         if isinstance(func, ast.Attribute) and func.attr.endswith("_op"):
-            return True
+            return [value]
         if isinstance(func, ast.Name) and func.id in _OPERATION_CLASSES:
-            return True
-    return False
+            return [value]
+        if (
+            isinstance(func, ast.Name)
+            and func.id in ("tuple", "list")
+            and len(value.args) == 1
+        ):
+            return _op_calls(value.args[0], bindings)
+        return []
+    if isinstance(value, (ast.Tuple, ast.List)):
+        return [
+            call for element in value.elts for call in _op_calls(element, bindings)
+        ]
+    if isinstance(value, (ast.GeneratorExp, ast.ListComp)):
+        return _op_calls(value.elt, bindings)
+    if isinstance(value, ast.Subscript):
+        value = value.value
+    if isinstance(value, ast.Name):
+        return bindings.get(value.id, [])
+    return []
+
+
+def _op_bindings(
+    function: Union[ast.FunctionDef, ast.AsyncFunctionDef],
+) -> Dict[str, List[ast.Call]]:
+    """Names ``function`` binds to op-constructor calls, so a program
+    that builds its descriptors once and yields ``name`` or ``name[i]``
+    is checked as if it yielded the calls themselves."""
+    bindings: Dict[str, List[ast.Call]] = {}
+
+    class _Assignments(ast.NodeVisitor):
+        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+            if node is function:
+                self.generic_visit(node)
+
+        visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
+
+        def visit_Lambda(self, node: ast.Lambda) -> None:
+            return
+
+        def visit_Assign(self, node: ast.Assign) -> None:
+            calls = _op_calls(node.value, bindings)
+            if calls:
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bindings[target.id] = calls
+            self.generic_visit(node)
+
+    _Assignments().visit(function)
+    return bindings
 
 
 class _LoopScanner(ast.NodeVisitor):
@@ -629,12 +675,17 @@ class _Linter(ast.NodeVisitor):
     def _check_program(
         self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef]
     ) -> None:
-        if not _is_program_generator(node):
+        """A generator counts as a simulated program when at least one
+        of its yields is, or stands for, an op-constructor call."""
+        values = _yield_values(node)
+        bindings = _op_bindings(node) if values else {}
+        yielded = [(value, _op_calls(value, bindings)) for value in values]
+        if not any(calls for _, calls in yielded):
             return
         reads: Dict[str, int] = {}
         writes: List[Tuple[str, int]] = []
         op_receivers: Set[str] = set()
-        for value in _yield_values(node):
+        for value, calls in yielded:
             if _is_constant_expression(value):
                 self._flag(
                     "RPL102",
@@ -643,29 +694,28 @@ class _Linter(ast.NodeVisitor):
                     "Operation descriptors",
                 )
                 continue
-            if not isinstance(value, ast.Call):
-                continue
-            func = value.func
-            receiver: Optional[str] = None
-            accessor: Optional[str] = None
-            if isinstance(func, ast.Attribute) and func.attr.endswith("_op"):
-                receiver = _dotted_name(func.value)
-                accessor = func.attr
-            elif isinstance(func, ast.Name) and func.id in _OPERATION_CLASSES:
-                # Direct descriptor: key on the address expression text.
-                address = self._address_argument(value)
-                if address is not None:
-                    receiver = address
-                    accessor = {"Read": "read_op", "Write": "write_op"}.get(
-                        func.id
-                    )
-            if receiver is None or accessor is None:
-                continue
-            op_receivers.add(receiver)
-            if accessor in ("read_op", "read_count_op"):
-                reads.setdefault(receiver, value.lineno)
-            elif accessor == "write_op":
-                writes.append((receiver, value.lineno))
+            for call in calls:
+                func = call.func
+                receiver: Optional[str] = None
+                accessor: Optional[str] = None
+                if isinstance(func, ast.Attribute):
+                    receiver = _dotted_name(func.value)
+                    accessor = func.attr
+                elif isinstance(func, ast.Name):
+                    # Direct descriptor: key on the address expression text.
+                    address = self._address_argument(call)
+                    if address is not None:
+                        receiver = address
+                        accessor = {"Read": "read_op", "Write": "write_op"}.get(
+                            func.id
+                        )
+                if receiver is None or accessor is None:
+                    continue
+                op_receivers.add(receiver)
+                if accessor in ("read_op", "read_count_op"):
+                    reads.setdefault(receiver, value.lineno)
+                elif accessor == "write_op":
+                    writes.append((receiver, value.lineno))
         for receiver, line in writes:
             if receiver in reads:
                 self._flag(

@@ -294,6 +294,22 @@ def program(self, ctx):
     yield self.model.fetch_add_op(0, -value)
 '''
 
+CACHED_READ_RACE_FIXTURE = '''
+def program(model):
+    reads = tuple(model.read_op(j) for j in range(2))
+    value = yield reads[0]
+    yield model.write_op(0, value + 1.0)
+'''
+
+CACHED_READ_MUTATION_FIXTURE = '''
+def program(model, counter):
+    claim = counter.increment_op()
+    reads = [model.read_op(0), model.read_op(1)]
+    yield claim
+    value = yield reads[1]
+    model.poke(0, value)
+'''
+
 DRIVER_LOAD_FIXTURE = '''
 def driver(model, x0):
     model.load(x0)
@@ -460,6 +476,19 @@ class TestLint:
             DIRECT_MUTATION_PRAGMA_FIXTURE, path="fixture.py"
         )
         assert not [f for f in findings if f.rule == "RPL103"]
+
+    def test_cached_read_then_write_is_flagged(self):
+        # A descriptor built once and yielded by name is still a read.
+        findings = lint_source(CACHED_READ_RACE_FIXTURE, path="fixture.py")
+        assert [(f.rule, f.location) for f in findings] == [
+            ("RPL101", "fixture.py:5")
+        ]
+
+    def test_mutation_beside_cached_reads_is_flagged(self):
+        findings = lint_source(CACHED_READ_MUTATION_FIXTURE, path="fixture.py")
+        assert [(f.rule, f.location) for f in findings] == [
+            ("RPL103", "fixture.py:7")
+        ]
 
     def test_driver_mutation_is_not_flagged(self):
         # Bulk loads in drivers (no op yields -> not a program) are fine.
