@@ -37,6 +37,7 @@ import argparse
 import functools
 import importlib
 import json
+import math
 import pathlib
 import shlex
 import sys
@@ -212,15 +213,38 @@ class GridReport:
         """Deterministic JSON (sorted keys, no timestamps): reruns with
         the same config produce identical bytes.  Outcomes leave out
         ``obs``: observability metrics go to the snapshot file, never
-        the report, so bytes match with and without ``collect_obs``."""
+        the report, so bytes match with and without ``collect_obs``.
+        A non-finite float (a diverged cell's distance) is written as
+        the string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``, so the
+        file is valid JSON."""
         payload = {name: getattr(self, name) for name in self.extras}
         payload.update(self.gates(), passed=self.passed)
         payload["outcomes"] = [
             {key: value for key, value in asdict(o).items() if key != "obs"}
             for o in self.outcomes
         ]
-        text = json.dumps(payload, indent=2, sort_keys=True, default=asdict)
+        text = json.dumps(
+            _json_safe(payload), indent=2, sort_keys=True, allow_nan=False
+        )
         return text + "\n"
+
+
+def _json_safe(value: Any) -> Any:
+    """``value`` as plain JSON data: dataclasses as dicts, tuples as
+    lists, and each non-finite float as its JSON-style name."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return value
+        if math.isnan(value):
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    if is_dataclass(value) and not isinstance(value, type):
+        return _json_safe(asdict(value))
+    return value
 
 
 def _table_cell(row: Any, cell: Any) -> Any:

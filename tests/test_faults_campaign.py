@@ -13,6 +13,7 @@ from repro.faults.campaign import (
     CampaignConfig,
     ChaosWorkload,
     FaultSpec,
+    corruption_specs,
     preset_specs,
     run_campaign,
     summarize,
@@ -122,6 +123,21 @@ class TestCampaignDeterminism:
         keys |= set().union(*(s.keys() for s in payload["summaries"]))
         # Determinism: nothing wall-clock-dependent is serialized.
         assert not {"time", "timestamp", "date", "duration"} & keys
+
+    def test_diverged_cells_still_write_valid_json(self):
+        # NaN-poisoned models end at a NaN distance; the report spells
+        # it "NaN" instead of writing the bare token JSON does not allow.
+        report = run_campaign(
+            _config(specs=(corruption_specs()["nan-poison"],))
+        )
+
+        def reject(token):
+            raise ValueError(f"bare {token} in the report")
+
+        payload = json.loads(report.to_json(), parse_constant=reject)
+        distances = [outcome["distance"] for outcome in payload["outcomes"]]
+        assert distances == ["NaN", "NaN"]
+        assert payload["passed"] is False
 
 
 class TestPresets:
