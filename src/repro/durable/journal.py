@@ -3,8 +3,8 @@
 A long run — a chaos campaign, a sanitizer grid, any seed ensemble — is
 a list of independent *(namespace, seed)* cells, each deterministic
 given its seed.  The journal is an append-only JSONL file recording one
-line per completed cell, payload included, durably (flush + fsync) the
-moment the cell's result reaches the driver.  After a SIGKILL, OOM or
+line per completed cell, payload included, durably (flush + fsync) as
+soon as the driver collects the cell's result.  After a SIGKILL, OOM or
 power cut, reopening the journal with ``resume=True`` tells the driver
 exactly which cells to skip — and hands back their stored results, so a
 resumed run's final report is **byte-identical** to the uninterrupted

@@ -15,7 +15,9 @@ one place that owns that fan-out:
   debuggable as before;
 * a grid of ensembles (one per cell) holds one :class:`EnsemblePool`
   for its whole run and passes it as ``pool=``, so workers are forked
-  once per grid, not once per cell;
+  once per grid, not once per cell; told which cell comes next
+  (:meth:`EnsemblePool.follow`), a pooled call hands that cell's
+  chunks to workers that would otherwise go idle at the cell boundary;
 * pool failures degrade gracefully — and *partially*: each chunk is a
   separate future, transient failures (broken pool, dead worker, stalls)
   are retried in the pool with exponential backoff, and only the chunks
@@ -23,9 +25,10 @@ one place that owns that fan-out:
   of 16 chunks succeeded redoes one chunk, not the whole seed list;
 * the run is **durable** (see DESIGN.md §12): pass a
   :class:`~repro.durable.journal.RunJournal` and every completed seed is
-  recorded durably the moment its result reaches the driver, so a
-  SIGKILL loses at most in-flight work and a resumed call skips finished
-  seeds while returning byte-identical results; an
+  recorded durably when its own cell's call collects it, so a SIGKILL
+  loses at most in-flight work and the finished early chunks of the
+  next cell, and a resumed call skips finished seeds while returning
+  byte-identical results; an
   :class:`~repro.durable.watchdog.EnsembleWatchdog` escalates pool
   stalls (stall → reroute → abandon) and a reroute or abandon kills the
   stalled workers, so the call returns instead of hanging; a
@@ -39,10 +42,12 @@ Workers must be importable module-level callables (or
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
 import os
 import pickle
+import threading
 import time
 from contextlib import nullcontext
 from concurrent.futures import (
@@ -152,6 +157,75 @@ def seed_chunks(seeds: Sequence[int], jobs: int) -> List[List[int]]:
     return [seeds[i : i + chunk_size] for i in range(0, len(seeds), chunk_size)]
 
 
+#: How often a pool worker checks that the process which forked it is
+#: still alive (:func:`_init_worker`).
+_PARENT_POLL_S = 0.25
+
+
+def _init_worker(parent: int) -> None:
+    """Pool worker initializer: freeze the inherited heap, and exit once
+    ``parent``, the process the pool belongs to, is gone.
+
+    A parent that is SIGKILLed never shuts its pool down, and a worker
+    waiting on its call queue would then sleep for ever under init.  A
+    daemon thread polls :func:`os.getppid` instead (a fork's parent
+    changes only when the parent dies), which works on every platform
+    that forks.
+    """
+    gc.freeze()
+    threading.Thread(
+        target=_exit_with_parent, args=(parent,), name="parent-watch", daemon=True
+    ).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+#: One cell of a grid as its pooled call sees it:
+#: ``(run_one, seeds, journal, namespace)``.
+CellSpec = Tuple[Callable[[int], Any], Tuple[int, ...], Any, str]
+
+
+class _Plan:
+    """One cell's chunks, planned once: by its own :func:`run_ensemble`
+    call, or ahead of it by the call before (DESIGN.md §9, *lookahead
+    across cells*).
+
+    ``restored`` holds the cell's journaled payloads, ``pending`` the
+    seeds left to compute and ``chunks`` their one :func:`seed_chunks`
+    cut (empty when the call runs them in-process).  ``scope`` is the
+    cell's chunk scope for worker span keys, taken from the installed
+    causal recorder ``causal`` (``None`` when tracing is off), and
+    ``sent`` maps each chunk handed to the pool ahead of the call to its
+    ``(future, executor)``.
+    """
+
+    def __init__(self, cell: CellSpec, jobs: int, causal: Any) -> None:
+        run_one, seeds, journal, namespace = cell
+        self.cell = cell
+        self.jobs = jobs
+        self.run_one = run_one
+        self.scope = (
+            causal.auto_key("ensemble.chunk") + "." if causal is not None else None
+        )
+        self.restored: Dict[int, Any] = {}
+        if journal is not None:
+            wanted = set(seeds)
+            self.restored = {
+                seed: payload
+                for seed, payload in journal.completed(namespace).items()
+                if seed in wanted
+            }
+        # Duplicate seeds map to one deterministic result; compute each once.
+        self.pending = list(dict.fromkeys(s for s in seeds if s not in self.restored))
+        pooled = jobs > 1 and len(self.pending) > 1
+        self.chunks = seed_chunks(self.pending, jobs) if pooled else []
+        self.sent: Dict[int, Tuple[Any, Any]] = {}
+
+
 class EnsemblePool:
     """One worker pool held across the :func:`run_ensemble` calls of a grid.
 
@@ -160,8 +234,10 @@ class EnsemblePool:
     once for the whole grid::
 
         with EnsemblePool(jobs, len(seeds)) as pool:
-            for cell in grid:
-                run_ensemble(worker(cell), seeds, jobs=jobs, pool=pool)
+            for cell, after in zip(grid, [*grid[1:], None]):
+                if after is not None:
+                    pool.follow(worker(after), seeds, journal, namespace(after))
+                run_ensemble(worker(cell), seeds, jobs=jobs, pool=pool, ...)
 
     ``seeds`` is the largest seed count one call passes.  The pool starts
     ``min(jobs, seeds)`` workers, which is as many as such a call has
@@ -171,7 +247,14 @@ class EnsemblePool:
     worker.  Workers are forked (the platform default), so they inherit
     the parent's imports and registrations; each freezes that inherited
     heap, which keeps the collection :func:`_run_chunk` runs after every
-    chunk cheap.
+    chunk cheap, and exits if the parent dies (:func:`_init_worker`).
+
+    :meth:`follow` names the cell that runs after the current one.  A
+    pooled call then keeps ``workers + 1`` chunks unfinished while it
+    waits, topping up with that cell's chunks (:meth:`ahead`), and the
+    following call takes them over (:meth:`take`).  The lookahead is one
+    cell, and results are still collected, journaled and reported by
+    their own cell's call, in grid order.
 
     A pool that breaks, stalls into a watchdog reroute or abandon, or is
     stopped by a shutdown request is :meth:`discard`-ed; the next call
@@ -179,9 +262,14 @@ class EnsemblePool:
     """
 
     def __init__(self, jobs: Optional[int], seeds: int) -> None:
+        self.jobs = resolve_jobs(jobs)
         #: 1 means no call would pool (``jobs`` 1, or one seed a call).
-        self.workers = max(1, min(resolve_jobs(jobs), seeds))
+        self.workers = max(1, min(self.jobs, seeds))
         self._executor: Any = None
+        #: The cell that runs after the current call, not yet planned.
+        self._following: Optional[CellSpec] = None
+        #: The plan of the cell after the current call, once made.
+        self._ahead: Optional[_Plan] = None
 
     def __enter__(self) -> "EnsemblePool":
         if self.workers > 1:
@@ -201,9 +289,58 @@ class EnsemblePool:
         """The live executor, built on first use after a discard."""
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=gc.freeze
+                max_workers=self.workers,
+                initializer=functools.partial(_init_worker, os.getpid()),
             )
         return self._executor
+
+    def holds(self, executor: Any) -> bool:
+        """Whether ``executor`` is the live one (not discarded)."""
+        return executor is self._executor
+
+    def submit(self, payload: Any) -> Tuple[Any, Any]:
+        """Hand one :func:`_run_chunk` payload to the live executor;
+        returns ``(future, executor)``.  An executor that broke since it
+        last returned a result (a worker died between calls) is replaced
+        once; other pool failures propagate."""
+        executor = self.executor()
+        try:
+            return executor.submit(_run_chunk, payload), executor
+        except BrokenProcessPool:
+            self.discard(executor)
+        executor = self.executor()
+        return executor.submit(_run_chunk, payload), executor
+
+    def follow(
+        self,
+        run_one: Callable[[int], Any],
+        seeds: Sequence[int],
+        journal: Any = None,
+        namespace: str = "",
+    ) -> None:
+        """Name the cell the grid runs after the call about to start,
+        with the arguments its own :func:`run_ensemble` call will pass."""
+        self._following = (run_one, tuple(seeds), journal, namespace)
+
+    def ahead(self) -> Optional[_Plan]:
+        """The following cell's plan, made on first use; ``None`` when
+        no cell follows."""
+        if self._ahead is None and self._following is not None:
+            from repro.obs.causal import get_causal_recorder
+
+            self._ahead = _Plan(self._following, self.jobs, get_causal_recorder())
+            self._following = None
+        return self._ahead
+
+    def take(self, cell: CellSpec, jobs: int) -> Optional[_Plan]:
+        """The plan made ahead for ``cell``, if any; a call starting
+        ``cell`` takes it over (and ``cell`` no longer follows)."""
+        if self._following == cell:
+            self._following = None
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None and ahead.cell == cell and ahead.jobs == jobs:
+            return ahead
+        return None
 
     def close(self) -> None:
         """Shut the executor down, waiting for work already handed out."""
@@ -221,7 +358,8 @@ class EnsemblePool:
         failure from a pool already replaced leaves the fresh one alone.
         Before Python 3.14 the executor has no public call that stops a
         running task, so its process table is the only handle on the
-        workers.
+        workers.  Chunks handed out ahead of their cell die with it; their
+        own call submits them again.
         """
         if executor is not None and executor is not self._executor:
             return
@@ -269,6 +407,7 @@ def _run_chunks_pooled(
     on_chunk: Optional[Callable[[int, List[T]], None]] = None,
     backoff_seed: Optional[int] = None,
     anchor: Optional[Tuple[Optional[str], str]] = None,
+    sent: Optional[Dict[int, Tuple[Any, Any]]] = None,
 ) -> List[Optional[List[T]]]:
     """Run chunks as independent futures on ``pool``; never raises pool
     errors.
@@ -282,17 +421,25 @@ def _run_chunks_pooled(
     unfilled too, so the serial rerun re-raises them with a clean
     traceback.
 
+    ``sent`` holds the chunks handed to ``pool`` before this call
+    (index → ``(future, executor)``): a chunk still on the live executor
+    is adopted, one whose executor was discarded is submitted again.
+    While it waits, the call keeps ``pool.workers + 1`` chunks unfinished
+    by handing out chunks of the cell ``pool`` expects next
+    (:meth:`EnsemblePool.ahead`); their results wait for that cell's call.
+
     Stall handling goes through the ``watchdog``: a wait round that
     completes nothing escalates stall → reroute (the pool is discarded,
     killing the stalled workers, and every unfinished chunk is
     resubmitted to a fresh one) → abandon (the pool is discarded and
     unfinished chunks fall back to serial); without a watchdog the
     runner waits.  ``on_chunk`` fires in the parent exactly once per
-    chunk, as soon as its result lands — the journaling hook.
-    ``shutdown`` (anything with a ``requested`` attribute) is polled
-    between wait rounds; once set, the pool is discarded and the caller
-    decides what the partial result means.  However this returns or
-    raises, no work of this call is left running on ``pool``.
+    chunk, as soon as this call collects its result — the journaling
+    hook.  ``shutdown`` (anything with a ``requested`` attribute) is
+    polled between wait rounds; once set, nothing more is submitted, the
+    pool is discarded and the caller decides what the partial result
+    means.  However this returns or raises, no work of this call is left
+    running on ``pool``.
     """
     results: List[Optional[List[T]]] = [None] * len(chunks)
     #: future -> (chunk index, the executor it was submitted to)
@@ -300,12 +447,14 @@ def _run_chunks_pooled(
     attempts = [0] * len(chunks)
     pool_alive = True
 
+    def stopping() -> bool:
+        return shutdown is not None and getattr(shutdown, "requested", False)
+
     def submit(index: int) -> bool:
         nonlocal pool_alive
         scoped = None if anchor is None else (anchor[0], f"{anchor[1]}c{index}.")
         try:
-            executor = pool.executor()
-            future = executor.submit(_run_chunk, (run_one, chunks[index], scoped))
+            future, executor = pool.submit((run_one, chunks[index], scoped))
         except POOL_FAILURES:
             pool_alive = False  # cannot build one / broken: serial rerun
             pool.discard()
@@ -313,22 +462,52 @@ def _run_chunks_pooled(
         in_flight[future] = (index, executor)
         return True
 
+    def top_up() -> None:
+        room = pool.workers + 1 - len(in_flight)
+        ahead = pool.ahead() if room > 0 else None
+        if ahead is None:
+            return
+        room -= sum(
+            1
+            for future, executor in ahead.sent.values()
+            if pool.holds(executor) and not future.done()
+        )
+        for index, chunk in enumerate(ahead.chunks):
+            if room <= 0 or stopping():
+                return
+            if index in ahead.sent:
+                continue  # out already, or its own call resubmits it
+            # The chunk's worker spans nest under the span handing it out.
+            scoped = None if anchor is None else (anchor[0], f"{ahead.scope}c{index}.")
+            try:
+                ahead.sent[index] = pool.submit((ahead.run_one, chunk, scoped))
+            except POOL_FAILURES:
+                return  # the chunk waits for its own cell's call
+            room -= 1
+
     def stop_pool() -> None:
         in_flight.clear()
         pool.discard()
 
     try:
         for index in range(len(chunks)):
-            if not submit(index):
+            handed = (sent or {}).get(index)
+            if handed is not None and pool.holds(handed[1]):
+                in_flight[handed[0]] = (index, handed[1])
+            elif not submit(index):
                 break
         if watchdog is not None:
             watchdog.start()
-        while in_flight:
-            if shutdown is not None and getattr(shutdown, "requested", False):
+        while True:
+            if stopping():
                 # Safe-point stop: in-flight work is recomputable from
                 # seeds; everything completed so far has already been
                 # delivered via on_chunk.
                 stop_pool()
+                break
+            if pool_alive:
+                top_up()
+            if not in_flight:
                 break
             timeout = watchdog.wait_timeout() if watchdog is not None else None
             done, _pending = wait(
@@ -427,9 +606,11 @@ def run_ensemble(
         journal: Optional :class:`~repro.durable.journal.RunJournal`.
             Seeds already recorded under ``namespace`` are *not* rerun —
             their stored payloads are decoded and returned — and every
-            newly finished seed is durably journaled the moment its
-            result reaches this process, making the call resumable after
-            a SIGKILL with byte-identical output.
+            newly finished seed is durably journaled as soon as this
+            call collects its chunk, making the call resumable after a
+            SIGKILL with byte-identical output.  A chunk the previous
+            call handed out early is collected and journaled here too,
+            never before this call starts.
         namespace: Journal namespace isolating this ensemble from other
             grids sharing the journal (e.g. ``"0:prob-crash"``).
         encode: Result → JSON-safe payload for the journal (identity by
@@ -454,8 +635,8 @@ def run_ensemble(
             feed the live view and the Prometheus exposition, never
             byte-identity-checked snapshots.
         progress: Optional ``progress(seed, result)`` callback fired in
-            this process exactly once per freshly computed seed, the
-            moment its result lands (journal-skipped seeds do not fire).
+            this process exactly once per freshly computed seed, as
+            this call collects it (journal-skipped seeds do not fire).
             This is the live-view hook (``repro top``); it must not
             mutate results.
         backoff_seed: When given, chunk-retry backoff sleeps get seeded
@@ -465,7 +646,10 @@ def run_ensemble(
             results stay byte-identical for any value.
         pool: Optional :class:`EnsemblePool` held by a grid across its
             calls.  Without one, a pooled call opens a pool for itself
-            and closes it before returning.
+            and closes it before returning.  With one, the call takes
+            over the chunks the previous call handed out ahead of it
+            and, while it waits, hands out the next cell's
+            (:meth:`EnsemblePool.follow`).
 
     Returns:
         Results in seed order — identical, element for element, to
@@ -483,15 +667,15 @@ def run_ensemble(
     # journal resumes); chunk records are harness weather, linked to
     # the enclosing span by a flow arrow.
     causal = get_causal_recorder()
+    cell = (run_one, tuple(seeds), journal, namespace)
+    plan = pool.take(cell, jobs) if pool is not None else None
+    if plan is None:
+        plan = _Plan(cell, jobs, causal)
     causal_anchor = causal.current_span() if causal is not None else None
     # Pooled chunks re-anchor a forked worker's recorder under this call
-    # (see _run_chunk); the scope numbers calls in order, so worker span
-    # ids are unique and the same on every run of the same grid.
-    anchor = (
-        (causal_anchor, causal.auto_key("ensemble.chunk") + ".")
-        if causal is not None
-        else None
-    )
+    # (see _run_chunk); the plan's scope numbers cells in grid order, so
+    # worker span ids are unique and the same on every run of the grid.
+    anchor = (causal_anchor, plan.scope) if plan.scope is not None else None
 
     def note_causal(seed: int) -> None:
         if causal is not None:
@@ -515,18 +699,14 @@ def run_ensemble(
             deterministic=False,
         )
     done: Dict[int, T] = {}
-    if journal is not None:
-        wanted = set(seeds)
-        for seed, payload in journal.completed(namespace).items():
-            if seed in wanted:
-                done[seed] = decode(payload) if decode is not None else payload
-                # Re-emit the restored seed's causal record: identical
-                # id and args as the attempt that computed it, so the
-                # logical stitch of a resumed job collapses to the
-                # uninterrupted run's bytes.
-                note_causal(seed)
-                if m_skipped is not None:
-                    m_skipped.inc()
+    for seed, payload in plan.restored.items():
+        done[seed] = decode(payload) if decode is not None else payload
+        # Re-emit the restored seed's causal record: identical id and
+        # args as the attempt that computed it, so the logical stitch of
+        # a resumed job collapses to the uninterrupted run's bytes.
+        note_causal(seed)
+        if m_skipped is not None:
+            m_skipped.inc()
 
     def note(seed: int, result: T) -> None:
         if seed in done:
@@ -542,9 +722,8 @@ def run_ensemble(
         if progress is not None:
             progress(seed, result)
 
-    # Duplicate seeds map to one deterministic result; compute each once.
-    pending = list(dict.fromkeys(s for s in seeds if s not in done))
-    if jobs == 1 or len(pending) <= 1:
+    pending = plan.pending
+    if not plan.chunks:
         for seed in pending:
             if shutdown is not None:
                 shutdown.check()
@@ -559,7 +738,7 @@ def run_ensemble(
             )
         return [done[seed] for seed in seeds]
 
-    chunks = seed_chunks(pending, jobs)
+    chunks = plan.chunks
 
     def on_chunk(index: int, part: List[T]) -> None:
         for seed, result in zip(chunks[index], part):
@@ -586,6 +765,7 @@ def run_ensemble(
             on_chunk=on_chunk,
             backoff_seed=backoff_seed,
             anchor=anchor,
+            sent=plan.sent,
         )
     if shutdown is not None:
         shutdown.check()

@@ -364,14 +364,18 @@ class Campaign:
 
         Every row's seed ensemble goes through :meth:`run_cell` with one
         pool held for the grid, so ``config.jobs`` parallelizes with
-        results byte-identical to a serial run.  With a ``journal``
-        (opened against :meth:`fingerprint`) finished cells are recorded
-        as they land and skipped on resume, byte-identically;
-        ``shutdown`` stops at the next cell boundary by raising
-        :class:`~repro.errors.InterruptedRunError`.  ``metrics`` (a
-        :class:`~repro.obs.registry.MetricsRegistry`) receives ensemble
-        counters plus :meth:`telemetry`; ``progress(seed, outcome)``
-        fires per fresh cell.  None of this changes report bytes.
+        results byte-identical to a serial run.  Before each row the pool
+        is told which row follows, so workers that would go idle at the
+        row boundary start on that row's chunks; every row's outcomes are
+        still collected by its own call, in grid order.  With a
+        ``journal`` (opened against :meth:`fingerprint`) finished cells
+        are recorded as their row collects them and skipped on resume,
+        byte-identically; ``shutdown`` stops at the next cell boundary by
+        raising :class:`~repro.errors.InterruptedRunError`.  ``metrics``
+        (a :class:`~repro.obs.registry.MetricsRegistry`) receives
+        ensemble counters plus :meth:`telemetry`; ``progress(seed,
+        outcome)`` fires per fresh cell.  None of this changes report
+        bytes.
         """
 
         def note_cell(seed: int, outcome: Any) -> None:
@@ -382,8 +386,11 @@ class Campaign:
                 progress(seed, outcome)
 
         outcomes: List[Any] = []
+        cells = list(self.cells(config))
         with EnsemblePool(config.jobs, len(config.seeds)) as pool:
-            for cell in self.cells(config):
+            for cell, after in zip(cells, [*cells[1:], None]):
+                if after is not None:
+                    pool.follow(after.run_one, config.seeds, journal, after.namespace)
                 with self.cell_span(config, cell):
                     outcomes.extend(
                         self.run_cell(

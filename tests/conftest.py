@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.objectives.noise import GaussianNoise, ZeroNoise
 from repro.objectives.quadratic import IsotropicQuadratic
@@ -14,6 +15,14 @@ from repro.shm.history import (
 )
 from repro.shm.memory import LogRecord, SharedMemory
 from repro.shm.ops import Write
+
+# Hypothesis tests that take their example count from the profile (the
+# generative grid check in ``test_exp_grid_pool.py``) draw a few in
+# tier-1 and more in CI, which passes ``--hypothesis-profile ci``.
+# Every other property test sets its own ``max_examples``.
+settings.register_profile("tier1", max_examples=6)
+settings.register_profile("ci", max_examples=40)
+settings.load_profile("tier1")
 
 
 @pytest.fixture
