@@ -46,11 +46,10 @@ from repro.errors import ConfigurationError
 from repro.experiments.grid import (
     Campaign,
     Cell,
-    comma_names,
+    Param,
     get_campaign,
     grid_seeds,
     register_campaign,
-    str_list,
 )
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
@@ -192,6 +191,15 @@ class SanitizeCampaign(Campaign):
         "workloads (deterministic report; non-zero exit on findings)"
     )
     report_name = "analysis_report"
+    params = (
+        Param(
+            "presets", ("e1",), sanitize_presets,
+            "comma-separated sanitize presets (see repro.analysis."
+            "presets.sanitize_presets): racy, e1, e5, e7",
+            cli_default="e1,e5,e7",
+        ),
+        Param("strict", False, bool, "treat warnings as failures"),
+    )
     cli_seeds = (2, 1)
     seeds_per = "(preset, scheduler) cell"
     cells_metric = ("repro_sanitize_cells_total", "sanitize cells analyzed")
@@ -199,12 +207,6 @@ class SanitizeCampaign(Campaign):
         "write a deterministic per-cell summary snapshot JSONL (inspect "
         "with 'repro obs')"
     )
-    serve_params = {
-        "presets": (("e1",), str_list),
-        "seeds": (2, int),
-        "base_seed": (1, int),
-        "strict": (False, bool),
-    }
     decode = staticmethod(run_analysis_from_dict)
 
     def build(self, params, jobs=1, collect_obs=False):
@@ -263,26 +265,6 @@ class SanitizeCampaign(Campaign):
             }
             for run in report.runs
         ]
-
-    def add_arguments(self, parser):
-        parser.add_argument(
-            "--presets",
-            default="e1,e5,e7",
-            help="comma-separated sanitize presets (see repro.analysis."
-            "presets.sanitize_presets): racy, e1, e5, e7",
-        )
-        parser.add_argument(
-            "--strict", action="store_true",
-            help="treat warnings as failures",
-        )
-
-    def params_from_args(self, args):
-        return {
-            "presets": comma_names(args.presets),
-            "seeds": args.seeds,
-            "base_seed": args.base_seed,
-            "strict": args.strict,
-        }
 
 
 def run_sanitize(

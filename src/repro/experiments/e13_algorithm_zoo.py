@@ -49,12 +49,11 @@ from repro.experiments.grid import (
     Campaign,
     Cell,
     GridReport,
-    comma_names,
+    Param,
     gate,
     get_campaign,
     grid_seeds,
     register_campaign,
-    str_list,
 )
 from repro.experiments.runner import ExperimentResult
 from repro.objectives.noise import GaussianNoise
@@ -133,12 +132,12 @@ class ZooConfig:
     @classmethod
     def quick(cls) -> "ZooConfig":
         """``repro run E13 --scale quick``."""
-        return get_campaign("zoo").build(ZooCampaign.quick_params)
+        return get_campaign("zoo").preset(iterations=150)
 
     @classmethod
     def full(cls) -> "ZooConfig":
         """``repro run E13 --scale full``."""
-        return get_campaign("zoo").build(ZooCampaign.full_params)
+        return get_campaign("zoo").preset(seeds=5, iterations=400)
 
 
 @dataclass(frozen=True)
@@ -369,6 +368,32 @@ class ZooCampaign(Campaign):
         "certificates + sanitizer per cell) and report the grid"
     )
     report_name = "zoo_report"
+    params = (
+        Param(
+            "algorithms", ("epoch-sgd", "hogwild"), algorithm_names,
+            "comma-separated registry names (see repro.core.algorithm), "
+            "or 'all' (default): epoch-sgd, full-sgd, hogwild, leashed, "
+            "locked, momentum, staleness-aware",
+            cli_default="all", aliases={"all": algorithm_names},
+        ),
+        Param(
+            "adversaries", ("round-robin", "random"), scheduler_names,
+            "comma-separated scheduler registry names "
+            "(see repro.sched.registry)",
+            cli_default=",".join(ZOO_ADVERSARIES),
+        ),
+        Param("threads", 4, int, "SGD threads per run (default 4)"),
+        Param(
+            "iterations", 100, int,
+            "global iteration budget per run (default 200)",
+            cli_default=200, metavar="T",
+        ),
+        Param(
+            "sanitize", True, bool,
+            "skip the race/staleness sanitizer (faster; certificates "
+            "still checked)",
+        ),
+    )
     cli_seeds = (2, 7000)
     seeds_per = "(algorithm, adversary) cell"
     cells_metric = ("repro_zoo_cells_total", "zoo cells finished")
@@ -377,26 +402,6 @@ class ZooCampaign(Campaign):
         "contention, lemma indicators) and write a deterministic snapshot "
         "JSONL here (inspect with 'repro obs')"
     )
-    serve_params = {
-        "algorithms": (("epoch-sgd", "hogwild"), str_list),
-        "adversaries": (("round-robin", "random"), str_list),
-        "seeds": (2, int),
-        "base_seed": (7000, int),
-        "threads": (4, int),
-        "iterations": (100, int),
-        "sanitize": (True, bool),
-    }
-    #: ``repro run E13``'s presets (:meth:`ZooConfig.quick`/``full``).
-    quick_params = {
-        "algorithms": algorithm_names(),
-        "adversaries": ZOO_ADVERSARIES,
-        "seeds": 2,
-        "base_seed": 7000,
-        "threads": 4,
-        "iterations": 150,
-        "sanitize": True,
-    }
-    full_params = {**quick_params, "seeds": 5, "iterations": 400}
     outcome_type = ZooCellOutcome
 
     def build(self, params, jobs=1, collect_obs=False):
@@ -470,47 +475,6 @@ class ZooCampaign(Campaign):
             )
         lines.append({"kind": "aggregate", "metrics": merge_paper_metrics(cells)})
         return lines
-
-    def add_arguments(self, parser):
-        parser.add_argument(
-            "--algorithms", default="all",
-            help="comma-separated registry names (see repro.core.algorithm), "
-            "or 'all' (default): epoch-sgd, full-sgd, hogwild, leashed, "
-            "locked, momentum, staleness-aware",
-        )
-        parser.add_argument(
-            "--adversaries", default=",".join(ZOO_ADVERSARIES),
-            help="comma-separated scheduler registry names "
-            "(see repro.sched.registry)",
-        )
-        parser.add_argument(
-            "--threads", type=int, default=4, metavar="N",
-            help="SGD threads per run (default 4)",
-        )
-        parser.add_argument(
-            "--iterations", type=int, default=200, metavar="T",
-            help="global iteration budget per run (default 200)",
-        )
-        parser.add_argument(
-            "--no-sanitize", action="store_true",
-            help="skip the race/staleness sanitizer (faster; certificates "
-            "still checked)",
-        )
-
-    def params_from_args(self, args):
-        return {
-            "algorithms": (
-                list(algorithm_names())
-                if args.algorithms == "all"
-                else comma_names(args.algorithms)
-            ),
-            "adversaries": comma_names(args.adversaries),
-            "seeds": args.seeds,
-            "base_seed": args.base_seed,
-            "threads": args.threads,
-            "iterations": args.iterations,
-            "sanitize": not args.no_sanitize,
-        }
 
 
 # ----------------------------------------------------------------------

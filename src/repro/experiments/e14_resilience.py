@@ -36,12 +36,11 @@ from repro.experiments.grid import (
     Campaign,
     Cell,
     GridReport,
-    comma_names,
+    Param,
     gate,
     get_campaign,
     grid_seeds,
     register_campaign,
-    str_list,
 )
 from repro.experiments.runner import ExperimentResult
 from repro.faults.spec import (
@@ -158,12 +157,14 @@ class HealGridConfig:
     @classmethod
     def quick(cls) -> "HealGridConfig":
         """``repro run E14 --scale quick``."""
-        return get_campaign("heal").build(HealCampaign.quick_params)
+        return get_campaign("heal").preset()
 
     @classmethod
     def full(cls) -> "HealGridConfig":
         """``repro run E14 --scale full``."""
-        return get_campaign("heal").build(HealCampaign.full_params)
+        return get_campaign("heal").preset(
+            plans=tuple(heal_plan_specs()), seeds=4, iterations=400
+        )
 
 
 @dataclass(frozen=True)
@@ -354,7 +355,43 @@ class HealCampaign(Campaign):
         "plans with the detect/rollback/retry ladder on"
     )
     report_name = "heal_report"
+    params = (
+        Param(
+            "algorithms", ("epoch-sgd",), algorithm_names,
+            "comma-separated registry names, or 'default' "
+            "(epoch-sgd, hogwild, locked)",
+            cli_default="default", aliases={"default": lambda: HEAL_ALGORITHMS},
+        ),
+        Param(
+            "plans", ("none", "nan-poison"), heal_plan_specs,
+            "comma-separated corruption plan names "
+            "(none, bit-flip, nan-poison, inf-poison, dup-write, "
+            "drop-write), or 'all'",
+            cli_default="none,bit-flip,nan-poison,dup-write",
+            aliases={"all": lambda: sorted(heal_plan_specs())},
+        ),
+        Param("threads", 4, int, "SGD threads per run (default 4)"),
+        Param(
+            "iterations", 150, int,
+            "global iteration budget per run (default 200)",
+            cli_default=200, metavar="T",
+        ),
+        Param(
+            "adversary", "random", str,
+            "scheduler the grid runs under (default random)",
+        ),
+        Param(
+            "retry_budget", 8, int,
+            "rollback budget units per ladder level (default 8)",
+        ),
+        Param(
+            "check_interval", 64, int,
+            "detector/checkpoint chunk size in logical steps (default 64)",
+            metavar="STEPS",
+        ),
+    )
     cli_seeds = (2, 8000)
+    serve_seeds = (1, 8000)
     seeds_per = "(algorithm, plan) cell"
     cells_metric = ("repro_heal_cells_total", "resilience cells finished")
     metrics_help = (
@@ -362,35 +399,6 @@ class HealCampaign(Campaign):
         "(detections, rollbacks, degradations, recovery latencies; "
         "inspect with 'repro obs')"
     )
-    serve_params = {
-        "algorithms": (("epoch-sgd",), str_list),
-        "plans": (("none", "nan-poison"), str_list),
-        "seeds": (1, int),
-        "base_seed": (8000, int),
-        "threads": (4, int),
-        "iterations": (150, int),
-        "adversary": ("random", str),
-        "retry_budget": (8, int),
-        "check_interval": (64, int),
-    }
-    #: ``repro run E14``'s presets (:meth:`HealGridConfig.quick`/``full``).
-    quick_params = {
-        "algorithms": HEAL_ALGORITHMS,
-        "plans": ("none", "bit-flip", "nan-poison", "dup-write"),
-        "seeds": 2,
-        "base_seed": 8000,
-        "threads": 4,
-        "iterations": 200,
-        "adversary": "random",
-        "retry_budget": 8,
-        "check_interval": 64,
-    }
-    full_params = {
-        **quick_params,
-        "plans": tuple(heal_plan_specs()),
-        "seeds": 4,
-        "iterations": 400,
-    }
     outcome_type = HealCellOutcome
 
     def build(self, params, jobs=1, collect_obs=False):
@@ -489,61 +497,6 @@ class HealCampaign(Campaign):
             }
         )
         return lines
-
-    def add_arguments(self, parser):
-        parser.add_argument(
-            "--algorithms", default="default",
-            help="comma-separated registry names, or 'default' "
-            "(epoch-sgd, hogwild, locked)",
-        )
-        parser.add_argument(
-            "--plans", default="none,bit-flip,nan-poison,dup-write",
-            help="comma-separated corruption plan names "
-            "(none, bit-flip, nan-poison, inf-poison, dup-write, "
-            "drop-write), or 'all'",
-        )
-        parser.add_argument(
-            "--threads", type=int, default=4, metavar="N",
-            help="SGD threads per run (default 4)",
-        )
-        parser.add_argument(
-            "--iterations", type=int, default=200, metavar="T",
-            help="global iteration budget per run (default 200)",
-        )
-        parser.add_argument(
-            "--adversary", default="random",
-            help="scheduler the grid runs under (default random)",
-        )
-        parser.add_argument(
-            "--retry-budget", type=int, default=8, metavar="N",
-            help="rollback budget units per ladder level (default 8)",
-        )
-        parser.add_argument(
-            "--check-interval", type=int, default=64, metavar="STEPS",
-            help="detector/checkpoint chunk size in logical steps "
-            "(default 64)",
-        )
-
-    def params_from_args(self, args):
-        return {
-            "algorithms": (
-                list(HEAL_ALGORITHMS)
-                if args.algorithms == "default"
-                else comma_names(args.algorithms)
-            ),
-            "plans": (
-                sorted(heal_plan_specs())
-                if args.plans == "all"
-                else comma_names(args.plans)
-            ),
-            "seeds": args.seeds,
-            "base_seed": args.base_seed,
-            "threads": args.threads,
-            "iterations": args.iterations,
-            "adversary": args.adversary,
-            "retry_budget": args.retry_budget,
-            "check_interval": args.check_interval,
-        }
 
 
 # ----------------------------------------------------------------------

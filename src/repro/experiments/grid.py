@@ -17,10 +17,13 @@ and ``verify`` (:mod:`repro.verify.engine`) — are each one registered
   :class:`GridReport` (table columns, detail lines, ``@gate``
   properties), plus per-cell telemetry and ``--metrics`` snapshot
   lines;
-* its own CLI flags and how they map to params;
-* its serve parameter table (:attr:`Campaign.serve_params`).
+* its parameters (:attr:`Campaign.params`), one :class:`Param` each.
 
-Everything else is written once here: the grid loop (one
+Everything else is written once here.  From the param table: the
+``repro <kind>`` flags, their parsing (:meth:`Campaign.
+params_from_args`), the serve schema (:attr:`Campaign.serve_params`)
+and the CLI-default params that ``repro run``'s presets override
+(:meth:`Campaign.preset`).  Beyond it: the grid loop (one
 :class:`~repro.experiments.ensemble.EnsemblePool` per grid, one
 :func:`~repro.experiments.ensemble.run_ensemble` call per cell), the
 outcome codec (:meth:`Campaign.encode` / :meth:`Campaign.decode`), the
@@ -42,7 +45,7 @@ import pathlib
 import shlex
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import (
     Any,
     Callable,
@@ -68,11 +71,6 @@ from repro.experiments.ensemble import EnsemblePool, run_ensemble
 from repro.metrics.report import Table
 
 
-def str_list(value: Any) -> Tuple[str, ...]:
-    """Serve coercion for list params (they arrive as JSON arrays)."""
-    return tuple(str(item) for item in value)
-
-
 def comma_names(text: str) -> List[str]:
     """A CLI comma list (``"a, b,"``) as its non-empty names."""
     return [name.strip() for name in text.split(",") if name.strip()]
@@ -82,6 +80,102 @@ def grid_seeds(params: Mapping[str, Any]) -> Tuple[int, ...]:
     """``params["seeds"]`` consecutive seeds from ``params["base_seed"]``."""
     base = params["base_seed"]
     return tuple(range(base, base + params["seeds"]))
+
+
+#: The scalar :attr:`Param.type` values.
+_SCALARS = (int, str, bool)
+
+
+@dataclass(frozen=True)
+class Param:
+    """One campaign parameter, declared once in :attr:`Campaign.params`.
+
+    Its ``repro <kind>`` flag, the canonical value parsed from that
+    flag, its served schema entry and its CLI default all derive from
+    this one entry.
+    """
+
+    #: The canonical and served name.
+    name: str
+    #: The served job's default (a tuple for a list param).
+    default: Any
+    #: ``int``, ``str`` or ``bool``; for a list param, the callable
+    #: returning its valid names.
+    type: Any
+    #: The flag's help.
+    help: str
+    #: The CLI default where it differs from :attr:`default`; a list
+    #: param's is its flag text.
+    cli_default: Any = None
+    #: The flag where it is not ``--<name>`` (``--no-<name>`` for a bool
+    #: whose CLI default is true).
+    flag: Optional[str] = None
+    #: The flag's metavar (an int's is ``N`` unless given).
+    metavar: Optional[str] = None
+    #: The flag's choices.
+    choices: Optional[Tuple[str, ...]] = None
+    #: Flag texts standing for a whole list (``all``, ``default``), each
+    #: with the callable returning that list, called only when parsed.
+    aliases: Mapping[str, Callable[[], Any]] = field(default_factory=dict)
+
+    @property
+    def is_list(self) -> bool:
+        return self.type not in _SCALARS
+
+    @property
+    def cli(self) -> Any:
+        """The CLI default (a list param's flag text)."""
+        if self.cli_default is not None:
+            return self.cli_default
+        return ",".join(self.default) if self.is_list else self.default
+
+    @property
+    def option(self) -> str:
+        """The flag's option string."""
+        if self.flag is not None:
+            return self.flag
+        stem = self.name.replace("_", "-")
+        return f"--no-{stem}" if self.type is bool and self.cli else f"--{stem}"
+
+    @property
+    def dest(self) -> str:
+        """The flag's ``argparse`` dest."""
+        return self.option[2:].replace("-", "_")
+
+    @property
+    def cli_value(self) -> Any:
+        """The canonical value of the CLI default."""
+        return self.from_flag(self.cli) if self.is_list else self.cli
+
+    def add_flag(self, parser: argparse.ArgumentParser) -> None:
+        if self.type is bool:
+            parser.add_argument(self.option, action="store_true", help=self.help)
+            return
+        parser.add_argument(
+            self.option,
+            type=int if self.type is int else None,
+            default=self.cli,
+            metavar=self.metavar or ("N" if self.type is int else None),
+            choices=None if self.choices is None else list(self.choices),
+            help=self.help,
+        )
+
+    def from_flag(self, value: Any) -> Any:
+        """The canonical value of the flag's parsed ``value``: a comma
+        list split or an alias expanded, a ``--no-*`` switch negated."""
+        if self.type is bool:
+            return not value if self.cli else value
+        if not self.is_list:
+            return value
+        if value in self.aliases:
+            return list(self.aliases[value]())
+        return comma_names(value)
+
+    def coerce(self, value: Any) -> Any:
+        """A served JSON value as this param's value."""
+        if self.is_list:
+            return tuple(str(item) for item in value)
+        return self.type(value)
 
 
 class Cell(NamedTuple):
@@ -266,8 +360,15 @@ class Campaign:
     help: ClassVar[str] = ""
     #: Report files are ``<report_name>.{txt,json}`` under ``--out``.
     report_name: ClassVar[str] = ""
+    #: The kind's params, in flag order (see :class:`Param`).  Every
+    #: kind also takes ``seeds`` and ``base_seed``, declared by the two
+    #: seed pairs below.
+    params: ClassVar[Tuple[Param, ...]] = ()
     #: CLI ``--seeds`` and ``--base-seed`` defaults.
     cli_seeds: ClassVar[Tuple[int, int]] = (1, 1)
+    #: Served ``seeds`` and ``base_seed`` defaults, where they differ
+    #: from :attr:`cli_seeds`.
+    serve_seeds: ClassVar[Optional[Tuple[int, int]]] = None
     #: What one ``--seeds`` ensemble covers, for the flag's help.
     seeds_per: ClassVar[str] = "cell"
     #: ``(name, help)`` of the counter each finished cell bumps.
@@ -275,9 +376,6 @@ class Campaign:
     #: ``--metrics`` help; ``None`` means the kind writes no snapshot
     #: and has neither ``--metrics`` nor ``--metrics-interval``.
     metrics_help: ClassVar[Optional[str]] = None
-    #: Serve params, in canonical order: name -> (default, coercion).
-    #: Defaults are the served job's, which differ from the CLI's.
-    serve_params: ClassVar[Dict[str, Tuple[Any, Callable[[Any], Any]]]] = {}
     #: The dataclass one cell's worker returns; :meth:`decode` is
     #: derived from its field annotations.
     outcome_type: ClassVar[type]
@@ -315,13 +413,8 @@ class Campaign:
         raise NotImplementedError
 
     def add_arguments(self, parser: argparse.ArgumentParser) -> None:
-        """The kind's own CLI flags."""
-        raise NotImplementedError
-
-    def params_from_args(self, args: argparse.Namespace) -> Dict[str, Any]:
-        """Canonical params from the kind's flags (comma lists split,
-        aliases such as ``all`` expanded, ``--no-*`` flags negated)."""
-        raise NotImplementedError
+        """Flags that are not params (none by default), added after
+        the param flags and before the shared ones."""
 
     def run_cell(self, run_one: Callable[[int], Any], seeds: Any, **kwargs: Any):
         """The one per-cell call of the grid loop."""
@@ -330,6 +423,55 @@ class Campaign:
     # ------------------------------------------------------------------
     # Written once
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def _seed_params(self) -> Tuple[Param, Param]:
+        """``seeds`` and ``base_seed``, from the two seed pairs."""
+        seeds, base_seed = self.cli_seeds
+        served_seeds, served_base = self.serve_seeds or self.cli_seeds
+        return (
+            Param(
+                "seeds", served_seeds, int,
+                f"seeds per {self.seeds_per} (default {seeds})",
+                cli_default=seeds,
+            ),
+            Param(
+                "base_seed", served_base, int,
+                f"first seed of each cell's ensemble (default {base_seed})",
+                cli_default=base_seed, metavar="S",
+            ),
+        )
+
+    @functools.cached_property
+    def all_params(self) -> Tuple[Param, ...]:
+        """Every param in canonical order: the list params that span
+        the grid, then ``seeds`` and ``base_seed``, then the rest."""
+        return (
+            *(param for param in self.params if param.is_list),
+            *self._seed_params,
+            *(param for param in self.params if not param.is_list),
+        )
+
+    @functools.cached_property
+    def serve_params(self) -> Dict[str, Tuple[Any, Callable[[Any], Any]]]:
+        """The served schema, in canonical order: name -> (default,
+        coercion).  Served defaults differ from the CLI's."""
+        return {
+            param.name: (param.default, param.coerce) for param in self.all_params
+        }
+
+    def params_from_args(self, args: argparse.Namespace) -> Dict[str, Any]:
+        """Canonical params from parsed ``repro <kind>`` flags."""
+        return {
+            param.name: param.from_flag(getattr(args, param.dest))
+            for param in self.all_params
+        }
+
+    def preset(self, **overrides: Any) -> Any:
+        """The config a bare ``repro <kind>`` builds, with ``overrides``
+        of its params: how ``repro run`` writes E13–E15's presets."""
+        params = {param.name: param.cli_value for param in self.all_params}
+        return self.build({**params, **overrides})
+
     def encode(self, outcome: Any) -> Any:
         """One outcome as its JSON-safe journal payload."""
         return asdict(outcome)
@@ -426,16 +568,11 @@ class Campaign:
     def add_parser(self, subparsers: Any) -> None:
         """Add ``repro <name>``: the kind's flags, then the shared ones."""
         parser = subparsers.add_parser(self.name, help=self.help)
+        for param in self.params:
+            param.add_flag(parser)
         self.add_arguments(parser)
-        seeds, base_seed = self.cli_seeds
-        parser.add_argument(
-            "--seeds", type=int, default=seeds, metavar="N",
-            help=f"seeds per {self.seeds_per} (default {seeds})",
-        )
-        parser.add_argument(
-            "--base-seed", type=int, default=base_seed, metavar="S",
-            help=f"first seed of each cell's ensemble (default {base_seed})",
-        )
+        for param in self._seed_params:
+            param.add_flag(parser)
         parser.add_argument(
             "--jobs", type=int, default=None, metavar="N",
             help="worker processes for the grid (1 = serial, 0 = one per "

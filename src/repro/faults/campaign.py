@@ -31,12 +31,11 @@ from repro.experiments.grid import (
     Campaign,
     Cell,
     GridReport,
-    comma_names,
+    Param,
     gate,
     get_campaign,
     grid_seeds,
     register_campaign,
-    str_list,
 )
 from repro.faults.monitors import default_monitors
 from repro.faults.recovery import Respawner
@@ -410,7 +409,36 @@ class ChaosCampaign(Campaign):
         "robustness"
     )
     report_name = "chaos_report"
+    params = (
+        Param(
+            "specs", ("prob-crash", "torn-update"), preset_specs,
+            "comma-separated fault spec presets (see repro.faults."
+            "campaign.preset_specs): none, prob-crash, adaptive-crash, "
+            "stall, torn-update, mixed",
+            cli_default="prob-crash,adaptive-crash,stall,torn-update",
+        ),
+        Param("threads", 4, int, "SGD threads per run (default 4)"),
+        Param(
+            "iterations", 120, int,
+            "global iteration budget per run (default 300)",
+            cli_default=300, metavar="T",
+        ),
+        Param(
+            "check_interval", 64, int,
+            "steps between invariant checks / crash-recovery polls",
+            metavar="K",
+        ),
+        Param(
+            "recover", True, bool, "do not respawn crashed threads",
+            flag="--no-recovery",
+        ),
+        Param(
+            "monitors", True, bool,
+            "disable invariant monitors (pure survival/convergence run)",
+        ),
+    )
     cli_seeds = (4, 1)
+    serve_seeds = (2, 1)
     seeds_per = "spec"
     cells_metric = ("repro_campaign_cells_total", "campaign cells finished")
     metrics_help = (
@@ -418,16 +446,6 @@ class ChaosCampaign(Campaign):
         "contention, lemma indicators) and write a deterministic snapshot "
         "JSONL here (inspect with 'repro obs')"
     )
-    serve_params = {
-        "specs": (("prob-crash", "torn-update"), str_list),
-        "seeds": (2, int),
-        "base_seed": (1, int),
-        "threads": (4, int),
-        "iterations": (120, int),
-        "check_interval": (64, int),
-        "recover": (True, bool),
-        "monitors": (True, bool),
-    }
     outcome_type = FaultRunOutcome
 
     def build(self, params, jobs=1, collect_obs=False):
@@ -502,49 +520,10 @@ class ChaosCampaign(Campaign):
 
     def add_arguments(self, parser):
         parser.add_argument(
-            "--specs",
-            default="prob-crash,adaptive-crash,stall,torn-update",
-            help="comma-separated fault spec presets (see repro.faults."
-            "campaign.preset_specs): none, prob-crash, adaptive-crash, "
-            "stall, torn-update, mixed",
-        )
-        parser.add_argument(
-            "--threads", type=int, default=4, metavar="N",
-            help="SGD threads per run (default 4)",
-        )
-        parser.add_argument(
-            "--iterations", type=int, default=300, metavar="T",
-            help="global iteration budget per run (default 300)",
-        )
-        parser.add_argument(
-            "--check-interval", type=int, default=64, metavar="K",
-            help="steps between invariant checks / crash-recovery polls",
-        )
-        parser.add_argument(
-            "--no-recovery", action="store_true",
-            help="do not respawn crashed threads",
-        )
-        parser.add_argument(
-            "--no-monitors", action="store_true",
-            help="disable invariant monitors (pure survival/convergence run)",
-        )
-        parser.add_argument(
             "--trace", default=None, metavar="PATH",
             help="record harness spans (campaign cells, runs, replays) and "
             "dump a Chrome-trace JSON here (load in chrome://tracing)",
         )
-
-    def params_from_args(self, args):
-        return {
-            "specs": comma_names(args.specs),
-            "seeds": args.seeds,
-            "base_seed": args.base_seed,
-            "threads": args.threads,
-            "iterations": args.iterations,
-            "check_interval": args.check_interval,
-            "recover": not args.no_recovery,
-            "monitors": not args.no_monitors,
-        }
 
 
 def run_campaign(

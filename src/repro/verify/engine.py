@@ -48,11 +48,10 @@ from repro.errors import ConfigurationError, SchedulerError
 from repro.experiments.grid import (
     Campaign,
     Cell,
-    comma_names,
+    Param,
     get_campaign,
     grid_seeds,
     register_campaign,
-    str_list,
 )
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
@@ -161,12 +160,12 @@ class VerifyConfig:
     @classmethod
     def quick(cls) -> "VerifyConfig":
         """``repro run E15 --scale quick``."""
-        return get_campaign("verify").build(VerifyCampaign.quick_params)
+        return get_campaign("verify").preset()
 
     @classmethod
     def full(cls) -> "VerifyConfig":
         """``repro run E15 --scale full``."""
-        return get_campaign("verify").build(VerifyCampaign.full_params)
+        return get_campaign("verify").preset(seeds=2)
 
 
 def _resolve_variant(name: str) -> Tuple[Algorithm, str, Optional[int]]:
@@ -354,33 +353,55 @@ class VerifyCampaign(Campaign):
         "lemma queries; counterexamples replay deterministically"
     )
     report_name = "verify_report"
+    params = (
+        Param(
+            "variants", ("epoch-sgd",), verify_variant_names,
+            "comma-separated variant names (registered algorithms plus "
+            "mutant-torn-counter / mutant-lost-update), 'default' (the "
+            "fetch&add family + both mutants) or 'all'",
+            cli_default="default",
+            aliases={
+                "all": verify_variant_names,
+                "default": lambda: VERIFY_VARIANTS,
+            },
+        ),
+        Param(
+            "threads", 2, int,
+            "threads at enumerable scope (default 2; the tree is "
+            "exponential in threads x steps)",
+        ),
+        Param(
+            "iterations", 1, int,
+            "global iteration budget at enumerable scope (default 1; "
+            "the lost-update mutant raises its own cell to 2)",
+            metavar="T",
+        ),
+        Param(
+            "max_steps", 48, int,
+            "per-schedule step budget; any truncated schedule voids "
+            "exhaustiveness and fails the cell (default 48)",
+        ),
+        Param(
+            "full_tree", False, bool,
+            "skip the unreduced walk that measures the POR reduction "
+            "factor (halves the work; reduction reported as '-')",
+            cli_default=True,
+        ),
+        Param(
+            "memoize", False, bool,
+            "state-digest memoization in the reduced walk (see the "
+            "soundness caveat in DESIGN.md §16; off for certification)",
+        ),
+        Param(
+            "smt_engine", "finite", str,
+            "lemma-query engine: z3 (the [verify] extra), the exact "
+            "finite-domain fallback, or auto (z3 when installed)",
+            cli_default="auto", choices=("auto", "z3", "finite"),
+        ),
+    )
     cli_seeds = (1, 1)
     seeds_per = "variant cell"
     cells_metric = ("repro_verify_cells_total", "verify cells finished")
-    serve_params = {
-        "variants": (("epoch-sgd",), str_list),
-        "seeds": (1, int),
-        "base_seed": (1, int),
-        "threads": (2, int),
-        "iterations": (1, int),
-        "max_steps": (48, int),
-        "full_tree": (False, bool),
-        "memoize": (False, bool),
-        "smt_engine": ("finite", str),
-    }
-    #: ``repro run E15``'s presets (:meth:`VerifyConfig.quick`/``full``).
-    quick_params = {
-        "variants": VERIFY_VARIANTS,
-        "seeds": 1,
-        "base_seed": 1,
-        "threads": 2,
-        "iterations": 1,
-        "max_steps": 48,
-        "full_tree": True,
-        "memoize": False,
-        "smt_engine": "auto",
-    }
-    full_params = {**quick_params, "seeds": 2}
     outcome_type = VerifyCellOutcome
 
     def build(self, params, jobs=1, collect_obs=False):
@@ -416,60 +437,3 @@ class VerifyCampaign(Campaign):
         return VerifyReport(
             outcomes=outcomes, smt_results=run_smt_queries(config.smt)
         )
-
-    def add_arguments(self, parser):
-        parser.add_argument(
-            "--variants", default="default",
-            help="comma-separated variant names (registered algorithms plus "
-            "mutant-torn-counter / mutant-lost-update), 'default' (the "
-            "fetch&add family + both mutants) or 'all'",
-        )
-        parser.add_argument(
-            "--threads", type=int, default=2, metavar="N",
-            help="threads at enumerable scope (default 2; the tree is "
-            "exponential in threads x steps)",
-        )
-        parser.add_argument(
-            "--iterations", type=int, default=1, metavar="T",
-            help="global iteration budget at enumerable scope (default 1; "
-            "the lost-update mutant raises its own cell to 2)",
-        )
-        parser.add_argument(
-            "--max-steps", type=int, default=48, metavar="N",
-            help="per-schedule step budget; any truncated schedule voids "
-            "exhaustiveness and fails the cell (default 48)",
-        )
-        parser.add_argument(
-            "--no-full-tree", action="store_true",
-            help="skip the unreduced walk that measures the POR reduction "
-            "factor (halves the work; reduction reported as '-')",
-        )
-        parser.add_argument(
-            "--memoize", action="store_true",
-            help="state-digest memoization in the reduced walk (see the "
-            "soundness caveat in DESIGN.md §16; off for certification)",
-        )
-        parser.add_argument(
-            "--smt-engine", default="auto", choices=["auto", "z3", "finite"],
-            help="lemma-query engine: z3 (the [verify] extra), the exact "
-            "finite-domain fallback, or auto (z3 when installed)",
-        )
-
-    def params_from_args(self, args):
-        if args.variants == "all":
-            variants = list(verify_variant_names())
-        elif args.variants == "default":
-            variants = list(VERIFY_VARIANTS)
-        else:
-            variants = comma_names(args.variants)
-        return {
-            "variants": variants,
-            "seeds": args.seeds,
-            "base_seed": args.base_seed,
-            "threads": args.threads,
-            "iterations": args.iterations,
-            "max_steps": args.max_steps,
-            "full_tree": not args.no_full_tree,
-            "memoize": args.memoize,
-            "smt_engine": args.smt_engine,
-        }

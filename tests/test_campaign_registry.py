@@ -22,13 +22,12 @@ from repro.experiments.grid import (
     Campaign,
     Cell,
     GridReport,
+    Param,
     campaign_names,
-    comma_names,
     gate,
     get_campaign,
     grid_seeds,
     register_campaign,
-    str_list,
 )
 from repro.obs.causal import get_causal_recorder, stitch_spills, trace_span
 from repro.serve.specs import execute_spec, job_kinds, parse_job_spec
@@ -68,15 +67,17 @@ class ToyCampaign(Campaign):
     name = "toy"
     help = "score words over seeds"
     report_name = "toy_report"
+    params = (
+        Param(
+            "words", ("a", "bb"), lambda: ("a", "bb", "ccc"), "words to score",
+            cli_default="a,bb,ccc",
+        ),
+    )
     cli_seeds = (3, 1)
+    serve_seeds = (2, 1)
     seeds_per = "word"
     cells_metric = ("repro_toy_cells_total", "toy cells finished")
     metrics_help = "write a per-cell snapshot JSONL here"
-    serve_params = {
-        "words": (("a", "bb"), str_list),
-        "seeds": (2, int),
-        "base_seed": (1, int),
-    }
     outcome_type = ToyOutcome
 
     def build(self, params, jobs=1, collect_obs=False):
@@ -96,16 +97,6 @@ class ToyCampaign(Campaign):
 
     def snapshot_lines(self, report):
         return [{"kind": "cell", **asdict(o)} for o in report.outcomes]
-
-    def add_arguments(self, parser):
-        parser.add_argument("--words", default="a,bb,ccc")
-
-    def params_from_args(self, args):
-        return {
-            "words": comma_names(args.words),
-            "seeds": args.seeds,
-            "base_seed": args.base_seed,
-        }
 
 
 @pytest.fixture

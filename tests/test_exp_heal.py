@@ -209,7 +209,7 @@ class TestE14:
     def test_quick_preset_spans_the_declared_grid(self):
         config = HealGridConfig.quick()
         assert config.plans == ("none", "bit-flip", "nan-poison", "dup-write")
-        assert len(config.seeds) == HealCampaign.quick_params["seeds"]
+        assert len(config.seeds) == HealCampaign.cli_seeds[0]
 
     def test_full_exceeds_quick(self):
         quick, full = HealGridConfig.quick(), HealGridConfig.full()

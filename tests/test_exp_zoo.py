@@ -16,11 +16,7 @@ from repro.durable.signals import GracefulShutdown
 from repro.errors import ConfigurationError, InterruptedRunError
 from repro.experiments import e13_algorithm_zoo as zoo
 from repro.core.algorithm import algorithm_names
-from repro.experiments.e13_algorithm_zoo import (
-    ZooCampaign,
-    ZooConfig,
-    ZooWorkload,
-)
+from repro.experiments.e13_algorithm_zoo import ZooConfig, ZooWorkload
 from repro.experiments.grid import get_campaign
 
 ZOO = get_campaign("zoo")
@@ -183,8 +179,7 @@ class TestE13:
         assert full.workload.iterations > quick.workload.iterations
 
     def test_preset_params_span_the_declared_grid(self):
-        params = {**ZooCampaign.quick_params, "seeds": 3, "base_seed": 50}
-        config = ZOO.build(params)
+        config = ZOO.preset(iterations=150, seeds=3, base_seed=50)
         assert config.seeds == (50, 51, 52)
         assert set(config.algorithms) == set(algorithm_names())
 
