@@ -82,8 +82,8 @@ def grid_seeds(params: Mapping[str, Any]) -> Tuple[int, ...]:
     return tuple(range(base, base + params["seeds"]))
 
 
-#: The scalar :attr:`Param.type` values.
-_SCALARS = (int, str, bool)
+#: What a served value of each scalar :attr:`Param.type` must be.
+_JSON_TYPES = {int: "a JSON integer", str: "a JSON string", bool: "a JSON boolean"}
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class Param:
 
     @property
     def is_list(self) -> bool:
-        return self.type not in _SCALARS
+        return self.type not in _JSON_TYPES
 
     @property
     def cli(self) -> Any:
@@ -172,10 +172,19 @@ class Param:
         return comma_names(value)
 
     def coerce(self, value: Any) -> Any:
-        """A served JSON value as this param's value."""
+        """A served JSON value as this param's value.  Raises
+        ``TypeError`` unless a list param's value is an array of
+        strings and any other's is exactly of :attr:`type`: no boolean
+        passes as an integer, no fraction is truncated."""
         if self.is_list:
-            return tuple(str(item) for item in value)
-        return self.type(value)
+            if isinstance(value, (list, tuple)) and all(
+                isinstance(item, str) for item in value
+            ):
+                return tuple(value)
+            raise TypeError(f"expected a JSON array of strings, got {value!r}")
+        if type(value) is not self.type:
+            raise TypeError(f"expected {_JSON_TYPES[self.type]}, got {value!r}")
+        return value
 
 
 class Cell(NamedTuple):

@@ -55,6 +55,34 @@ class TestParseJobSpec:
         with pytest.raises(ConfigurationError, match="bad chaos param"):
             parse_job_spec({"kind": "chaos", "params": {"seeds": "many"}})
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("verify", {"memoize": "off"}),
+            ("sanitize", {"strict": "false"}),
+            ("chaos", {"recover": "no"}),
+            ("chaos", {"monitors": 0}),
+            ("chaos", {"threads": True}),
+            ("chaos", {"threads": 2.7}),
+            ("chaos", {"seeds": 2.9}),
+            ("chaos", {"seeds": "2"}),
+            ("zoo", {"algorithms": "hogwild"}),
+            ("zoo", {"adversaries": ["random", 3]}),
+            ("heal", {"adversary": 5}),
+            ("verify", {"smt_engine": ["finite"]}),
+        ],
+    )
+    def test_value_of_another_json_type_rejected(self, kind, params):
+        """Each param takes only its own JSON type: at the parent,
+        ``"off"`` turned memoization on and ``2.7`` ran 2 threads."""
+        with pytest.raises(ConfigurationError, match=f"bad {kind} param"):
+            parse_job_spec({"kind": kind, "params": params})
+
+    def test_values_of_their_own_json_type_kept(self):
+        params = {"variants": ["hogwild"], "threads": 3, "memoize": True}
+        spec = parse_job_spec({"kind": "verify", "params": params})
+        assert {name: spec.params[name] for name in params} == params
+
     def test_unknown_fault_spec_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown fault spec"):
             parse_job_spec({"kind": "chaos", "params": {"specs": ["nope"]}})

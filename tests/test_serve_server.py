@@ -175,6 +175,17 @@ class TestErrorMapping:
 
         _serve(test)
 
+    def test_param_of_another_json_type_answers_400(self):
+        async def test(server):
+            status, _h, data = await http_request(
+                "127.0.0.1", server.port, "POST", "/jobs",
+                body={"kind": "verify", "params": {"memoize": "off"}},
+            )
+            assert status == 400
+            assert "bad verify param 'memoize'" in json.loads(data)["error"]
+
+        _serve(test)
+
     def test_unknown_endpoint_404_and_wrong_method_405(self):
         async def test(server):
             status, _h, _d = await http_request(
