@@ -50,6 +50,7 @@ from repro.experiments.grid import (
     Cell,
     GridReport,
     Param,
+    check_workload,
     gate,
     get_campaign,
     grid_seeds,
@@ -90,6 +91,9 @@ class ZooWorkload:
     convergence_radius: float = 0.5
     #: Points kept of each cell's distance curve (downsampled).
     curve_points: int = 16
+
+    def __post_init__(self) -> None:
+        check_workload(self.num_threads, self.iterations)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from repro.experiments.grid import (
     Cell,
     GridReport,
     Param,
+    check_workload,
     gate,
     get_campaign,
     grid_seeds,
@@ -53,6 +54,7 @@ from repro.faults.spec import (
 from repro.heal.rollback import HealPolicy, run_with_healing
 from repro.objectives.noise import GaussianNoise
 from repro.objectives.quadratic import IsotropicQuadratic
+from repro.sched.registry import scheduler_names
 
 #: The default algorithm panel: the lock-free baseline, the wait-free
 #: racer and the lock-based fallback target.
@@ -118,6 +120,14 @@ class HealWorkload:
     adversary: str = "random"
     #: ``||x - x*||`` at or below which a cell counts as converged.
     convergence_radius: float = 0.5
+
+    def __post_init__(self) -> None:
+        check_workload(self.num_threads, self.iterations)
+        if self.adversary not in scheduler_names():
+            raise ConfigurationError(
+                f"unknown adversary {self.adversary!r} "
+                f"(choose from {', '.join(scheduler_names())})"
+            )
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,14 @@ def grid_seeds(params: Mapping[str, Any]) -> Tuple[int, ...]:
     return tuple(range(base, base + params["seeds"]))
 
 
+def check_workload(threads: int, iterations: int) -> None:
+    """Refuse a grid workload with no thread or a negative budget."""
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    if iterations < 0:
+        raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
+
+
 #: What a served value of each scalar :attr:`Param.type` must be.
 _JSON_TYPES = {int: "a JSON integer", str: "a JSON string", bool: "a JSON boolean"}
 

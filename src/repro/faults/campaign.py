@@ -32,6 +32,7 @@ from repro.experiments.grid import (
     Cell,
     GridReport,
     Param,
+    check_workload,
     gate,
     get_campaign,
     grid_seeds,
@@ -154,14 +155,7 @@ class ChaosWorkload:
     convergence_radius: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.num_threads < 1:
-            raise ConfigurationError(
-                f"threads must be >= 1, got {self.num_threads}"
-            )
-        if self.iterations < 0:
-            raise ConfigurationError(
-                f"iterations must be >= 0, got {self.iterations}"
-            )
+        check_workload(self.num_threads, self.iterations)
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,19 @@ class TestHealCli:
         assert code == 2
         assert "unknown plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--threads", "0"], "threads must be >= 1"),
+            (["--iterations", "-5"], "iterations must be >= 0"),
+            (["--adversary", "bogus"], "unknown adversary 'bogus'"),
+        ],
+    )
+    def test_workload_out_of_range_exits_2(self, flags, error, capsys):
+        """Checked when the config is built, not in the first worker."""
+        assert main(["heal", "--algorithms", "epoch-sgd", *flags]) == 2
+        assert error in capsys.readouterr().err
+
     def test_jobs_2_cli_report_matches_serial(self, tmp_path):
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         assert main(self.ARGS + ["--out", str(serial)]) == 0

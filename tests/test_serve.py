@@ -95,6 +95,21 @@ class TestParseJobSpec:
         with pytest.raises(ConfigurationError, match="must be >="):
             parse_job_spec({"kind": "chaos", "params": params})
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("zoo", {"threads": 0}),
+            ("zoo", {"iterations": -1}),
+            ("heal", {"threads": 0}),
+            ("heal", {"iterations": -5}),
+            ("heal", {"adversary": "bogus"}),
+        ],
+    )
+    def test_out_of_range_zoo_and_heal_params_rejected(self, kind, params):
+        """Refused at admission, not by the job's first worker."""
+        with pytest.raises(ConfigurationError, match="must be >=|unknown adversary"):
+            parse_job_spec({"kind": kind, "params": params})
+
     def test_experiment_requires_id(self):
         with pytest.raises(ConfigurationError, match="requires param 'id'"):
             parse_job_spec({"kind": "experiment"})

@@ -175,6 +175,17 @@ class TestErrorMapping:
 
         _serve(test)
 
+    def test_out_of_range_heal_param_answers_400(self):
+        async def test(server):
+            status, _h, data = await http_request(
+                "127.0.0.1", server.port, "POST", "/jobs",
+                body={"kind": "heal", "params": {"adversary": "bogus"}},
+            )
+            assert status == 400
+            assert "unknown adversary 'bogus'" in json.loads(data)["error"]
+
+        _serve(test)
+
     def test_param_of_another_json_type_answers_400(self):
         async def test(server):
             status, _h, data = await http_request(
