@@ -65,13 +65,15 @@ class RunJournal:
         self,
         path: pathlib.Path,
         fingerprint: str,
-        completed: Dict[Tuple[str, int], Any],
+        completed: Dict[str, Dict[int, Any]],
         findings: List[Any],
         handle: IO[str],
     ) -> None:
         self.path = path
         self.fingerprint = fingerprint
+        #: Stored payloads by namespace, then seed.
         self._completed = completed
+        self._total = sum(len(seeds) for seeds in completed.values())
         #: Warning findings from loading (torn trailing line, if any).
         self.findings = findings
         self._handle = handle
@@ -94,7 +96,7 @@ class RunJournal:
         """
         path = pathlib.Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        completed: Dict[Tuple[str, int], Any] = {}
+        completed: Dict[str, Dict[int, Any]] = {}
         findings: List[Any] = []
         if resume and path.exists():
             completed, findings = cls._load(path, fingerprint)
@@ -110,10 +112,10 @@ class RunJournal:
     @staticmethod
     def _load(
         path: pathlib.Path, fingerprint: str
-    ) -> Tuple[Dict[Tuple[str, int], Any], List[Any]]:
+    ) -> Tuple[Dict[str, Dict[int, Any]], List[Any]]:
         from repro.analysis.report import Finding
 
-        completed: Dict[Tuple[str, int], Any] = {}
+        completed: Dict[str, Dict[int, Any]] = {}
         findings: List[Finding] = []
         lines = path.read_text().splitlines()
         # Trailing blank fragments are not records.
@@ -160,14 +162,14 @@ class RunJournal:
                     )
             elif kind == "result":
                 try:
-                    key = (str(entry["ns"]), int(entry["seed"]))
+                    namespace, seed = str(entry["ns"]), int(entry["seed"])
                     payload = entry["payload"]
                 except (KeyError, TypeError, ValueError) as error:
                     raise ConfigurationError(
                         f"{path}:{index + 1}: malformed result record "
                         f"({error})"
                     ) from None
-                completed[key] = payload
+                completed.setdefault(namespace, {})[seed] = payload
             # Unknown kinds: skip (forward compatibility).
         if not header_seen:
             raise ConfigurationError(
@@ -180,24 +182,20 @@ class RunJournal:
     # ------------------------------------------------------------------
     def completed(self, namespace: str) -> Dict[int, Any]:
         """Stored payloads of finished cells in ``namespace``, by seed."""
-        return {
-            seed: payload
-            for (ns, seed), payload in self._completed.items()
-            if ns == namespace
-        }
+        return dict(self._completed.get(namespace, {}))
 
     @property
     def total_completed(self) -> int:
         """Number of finished cells recorded, across all namespaces."""
-        return len(self._completed)
+        return self._total
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
     def record(self, namespace: str, seed: int, payload: Any) -> None:
         """Durably record one finished cell (idempotent per cell)."""
-        key = (namespace, int(seed))
-        if key in self._completed:
+        seeds = self._completed.setdefault(namespace, {})
+        if int(seed) in seeds:
             return
         from repro.durable.atomic_io import append_line
 
@@ -208,7 +206,8 @@ class RunJournal:
             "payload": payload,
         }
         append_line(self._handle, json.dumps(entry, sort_keys=True))
-        self._completed[key] = payload
+        seeds[int(seed)] = payload
+        self._total += 1
 
     # ------------------------------------------------------------------
     def close(self) -> None:

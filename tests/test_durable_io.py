@@ -58,6 +58,21 @@ class TestRunJournal:
         assert resumed.total_completed == 3
         assert resumed.findings == []
 
+    def test_completed_answers_one_namespace_with_a_copy(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with RunJournal.open(path, self.FP) as journal:
+            for cell in range(30):
+                journal.record(f"cell/{cell}", 1, {"cell": cell})
+        with RunJournal.open(path, self.FP, resume=True) as resumed:
+            resumed.record("cell/7", 2, {"cell": 7})
+            resumed.record("cell/7", 2, {"cell": -1})  # duplicate: ignored
+            done = resumed.completed("cell/7")
+            assert done == {1: {"cell": 7}, 2: {"cell": 7}}
+            done.clear()
+            assert len(resumed.completed("cell/7")) == 2
+            assert resumed.completed("cell/30") == {}
+            assert resumed.total_completed == 31
+
     def test_record_is_idempotent(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         with RunJournal.open(path, self.FP) as journal:
