@@ -17,8 +17,9 @@ from repro.shm.memory import LogRecord, SharedMemory
 from repro.shm.ops import Write
 
 # Hypothesis tests that take their example count from the profile (the
-# generative grid check in ``test_exp_grid_pool.py``) draw a few in
-# tier-1 and more in CI, which passes ``--hypothesis-profile ci``.
+# generative grid check in ``test_exp_grid_pool.py`` and the CLI =
+# served check in ``test_campaign_params.py``) draw a few in tier-1 and
+# more in CI, which passes ``--hypothesis-profile ci``.
 # Every other property test sets its own ``max_examples``.
 settings.register_profile("tier1", max_examples=6)
 settings.register_profile("ci", max_examples=40)
