@@ -71,11 +71,6 @@ from repro.experiments.ensemble import EnsemblePool, run_ensemble
 from repro.metrics.report import Table
 
 
-def comma_names(text: str) -> List[str]:
-    """A CLI comma list (``"a, b,"``) as its non-empty names."""
-    return [name.strip() for name in text.split(",") if name.strip()]
-
-
 def grid_seeds(params: Mapping[str, Any]) -> Tuple[int, ...]:
     """``params["seeds"]`` consecutive seeds from ``params["base_seed"]``."""
     base = params["base_seed"]
@@ -170,14 +165,15 @@ class Param:
 
     def from_flag(self, value: Any) -> Any:
         """The canonical value of the flag's parsed ``value``: a comma
-        list split or an alias expanded, a ``--no-*`` switch negated."""
+        list (``"a, b,"``) split into its non-empty names or an alias
+        expanded, a ``--no-*`` switch negated."""
         if self.type is bool:
             return not value if self.cli else value
         if not self.is_list:
             return value
         if value in self.aliases:
             return list(self.aliases[value]())
-        return comma_names(value)
+        return [name.strip() for name in value.split(",") if name.strip()]
 
     def coerce(self, value: Any) -> Any:
         """A served JSON value as this param's value.  Raises
