@@ -39,8 +39,8 @@ from repro.errors import ConfigurationError
 from repro.experiments.grid import campaign_names, get_campaign
 
 #: ``experiment`` params: name -> (default, coercion); ``None`` defaults
-#: mean "required".  Campaign kinds declare theirs on their registered
-#: class (:attr:`repro.experiments.grid.Campaign.serve_params`).
+#: mean "required".  Each campaign kind's schema is derived from its
+#: ``Param`` table (:attr:`repro.experiments.grid.Campaign.serve_params`).
 _EXPERIMENT_PARAMS: Dict[str, Tuple[Any, Callable[[Any], Any]]] = {
     "id": (None, lambda v: str(v).upper()),
     "scale": ("quick", str),
