@@ -17,13 +17,11 @@ and ``verify`` (:mod:`repro.verify.engine`) — are each one registered
   :class:`GridReport` (table columns, detail lines, ``@gate``
   properties), plus per-cell telemetry and ``--metrics`` snapshot
   lines;
-* its parameters (:attr:`Campaign.params`), one :class:`Param` each.
+* its parameters (:attr:`Campaign.params`, one :class:`Param` each).
 
-Everything else is written once here.  From the param table: the
-``repro <kind>`` flags, their parsing (:meth:`Campaign.
-params_from_args`), the serve schema (:attr:`Campaign.serve_params`)
-and the CLI-default params that ``repro run``'s presets override
-(:meth:`Campaign.preset`).  Beyond it: the grid loop (one
+Everything else is written once here: from the params, the ``repro
+<kind>`` flags and their parsing, the serve schema and ``repro run``'s
+presets (:meth:`Campaign.preset`); the grid loop (one
 :class:`~repro.experiments.ensemble.EnsemblePool` per grid, one
 :func:`~repro.experiments.ensemble.run_ensemble` call per cell), the
 outcome codec (:meth:`Campaign.encode` / :meth:`Campaign.decode`), the
