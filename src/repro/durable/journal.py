@@ -73,7 +73,6 @@ class RunJournal:
         self.fingerprint = fingerprint
         #: Stored payloads by namespace, then seed.
         self._completed = completed
-        self._total = sum(len(seeds) for seeds in completed.values())
         #: Warning findings from loading (torn trailing line, if any).
         self.findings = findings
         self._handle = handle
@@ -187,27 +186,22 @@ class RunJournal:
     @property
     def total_completed(self) -> int:
         """Number of finished cells recorded, across all namespaces."""
-        return self._total
+        return sum(len(seeds) for seeds in self._completed.values())
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
     def record(self, namespace: str, seed: int, payload: Any) -> None:
         """Durably record one finished cell (idempotent per cell)."""
+        seed = int(seed)
         seeds = self._completed.setdefault(namespace, {})
-        if int(seed) in seeds:
+        if seed in seeds:
             return
         from repro.durable.atomic_io import append_line
 
-        entry = {
-            "kind": "result",
-            "ns": namespace,
-            "seed": int(seed),
-            "payload": payload,
-        }
+        entry = {"kind": "result", "ns": namespace, "seed": seed, "payload": payload}
         append_line(self._handle, json.dumps(entry, sort_keys=True))
-        seeds[int(seed)] = payload
-        self._total += 1
+        seeds[seed] = payload
 
     # ------------------------------------------------------------------
     def close(self) -> None:
